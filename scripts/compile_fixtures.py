@@ -11,39 +11,24 @@ import sys
 from collections import Counter
 
 from oneway import (
-    CorrectionStructure,
     build_extended,
     circuit_isometry,
-    find_flow,
-    find_gflow,
     max_deviation,
     parse_graph_with_sets,
     simplify_flow,
     simplify_gflow,
     slice_circuit,
-    validate_gflow,
 )
+from oneway.determinism import pick_structure
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def pick_structure(graph, sets):
-    if sets is not None:
-        checked = validate_gflow(graph, sets)
-        if isinstance(checked, list):
-            return None, f"supplied sets invalid: {checked[0]}"
-        return checked, None
-    structure = find_flow(graph) or find_gflow(graph)
-    if structure is None:
-        return None, "no flow, no gflow"
-    return structure, None
-
-
 def compile_one(path: pathlib.Path):
     graph, sets = parse_graph_with_sets(path.read_text())
-    structure, problem = pick_structure(graph, sets)
-    if structure is None:
-        return {"name": path.stem, "error": problem}
+    structure = pick_structure(graph, sets)
+    if isinstance(structure, str):
+        return {"name": path.stem, "error": structure}
 
     ext = build_extended(graph, structure)
     view = slice_circuit(ext, structure)

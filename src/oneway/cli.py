@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .circuits import emit_text, parse_text, slice_circuit
-from .determinism import CorrectionStructure, find_flow, find_gflow, validate_gflow
+from .determinism import CorrectionStructure, find_flow, find_gflow, pick_structure, validate_gflow
 from .extend import build_extended
 from .graphs import OpenGraph, parse_graph_with_sets
 from .rewrite import (
@@ -28,6 +28,7 @@ from .rewrite import (
     trace_text,
 )
 from .simulate import (
+    ProjectionError,
     WireCapError,
     basis_column_order,
     circuit_isometry,
@@ -100,24 +101,6 @@ def cmd_flow(args: argparse.Namespace) -> int:
     return 0 if found else 3
 
 
-def _pick_structure(
-    graph: OpenGraph, sets: dict[int, frozenset[int]] | None
-) -> CorrectionStructure | str:
-    """Returns a structure, or an error string when none exists."""
-    if sets is not None:
-        checked = validate_gflow(graph, sets)
-        if isinstance(checked, list):
-            return "supplied correcting sets invalid: " + "; ".join(checked)
-        return checked
-    flow = find_flow(graph)
-    if flow is not None:
-        return flow
-    gflow = find_gflow(graph)
-    if gflow is not None:
-        return gflow
-    return "graph admits neither flow nor gflow"
-
-
 def _input_chain(trace: SimplificationTrace, wires: list[int]) -> list[int]:
     """Follow jgate relabelings so columns of both isometries line up."""
     moves = {
@@ -138,6 +121,7 @@ def _spot_check(
     structure: CorrectionStructure,
     aligned_compact: np.ndarray,
     seed: int,
+    cap: int,
 ) -> float:
     """Random outcome strings against the measurement-pattern semantics."""
     rng = np.random.default_rng(seed)
@@ -148,7 +132,7 @@ def _spot_check(
         outcomes = {i: int(rng.integers(2)) for i in order}
         state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         state /= np.linalg.norm(state)
-        got = run_pattern(graph, structure, state, outcomes).amplitudes
+        got = run_pattern(graph, structure, state, outcomes, cap=cap).amplitudes
         worst = max(worst, max_deviation(got, aligned_compact @ state))
     return worst
 
@@ -159,7 +143,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         return _fail(2, str(exc))
 
-    structure = _pick_structure(graph, sets)
+    structure = pick_structure(graph, sets)
     if isinstance(structure, str):
         return _fail(3, structure)
 
@@ -199,7 +183,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
         dev = max_deviation(a.matrix, aligned)
         if dev > args.tol:
             return _fail(4, f"verification failed: deviation {dev:.3e} > {args.tol:.1e}")
-        spot = _spot_check(graph, structure, aligned, args.seed)
+        spot = _spot_check(graph, structure, aligned, args.seed, args.max_wires)
         if spot > args.tol:
             return _fail(4, f"outcome spot check failed: deviation {spot:.3e}")
 
@@ -216,7 +200,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         ia = circuit_isometry(a, cap=args.max_wires)
         ib = circuit_isometry(b, cap=args.max_wires)
-    except WireCapError as exc:
+    except (WireCapError, ProjectionError) as exc:
         return _fail(4, str(exc))
     if ia.matrix.shape != ib.matrix.shape:
         return _fail(

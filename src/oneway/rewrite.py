@@ -1,4 +1,4 @@
-"""Directed circuit identities and the wire-stripping drivers.
+"""Directed circuit identities and the rewrite engine that strips wires.
 
 A rewrite site is a tuple of ascending gate indices.  Conceptually the site
 gates are gathered at the last index (each one commuting rightward past the
@@ -17,11 +17,23 @@ Identity catalogue, written in program order (left gate acts first):
   jgate        [CZ ij; J(t) i; CX ij] == J(t) on j       (wire j fresh |+>,
                wire i measured and otherwise finished; j inherits i's start)
   peephole     equal CZ or CX pairs cancel
+
+One engine drives these identities for flow and gflow alike.  It is given,
+for each measured wire in layer order, the wires it may teleport onto:
+``simplify_flow`` passes the single CX target of each wire (a flow is a
+gflow whose correcting sets are singletons), ``simplify_gflow`` the graph
+neighbours in g(i).  For each injective designation a depth-first search
+cancels every CX off the designation, then a fixed tail cancels pairs,
+clears correction CZs, cancels pairs again and collapses each wire with the
+J-gate identity.  The first path that strips every measured wire is the
+result; each of its steps is applied once, and only its circuits are
+oracle-checked when step checks are on.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .circuits import Circuit, Gate, TimeSlicedView, Wire, digest
@@ -54,12 +66,15 @@ class FlowSimplifyError(RuntimeError):
 
 
 class GflowSearchExhausted(RuntimeError):
-    """No special-CX designation succeeded within the attempt budget."""
+    """No special-CX designation succeeded; ``reason`` says why (or why none was tried)."""
 
-    def __init__(self, attempts: int, partial: "SimplificationTrace"):
-        super().__init__(f"gflow designation search exhausted after {attempts} attempts")
+    def __init__(self, attempts: int, partial: "SimplificationTrace", reason: str):
+        super().__init__(
+            f"gflow designation search exhausted after {attempts} attempts: {reason}"
+        )
         self.attempts = attempts
         self.partial = partial
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -422,63 +437,29 @@ def replay(circuit: Circuit, steps: tuple[RewriteStep, ...] | list[RewriteStep])
     return c
 
 
-# --- drivers -----------------------------------------------------------------
+# --- the engine --------------------------------------------------------------
 
 
 class _Driver:
-    """Shared mutable state for one simplification run."""
+    """A circuit and the steps that led to it from the engine's input.
 
-    def __init__(self, circuit: Circuit, verify_steps: bool, tol: float):
+    ``path`` holds every circuit along the way, first to last, and is kept
+    only when the accepted steps are to be checked against the oracle.
+    """
+
+    def __init__(self, circuit: Circuit, steps=(), path: list[Circuit] | None = None):
         self.circuit = circuit
-        self.steps: list[RewriteStep] = []
-        self.verify = verify_steps
-        self.tol = tol
-        self.input_order = [w.id for w in circuit.wires if w.init == "input"]
+        self.steps = list(steps)
+        self.path = path
 
-    def fire(self, result: tuple[Circuit, RewriteStep]) -> None:
-        new_circuit, step = result
-        if self.verify and len(self.circuit.wires) <= 12:
-            self._check(new_circuit, step)
-        self.circuit = new_circuit
+    def fire(self, result: _Result) -> None:
+        self.circuit, step = result
         self.steps.append(step)
-        if step.wire_removed is not None:
-            inherited = step.produced[0].wires[0]
-            self.input_order = [
-                inherited if w == step.wire_removed else w for w in self.input_order
-            ]
+        if self.path is not None:
+            self.path.append(self.circuit)
 
-    def _check(self, new_circuit: Circuit, step: RewriteStep) -> None:
-        from .simulate import basis_column_order, circuit_isometry, max_deviation
-
-        before = circuit_isometry(self.circuit)
-        after = circuit_isometry(new_circuit)
-        order = self.input_order
-        if step.wire_removed is not None:
-            inherited = step.produced[0].wires[0]
-            order_after = [inherited if w == step.wire_removed else w for w in order]
-        else:
-            order_after = order
-        mb = before.matrix[:, basis_column_order(before.input_wires, order)]
-        ma = after.matrix[:, basis_column_order(after.input_wires, order_after)]
-        dev = max_deviation(mb, ma)
-        if dev > self.tol:
-            raise RewriteError(f"step {step.text()} drifted by {dev:.3g}")
-
-    def j_position(self, wire: int) -> int | None:
-        for k, g in enumerate(self.circuit.gates):
-            if g.kind == "J" and g.wires[0] == wire:
-                return k
-        return None
-
-    def cx_indices(self, control: int) -> list[int]:
-        return [
-            k
-            for k, g in enumerate(self.circuit.gates)
-            if g.kind == "CX" and g.control == control
-        ]
-
-    def measured_wires(self) -> set[int]:
-        return {w.id for w in self.circuit.wires if w.terminal == "measured"}
+    def fork(self) -> "_Driver":
+        return _Driver(self.circuit, self.steps, None if self.path is None else list(self.path))
 
 
 def _peephole_pass(drv: _Driver) -> None:
@@ -501,26 +482,54 @@ def _peephole_pass(drv: _Driver) -> None:
                 break
 
 
-def _eliminate_corrections(drv: _Driver) -> None:
-    """Strip every CZ sitting after the J of a measured wire it touches.
+def _correction_czs(circuit: Circuit):
+    """Each CZ sitting after the J of a measured wire it touches, with those wires.
 
     Such a CZ is correction-shaped: it rides on the measured wire past its
     measurement unitary.  The commutation identity trades it for a forward
     move of a CZ on the corrector, exactly the slice-migration step.
     """
-    while True:
-        gates = drv.circuit.gates
-        shaped = []
-        for q, g in enumerate(gates):
-            if g.kind != "CZ":
-                continue
-            controllers = []
-            for m in sorted(g.wires):
-                jm = drv.j_position(m)
-                if m in drv.measured_wires() and jm is not None and jm < q:
+    measured = _measured_ids(circuit)
+    for q, g in enumerate(circuit.gates):
+        if g.kind != "CZ":
+            continue
+        controllers = []
+        for m in sorted(g.wires):
+            if m in measured:
+                jm = _j_index(circuit, m)
+                if jm is not None and jm < q:
                     controllers.append(m)
-            if controllers:
-                shaped.append((q, controllers))
+        if controllers:
+            yield q, controllers
+
+
+def _partner_moves(circuit: Circuit, q: int, movers: list[int]):
+    """Commutations that carry the CZ at q away through a mover's CX.
+
+    The mover CX may be controlled by either wire of the CZ; the measured
+    side is the common case, but when the CZ pairs a measured wire with its
+    own corrector only the other side has a usable partner.
+    """
+    gates = circuit.gates
+    for m in movers:
+        (k,) = set(gates[q].wires) - {m}
+        for cx_idx in _cx_controlled_by(circuit, m):
+            target = gates[cx_idx].target
+            if k == target:
+                continue  # degenerate: would need a CZ from the target to itself
+            for p, h in enumerate(gates):
+                if p != q and h.kind == "CZ" and set(h.wires) == {target, k}:
+                    try:
+                        yield apply_cz_commute(circuit, tuple(sorted((p, cx_idx, q))))
+                    except RewriteError:
+                        pass
+
+
+def _eliminate_corrections(drv: _Driver) -> None:
+    """Strip every correction-shaped CZ, measured wires first as movers."""
+    while True:
+        circuit = drv.circuit
+        shaped = list(_correction_czs(circuit))
         if not shaped:
             return
         # A fire re-emits its partner CZ just past the mover CX, so ordering
@@ -530,48 +539,25 @@ def _eliminate_corrections(drv: _Driver) -> None:
         # first (two blocks can share a partner, and only the earlier block
         # can reach it before it is relocated).  A blocked CZ is retried on a
         # later pass once others have moved.
-        far = len(gates)
+        far = len(circuit.gates)
 
         def mover_position(entry: tuple[int, list[int]]) -> int:
-            positions = [p for m in entry[1] for p in drv.cx_indices(m)]
+            positions = [p for m in entry[1] for p in _cx_controlled_by(circuit, m)]
             return min(positions) if positions else far
 
         shaped.sort(key=lambda e: (mover_position(e), -e[0]))
         for q, controllers in shaped:
-            if _fire_correction_elimination(drv, q, controllers):
+            wires = sorted(circuit.gates[q].wires)
+            movers = controllers + [w for w in wires if w not in controllers]
+            result = next(_partner_moves(circuit, q, movers), None)
+            if result is not None:
+                drv.fire(result)
                 break
         else:
             q = shaped[0][0]
             raise RewriteError(
-                f"no commutation partner eliminates {drv.circuit.gates[q].text()} at {q}"
+                f"no commutation partner eliminates {circuit.gates[q].text()} at {q}"
             )
-
-
-def _fire_correction_elimination(drv: _Driver, q: int, controllers: list[int]) -> bool:
-    gates = drv.circuit.gates
-    # The mover CX may be controlled by either wire of the shaped CZ; the
-    # measured side is the common case, but when the CZ pairs a measured
-    # wire with its own corrector only the other side has a usable partner.
-    movers = controllers + [w for w in sorted(gates[q].wires) if w not in controllers]
-    for m in movers:
-        for cx_idx in drv.cx_indices(m):
-            target = gates[cx_idx].target
-            (k,) = set(gates[q].wires) - {m}
-            if k == target:
-                continue  # degenerate: would need a CZ from the target to itself
-            partners = [
-                p
-                for p, h in enumerate(gates)
-                if p != q and h.kind == "CZ" and set(h.wires) == {target, k}
-            ]
-            for p in partners:
-                site = tuple(sorted((p, cx_idx, q)))
-                try:
-                    drv.fire(apply_cz_commute(drv.circuit, site))
-                    return True
-                except RewriteError:
-                    continue
-    return False
 
 
 def _cx_controlled_by(circuit: Circuit, control: int) -> list[int]:
@@ -662,30 +648,8 @@ def _mint_candidates(circuit: Circuit, work: list[tuple[int, int, int]]):
 
 def _fire_candidates(circuit: Circuit):
     """Commutations that carry a correction-shaped CZ off a measured wire."""
-    measured = _measured_ids(circuit)
-    for q, g in enumerate(circuit.gates):
-        if g.kind != "CZ":
-            continue
-        shaped = False
-        for m in g.wires:
-            jm = _j_index(circuit, m)
-            if m in measured and jm is not None and jm < q:
-                shaped = True
-        if not shaped:
-            continue
-        # either wire may drive the move; see _fire_correction_elimination
-        for m in sorted(g.wires):
-            (k,) = set(g.wires) - {m}
-            for cx_idx in _cx_controlled_by(circuit, m):
-                target = circuit.gates[cx_idx].target
-                if k == target:
-                    continue  # degenerate: would need a CZ from the target to itself
-                for p, h in enumerate(circuit.gates):
-                    if p != q and h.kind == "CZ" and set(h.wires) == {target, k}:
-                        try:
-                            yield apply_cz_commute(circuit, tuple(sorted((p, cx_idx, q))))
-                        except RewriteError:
-                            pass
+    for q, _ in _correction_czs(circuit):
+        yield from _partner_moves(circuit, q, sorted(circuit.gates[q].wires))
 
 
 def _hop_candidates(circuit: Circuit, work: list[tuple[int, int, int]]):
@@ -736,48 +700,53 @@ def _shift_candidates(circuit: Circuit, work: list[tuple[int, int, int]]):
                     pass
 
 
+def _tail(drv: _Driver, order: list[int], targets: dict[int, int]) -> str | None:
+    """Cancel pairs, clear correction CZs, collapse wires; why it failed, or None."""
+    try:
+        _peephole_pass(drv)
+        _eliminate_corrections(drv)
+        _peephole_pass(drv)
+        for i in order:
+            drv.fire(apply_jgate(drv.circuit, i, targets[i]))
+    except RewriteError as exc:
+        return str(exc)
+    left = _measured_ids(drv.circuit)
+    return f"wires {sorted(left)} were not removed" if left else None
+
+
 class _PlanBudgetExceeded(Exception):
     pass
 
 
-def _gflow_plan(
-    circuit: Circuit,
+def _plan(
+    root: _Driver,
     order: list[int],
     targets: dict[int, int],
+    seen: set[str],
     node_budget: int = 4000,
-) -> tuple[list[RewriteStep] | None, tuple[list[RewriteStep], str]]:
+) -> tuple[_Driver, str | None]:
     """Depth-first search for a step sequence that strips every measured wire.
 
-    Moves are tried most-direct-first; visited circuits are pruned by digest.
-    Once no unwanted CX remains, the deterministic tail (cancel pairs, clear
-    correction CZs, collapse wires) is the goal test.  Returns the full plan
-    or None, along with the deepest explored prefix for diagnostics.
+    A CX is unwanted when its target is not its control's designated
+    partner.  Moves are tried most-direct-first; circuits already in
+    ``seen`` (digests) are pruned.  Once no unwanted CX remains, the tail is
+    the goal test.  Returns the driver of the accepted path and None, or the
+    deepest explored prefix and why the search failed.
     """
-    seen = {digest(circuit)}
     nodes = 0
-    best: tuple[list[RewriteStep], str] = ([], digest(circuit))
+    best = root
+    why = "no sequence of moves cancels every unwanted CX"
 
-    def tail(c: Circuit) -> list[RewriteStep] | None:
-        t_drv = _Driver(c, False, 0.0)
-        try:
-            _peephole_pass(t_drv)
-            _eliminate_corrections(t_drv)
-            _peephole_pass(t_drv)
-            _extract_wires(t_drv, order, targets)
-        except RewriteError:
-            return None
-        if t_drv.measured_wires():
-            return None
-        return list(t_drv.steps)
-
-    def rec(c: Circuit, acc: list[RewriteStep]) -> list[RewriteStep] | None:
-        nonlocal nodes, best
-        work = _unwanted_cxs(c, order, targets)
+    def rec(drv: _Driver) -> _Driver | None:
+        nonlocal nodes, best, why
+        work = _unwanted_cxs(drv.circuit, order, targets)
         if not work:
-            done = tail(c)
-            return None if done is None else acc + done
-        if len(acc) > len(best[0]):
-            best = (list(acc), digest(c))
+            done = drv.fork()
+            why = _tail(done, order, targets)
+            return done if why is None else None
+        if len(drv.steps) > len(best.steps):
+            best = drv
+        c = drv.circuit
         candidates = itertools.chain(
             _direct_candidates(c, work),
             _mint_candidates(c, work),
@@ -785,28 +754,99 @@ def _gflow_plan(
             _hop_candidates(c, work),
             _shift_candidates(c, work),
         )
-        for c2, step in candidates:
-            d = digest(c2)
+        for result in candidates:
+            d = digest(result[0])
             if d in seen:
                 continue
             seen.add(d)
             nodes += 1
             if nodes > node_budget:
                 raise _PlanBudgetExceeded
-            found = rec(c2, acc + [step])
+            child = drv.fork()
+            child.fire(result)
+            found = rec(child)
             if found is not None:
                 return found
         return None
 
     try:
-        return rec(circuit, []), best
+        found = rec(root)
     except _PlanBudgetExceeded:
-        return None, best
+        return best, f"the plan search spent its {node_budget}-node budget"
+    return (found, None) if found is not None else (best, why)
 
 
-def _extract_wires(drv: _Driver, order: list[int], targets: dict[int, int]) -> None:
-    for i in order:
-        drv.fire(apply_jgate(drv.circuit, i, targets[i]))
+def _check_path(drv: _Driver, tol: float) -> tuple[_Driver, str | None]:
+    """Oracle-check each accepted step on circuits of at most 12 wires.
+
+    Each step compares the isometries of the circuits on either side of it,
+    with input columns lined up through the jgate relabelings.  Returns the
+    driver and None, or the steps before the first drifting one and why.
+    """
+    from .simulate import basis_column_order, circuit_isometry, max_deviation
+
+    order = [w.id for w in drv.path[0].wires if w.init == "input"]
+    before = None
+    for k, step in enumerate(drv.steps):
+        order_after = [step.produced[0].wires[0] if w == step.wire_removed else w for w in order]
+        if len(drv.path[k].wires) <= 12:
+            if before is None:
+                before = circuit_isometry(drv.path[k])
+            after = circuit_isometry(drv.path[k + 1])
+            mb = before.matrix[:, basis_column_order(before.input_wires, order)]
+            ma = after.matrix[:, basis_column_order(after.input_wires, order_after)]
+            dev = max_deviation(mb, ma)
+            if dev > tol:
+                why = f"step {step.text()} drifted by {dev:.3g}"
+                return _Driver(drv.path[k], drv.steps[:k]), why
+            before = after
+        order = order_after
+    return drv, None
+
+
+def _simplify(
+    circuit: Circuit,
+    order: list[int],
+    candidates: list[list[int]],
+    budget: int | None,
+    verify_steps: bool,
+    tol: float,
+) -> tuple[Circuit, SimplificationTrace]:
+    """The one rewrite engine behind both entry points.
+
+    ``candidates[k]`` lists the possible teleportation partners of wire
+    ``order[k]``.  Injective designations are tried in product order, at
+    most ``budget`` of them (default: all, capped at 10000); each gets one
+    plan search, whose accepted path is the result once its steps pass the
+    oracle checks (when ``verify_steps``).
+    """
+    initial = digest(circuit)
+    cap = min(math.prod(map(len, candidates)), 10_000) if budget is None else budget
+
+    attempts = 0
+    partial = SimplificationTrace((), initial, initial)
+    why: str | None = f"the attempt budget is {cap}"
+    for assignment in itertools.product(*candidates):
+        if len(set(assignment)) != len(assignment):
+            continue
+        if attempts >= cap:
+            break
+        attempts += 1
+        targets = dict(zip(order, assignment))
+        root = _Driver(circuit, path=[circuit] if verify_steps else None)
+        drv, why = _plan(root, order, targets, {initial})
+        if why is None and verify_steps:
+            drv, why = _check_path(drv, tol)
+        trace = SimplificationTrace(tuple(drv.steps), initial, digest(drv.circuit))
+        if why is None:
+            return drv.circuit, trace
+        partial = trace
+    else:
+        if not attempts:
+            why = "no injective designation exists among the candidate partners " + " ".join(
+                f"{i}:{{{','.join(map(str, cand))}}}" for i, cand in zip(order, candidates)
+            )
+    raise GflowSearchExhausted(attempts, partial, why)
 
 
 def _layer_order(circuit: Circuit, view: TimeSlicedView) -> list[int]:
@@ -814,11 +854,6 @@ def _layer_order(circuit: Circuit, view: TimeSlicedView) -> list[int]:
     for layer in range(view.depth):
         order.extend(sorted(circuit.gates[k].wires[0] for k in view.j_slice(layer)))
     return order
-
-
-def _finish(drv: _Driver, initial: str) -> tuple[Circuit, SimplificationTrace]:
-    trace = SimplificationTrace(tuple(drv.steps), initial, digest(drv.circuit))
-    return drv.circuit, trace
 
 
 def simplify_flow(
@@ -830,31 +865,23 @@ def simplify_flow(
 ) -> tuple[Circuit, SimplificationTrace]:
     """Strip every measured wire of a flow-built extended circuit.
 
-    Corrections are single-target, so no CX removal is needed: eliminate
-    correction CZs (migrating entangler CZs forward in the same stroke),
-    then collapse each measured wire onto its corrector in layer order.
+    A flow corrects each measured wire through its one CX, whose target is
+    the only designation the engine is given: no CX needs cancelling, so the
+    engine goes straight to its tail, clearing correction CZs (migrating
+    entangler CZs forward in the same stroke) and collapsing each measured
+    wire onto its corrector in layer order.
     """
-    initial = digest(circuit)
-    drv = _Driver(circuit, verify_steps, tol)
     order = _layer_order(circuit, view)
-
-    targets: dict[int, int] = {}
+    candidates = []
     for i in order:
-        cxs = drv.cx_indices(i)
+        cxs = _cx_controlled_by(circuit, i)
         if len(cxs) != 1:
             raise FlowSimplifyError(f"wire {i} has {len(cxs)} correction CXs; flow needs 1")
-        targets[i] = circuit.gates[cxs[0]].target
-
+        candidates.append([circuit.gates[cxs[0]].target])
     try:
-        _eliminate_corrections(drv)
-        _peephole_pass(drv)
-        _extract_wires(drv, order, targets)
-    except RewriteError as exc:
-        raise FlowSimplifyError(str(exc)) from exc
-
-    if drv.measured_wires():
-        raise FlowSimplifyError(f"wires {sorted(drv.measured_wires())} were not removed")
-    return _finish(drv, initial)
+        return _simplify(circuit, order, candidates, None, verify_steps, tol)
+    except GflowSearchExhausted as exc:
+        raise FlowSimplifyError(exc.reason) from exc
 
 
 def simplify_gflow(
@@ -868,14 +895,13 @@ def simplify_gflow(
 ) -> tuple[Circuit, SimplificationTrace]:
     """Search a special-CX designation and strip every measured wire.
 
-    Each measured wire keeps one special CX (its eventual teleportation
-    partner, necessarily a graph neighbor); the others are cancelled by the
-    CX-triangle identity, minting helpers from CZ pairs where needed.
+    Each measured wire i keeps one special CX (its eventual teleportation
+    partner, a graph neighbour in g(i)); the engine cancels the others with
+    the CX-triangle identity, minting helpers from CZ pairs where needed.
     Designations are tried in ascending-target order, injectively, within
-    the attempt budget; per-step oracle checks guard every accepted rewrite
-    on small circuits.
+    the attempt budget; per-step oracle checks guard the accepted steps on
+    small circuits.
     """
-    initial = digest(circuit)
     order = _layer_order(circuit, view)
     neighbors: dict[int, set[int]] = {i: set() for i in order}
     for k in view.entangle(0):
@@ -889,37 +915,11 @@ def simplify_gflow(
     for i in order:
         cand = sorted(structure.correcting_sets[i] & frozenset(neighbors[i]))
         if not cand:
+            initial = digest(circuit)
             raise GflowSearchExhausted(
-                0, SimplificationTrace((), initial, initial)
+                0,
+                SimplificationTrace((), initial, initial),
+                f"wire {i} has no graph neighbour in its correcting set",
             )
         candidates.append(cand)
-
-    total = 1
-    for cand in candidates:
-        total *= len(cand)
-    cap = min(total, 10_000) if budget is None else budget
-
-    attempts = 0
-    last_partial = SimplificationTrace((), initial, initial)
-    for assignment in itertools.product(*candidates):
-        if len(set(assignment)) != len(assignment):
-            continue
-        if attempts >= cap:
-            break
-        attempts += 1
-        targets = dict(zip(order, assignment))
-        plan, deepest = _gflow_plan(circuit, order, targets)
-        if plan is None:
-            last_partial = SimplificationTrace(tuple(deepest[0]), initial, deepest[1])
-            continue
-        drv = _Driver(circuit, verify_steps, tol)
-        try:
-            for step in plan:
-                drv.fire(_reapply(drv.circuit, step))
-            return _finish(drv, initial)
-        except RewriteError:
-            last_partial = SimplificationTrace(
-                tuple(drv.steps), initial, digest(drv.circuit)
-            )
-            continue
-    raise GflowSearchExhausted(attempts, last_partial)
+    return _simplify(circuit, order, candidates, budget, verify_steps, tol)

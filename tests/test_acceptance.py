@@ -5,6 +5,7 @@ registry at module level feeds the final monotonicity sweep, so tests that
 compile circuits run before it by file order.
 """
 
+import hashlib
 import itertools
 import time
 from collections import Counter
@@ -20,6 +21,7 @@ from oneway import (
     SimplificationTrace,
     build_extended,
     circuit_isometry,
+    emit_text,
     find_flow,
     find_gflow,
     max_deviation,
@@ -27,6 +29,7 @@ from oneway import (
     simplify_flow,
     simplify_gflow,
     slice_circuit,
+    trace_text,
     validate_gflow,
 )
 from oneway.cli import main as cli_main
@@ -44,7 +47,7 @@ def compile_with_flow(graph: OpenGraph):
     COMPILE_TRACES.append(trace)
     assert len(compact.wires) == len(graph.outputs), (graph.edges, graph.outputs)
     dev = max_deviation(circuit_isometry(ext).matrix, circuit_isometry(compact).matrix)
-    return compact, dev
+    return compact, trace, dev
 
 
 def compile_with_gflow(graph: OpenGraph, sets):
@@ -137,16 +140,17 @@ def test_flow_pipeline_strips_every_measured_wire():
     start = time.perf_counter()
     worst = 0.0
     count = 0
-    for graph in atlas_flow_graphs():
-        _, dev = compile_with_flow(graph)
-        worst = max(worst, dev)
-        count += 1
-    for n in (1, 2, 3, 4):
-        _, dev = compile_with_flow(cluster_strip(n))
+    texts = hashlib.sha256()
+    graphs = itertools.chain(atlas_flow_graphs(), map(cluster_strip, (1, 2, 3, 4)))
+    for graph in graphs:
+        compact, trace, dev = compile_with_flow(graph)
+        texts.update((emit_text(compact) + trace_text(trace)).encode())
         worst = max(worst, dev)
         count += 1
     assert count == 1358
     assert worst <= 1e-9
+    # every compact circuit and trace, byte for byte
+    assert texts.hexdigest() == "7b4033ed009585ca7cd4f960c505f5ad4af7108dfa4db11f99bf0cdcd7f236ac"
     assert time.perf_counter() - start < 60.0
 
 

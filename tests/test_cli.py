@@ -117,6 +117,29 @@ def test_compile_wire_cap_exits_4(fixtures_dir, capsys):
     assert "cannot verify: circuit exceeds --max-wires 2" in capsys.readouterr().err
 
 
+def test_compile_verifies_past_the_default_wire_cap(tmp_path, capsys):
+    # a 15-vertex path: 15 wires and one input, so 2^16 dense amplitudes
+    path = tmp_path / "path15.graph"
+    path.write_text(
+        "vertices: " + " ".join(map(str, range(1, 16))) + "\n"
+        + "edges: " + " ".join(f"{v}-{v + 1}" for v in range(1, 15)) + "\n"
+        + "inputs: 1\noutputs: 15\n"
+        + "angles: " + " ".join(f"{v}=1/4pi" for v in range(1, 15)) + "\n"
+    )
+    assert main(["compile", str(path), "--max-wires", "15"]) == 0
+    assert len(parse_text(capsys.readouterr().out).wires) == 1
+
+
+def test_compile_without_an_injective_designation_exits_5(tmp_path, capsys):
+    graph = tmp_path / "cycle_chord.graph"
+    graph.write_text(
+        "vertices: 1 2 3 4 5\nedges: 1-2 1-4 1-5 2-3 3-4 4-5\ninputs:\noutputs: 1 3\n"
+        "angles: 2=1/8pi 4=3/8pi 5=5/8pi\n"
+    )
+    assert main(["compile", str(graph)]) == 5
+    assert "exhausted after 0 attempts: no injective designation" in capsys.readouterr().err
+
+
 def test_verify_compiled_against_extended(fixtures_dir, tmp_path, capsys):
     ext = tmp_path / "extended.circuit"
     assert main(["compile", fx(fixtures_dir, "path3"), "--emit-extended", str(ext)]) == 0
@@ -148,6 +171,16 @@ def test_verify_shape_and_cap_failures(tmp_path, capsys):
     wide.write_text("".join(f"wire {i} input output\n" for i in range(1, 5)))
     assert main(["verify", str(wide), str(wide), "--max-wires", "3"]) == 4
     assert "exceeds the simulation cap" in capsys.readouterr().err
+
+
+def test_verify_non_deterministic_circuit_exits_4(tmp_path, capsys):
+    # |1> on wire 1 flips wire 2 to |->, which the <+| readout annihilates
+    odd = tmp_path / "odd.circuit"
+    odd.write_text("wire 1 input output\nwire 2 plus measured\nCZ 1 2\n")
+    plain = tmp_path / "plain.circuit"
+    plain.write_text("wire 1 input output\n")
+    assert main(["verify", str(odd), str(plain)]) == 4
+    assert "projection collapsed a column" in capsys.readouterr().err
 
 
 def test_verify_parse_error_exits_2(tmp_path, capsys):

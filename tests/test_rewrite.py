@@ -6,15 +6,18 @@ machinery, so a regression in the rules cannot hide behind the oracle that
 the drivers themselves use.
 """
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oneway.rewrite
 from oneway import (
     Angle,
     Circuit,
+    CorrectionStructure,
     FlowSimplifyError,
     Gate,
     GflowSearchExhausted,
@@ -32,6 +35,7 @@ from oneway import (
     digest,
     emit_text,
     find_flow,
+    find_gflow,
     max_deviation,
     replay,
     simplify_flow,
@@ -433,3 +437,83 @@ def test_simplify_gflow_budget_exhaustion():
     compact, _ = simplify_gflow(ext, view, structure)
     assert len(compact.wires) == len(graph.outputs)
     assert max_deviation(circuit_isometry(ext), circuit_isometry(compact)) <= 1e-9
+
+
+# sha256 of emit_text(compact) + trace_text(trace) per fixture: any change to
+# a rewrite step, its order or its output shows here
+FIXTURE_DIGESTS = {
+    "path3": "87e339fd10aea1e10b9b1ed1b4072ffb2fda95365fa86cf86a8531e48b1309cc",
+    "strip2x3": "bdb467e81aaabc05f00044258126942badf2a221a82bdb32a3316e20b1de2905",
+    "example1": "e2a5d26cc3db72c6f9115f6d80c6ffb7e7609fbed50da73ec4bbb61ff6e3bd37",
+    "example2": "420358fc5ba18c77215a32add5d2b8ab25c0bfb120ffc35ddf16dddcc0d01edb",
+    "budget": "d4e1124eaed5ca87f748b6835bdf4e373b2856853207d105e60e3fc03f4cbe17",
+}
+
+
+def fixture_pipeline(name: str):
+    graph, sets = load_fixture(name)
+    structure = validate_gflow(graph, sets) if sets is not None else find_flow(graph)
+    ext = build_extended(graph, structure)
+    return structure, ext, slice_circuit(ext, structure)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_DIGESTS))
+def test_fixture_circuits_and_traces_are_byte_identical(name):
+    structure, ext, view = fixture_pipeline(name)
+    if structure.kind == "flow":
+        compact, trace = simplify_flow(ext, view)
+    else:
+        compact, trace = simplify_gflow(ext, view, structure)
+    text = emit_text(compact) + trace_text(trace)
+    assert hashlib.sha256(text.encode()).hexdigest() == FIXTURE_DIGESTS[name]
+
+
+def test_gflow_without_an_injective_designation_says_so():
+    # the 5-cycle 1-2-3-4-5 with chord 1-4: wires 2 and 5 can only teleport onto 1
+    graph = OpenGraph(
+        (1, 2, 3, 4, 5),
+        frozenset({(1, 2), (1, 4), (1, 5), (2, 3), (3, 4), (4, 5)}),
+        frozenset(),
+        frozenset({1, 3}),
+        {2: Angle.exact(1, 8), 4: Angle.exact(3, 8), 5: Angle.exact(5, 8)},
+    )
+    structure = find_gflow(graph)
+    ext = build_extended(graph, structure)
+    with pytest.raises(GflowSearchExhausted) as info:
+        simplify_gflow(ext, slice_circuit(ext, structure), structure)
+    assert info.value.attempts == 0
+    assert info.value.partial.steps == ()
+    assert "exhausted after 0 attempts: no injective designation" in str(info.value)
+    assert "2:{1}" in str(info.value) and "5:{1}" in str(info.value)
+
+
+def test_gflow_wire_without_a_neighbour_in_its_set_is_named():
+    _, ext, view = fixture_pipeline("path3")
+    # correcting sets that miss every neighbour of wire 1
+    foreign = CorrectionStructure(
+        "gflow", {1: frozenset({3}), 2: frozenset({3})}, (frozenset({1}), frozenset({2}))
+    )
+    with pytest.raises(GflowSearchExhausted, match="0 attempts: wire 1 has no graph neighbour"):
+        simplify_gflow(ext, view, foreign)
+
+
+def test_step_checks_catch_a_drifting_step(monkeypatch):
+    structure, ext, view = fixture_pipeline("example1")
+    good_jgate = oneway.rewrite.apply_jgate
+
+    def bent_jgate(circuit, i, j):
+        out, step = good_jgate(circuit, i, j)
+        bent = Gate("J", (j,), Angle.exact(1, 3))
+        gates = tuple(bent if g == step.produced[0] else g for g in out.gates)
+        return Circuit(out.wires, gates), RewriteStep(step.rule, step.consumed, (bent,), i)
+
+    monkeypatch.setattr(oneway.rewrite, "apply_jgate", bent_jgate)
+    with pytest.raises(GflowSearchExhausted, match="drifted") as info:
+        simplify_gflow(ext, view, structure)
+    partial = info.value.partial
+    assert partial.steps and partial.steps[-1].rule != "jgate"
+    assert digest(replay(ext, partial.steps)) == partial.final_digest
+
+    _, ext, view = fixture_pipeline("path3")
+    with pytest.raises(FlowSimplifyError, match="drifted"):
+        simplify_flow(ext, view, verify_steps=True)
