@@ -143,7 +143,8 @@ def _check_gather(circuit: Circuit, site: tuple[int, ...]) -> None:
 
 def _splice(circuit: Circuit, site: tuple[int, ...], produced: tuple[Gate, ...]) -> Circuit:
     insert_at = site[-1] - (len(site) - 1)
-    kept = [g for k, g in enumerate(circuit.gates) if k not in set(site)]
+    in_site = set(site)
+    kept = [g for k, g in enumerate(circuit.gates) if k not in in_site]
     return Circuit(circuit.wires, tuple(kept[:insert_at]) + produced + tuple(kept[insert_at:]))
 
 
@@ -490,17 +491,14 @@ def _correction_czs(circuit: Circuit):
     move of a CZ on the corrector, exactly the slice-migration step.
     """
     measured = _measured_ids(circuit)
+    j_at: dict[int, int] = {}  # first J of each wire among the gates before q
     for q, g in enumerate(circuit.gates):
-        if g.kind != "CZ":
-            continue
-        controllers = []
-        for m in sorted(g.wires):
-            if m in measured:
-                jm = _j_index(circuit, m)
-                if jm is not None and jm < q:
-                    controllers.append(m)
-        if controllers:
-            yield q, controllers
+        if g.kind == "J":
+            j_at.setdefault(g.wires[0], q)
+        elif g.kind == "CZ":
+            controllers = [m for m in g.wires if m in measured and j_at.get(m, q) < q]
+            if controllers:
+                yield q, controllers
 
 
 def _partner_moves(circuit: Circuit, q: int, movers: list[int]):
@@ -540,15 +538,13 @@ def _eliminate_corrections(drv: _Driver) -> None:
         # can reach it before it is relocated).  A blocked CZ is retried on a
         # later pass once others have moved.
         far = len(circuit.gates)
-
-        def mover_position(entry: tuple[int, list[int]]) -> int:
-            positions = [p for m in entry[1] for p in _cx_controlled_by(circuit, m)]
-            return min(positions) if positions else far
-
-        shaped.sort(key=lambda e: (mover_position(e), -e[0]))
+        first_cx: dict[int, int] = {}
+        for k, g in enumerate(circuit.gates):
+            if g.kind == "CX":
+                first_cx.setdefault(g.control, k)
+        shaped.sort(key=lambda e: (min(first_cx.get(m, far) for m in e[1]), -e[0]))
         for q, controllers in shaped:
-            wires = sorted(circuit.gates[q].wires)
-            movers = controllers + [w for w in wires if w not in controllers]
+            movers = controllers + [w for w in circuit.gates[q].wires if w not in controllers]
             result = next(_partner_moves(circuit, q, movers), None)
             if result is not None:
                 drv.fire(result)
@@ -566,13 +562,6 @@ def _cx_controlled_by(circuit: Circuit, control: int) -> list[int]:
         for k, g in enumerate(circuit.gates)
         if g.kind == "CX" and g.control == control
     ]
-
-
-def _j_index(circuit: Circuit, wire: int) -> int | None:
-    for k, g in enumerate(circuit.gates):
-        if g.kind == "J" and g.wires[0] == wire:
-            return k
-    return None
 
 
 def _measured_ids(circuit: Circuit) -> set[int]:
@@ -597,11 +586,7 @@ def _middles(circuit: Circuit, i: int, t: int) -> list[tuple[int, int]]:
 
 
 def _helper_indices(circuit: Circuit, m: int, t: int) -> list[int]:
-    return [
-        k
-        for k, g in enumerate(circuit.gates)
-        if g.kind == "CX" and g.control == m and g.target == t
-    ]
+    return [k for k in _cx_controlled_by(circuit, m) if circuit.gates[k].target == t]
 
 
 _Result = tuple[Circuit, RewriteStep]

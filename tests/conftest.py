@@ -2,7 +2,7 @@ import pathlib
 
 import pytest
 
-from oneway import parse_graph_with_sets
+from oneway import Angle, OpenGraph, parse_graph_with_sets
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -15,6 +15,21 @@ def fixtures_dir() -> pathlib.Path:
 def load_fixture(name: str):
     """Parse fixtures/<name>.graph into (OpenGraph, sets-or-None)."""
     return parse_graph_with_sets((FIXTURES / f"{name}.graph").read_text())
+
+
+def cluster_strip(n: int) -> OpenGraph:
+    """2 x n cluster strip: rows 1..n and n+1..2n, left column in, right column out."""
+    edges = {(i, i + n) for i in range(1, n + 1)}
+    for i in range(1, n):
+        edges.add((i, i + 1))
+        edges.add((i + n, i + n + 1))
+    vertices = tuple(range(1, 2 * n + 1))
+    outputs = frozenset({n, 2 * n})
+    angles = {
+        v: Angle.exact(2 * k + 1, 8)
+        for k, v in enumerate(v for v in vertices if v not in outputs)
+    }
+    return OpenGraph(vertices, frozenset(edges), frozenset({1, n + 1}), outputs, angles)
 
 
 @pytest.fixture(scope="session")

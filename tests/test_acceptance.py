@@ -34,7 +34,7 @@ from oneway import (
 )
 from oneway.cli import main as cli_main
 from _oracle import cx_on, cz_on, j_of, plus_embedding
-from conftest import load_fixture
+from conftest import cluster_strip, load_fixture
 
 COMPILE_TRACES: list[SimplificationTrace] = []
 
@@ -120,20 +120,6 @@ def atlas_flow_graphs():
                 if not exhaustive:
                     witnessed = True
                     break
-
-
-def cluster_strip(n: int) -> OpenGraph:
-    edges = {(i, i + n) for i in range(1, n + 1)}
-    for i in range(1, n):
-        edges.add((i, i + 1))
-        edges.add((i + n, i + n + 1))
-    vertices = tuple(range(1, 2 * n + 1))
-    outputs = frozenset({n, 2 * n})
-    angles = {
-        v: Angle.exact(2 * k + 1, 8)
-        for k, v in enumerate(v for v in vertices if v not in outputs)
-    }
-    return OpenGraph(vertices, frozenset(edges), frozenset({1, n + 1}), outputs, angles)
 
 
 def test_flow_pipeline_strips_every_measured_wire():

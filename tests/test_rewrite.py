@@ -44,9 +44,9 @@ from oneway import (
     trace_text,
     validate_gflow,
 )
-from oneway.rewrite import _commutes
+from oneway.rewrite import _Driver, _commutes, _eliminate_corrections
 from _oracle import cx_on, cz_on, j_of, j_on, plus_embedding
-from conftest import load_fixture
+from conftest import cluster_strip, load_fixture
 
 TRIPLES = list(itertools.permutations((1, 2, 3)))
 
@@ -466,6 +466,40 @@ def test_fixture_circuits_and_traces_are_byte_identical(name):
         compact, trace = simplify_gflow(ext, view, structure)
     text = emit_text(compact) + trace_text(trace)
     assert hashlib.sha256(text.encode()).hexdigest() == FIXTURE_DIGESTS[name]
+
+
+# the same digest for the 2 x n cluster strips, where the eliminator fires
+# hundreds of times and the order of its fires decides the output
+STRIP_DIGESTS = {
+    8: "387355feced212ef2ec1247a3be3fba4215ed53f8d13e70a3a3b787d2c0b9bf5",
+    16: "95d7e49ffb725b22d2c9a4e11de2f55ce035f5fdbf16f06f137629b225f5bee8",
+    32: "9323e11efb5594207978ad4a051dbcd406deb4bff439829d3dcac6ffa51c2a75",
+    64: "e1f7b36280317b77068879f11c10438daff5b67c3a78de9efd07fd646019d486",
+}
+
+
+@pytest.mark.parametrize("n", sorted(STRIP_DIGESTS))
+def test_strip_circuits_and_traces_are_byte_identical(n):
+    graph = cluster_strip(n)
+    structure = find_flow(graph)
+    ext = build_extended(graph, structure)
+    compact, trace = simplify_flow(ext, slice_circuit(ext, structure))
+    assert len(compact.wires) == 2
+    text = emit_text(compact) + trace_text(trace)
+    assert hashlib.sha256(text.encode()).hexdigest() == STRIP_DIGESTS[n]
+
+
+def test_eliminator_names_a_correction_cz_it_cannot_move():
+    # the only CX on either wire of CZ 1 2 targets the CZ's other wire, so no
+    # commutation partner can carry the CZ off measured wire 1
+    circuit = Circuit(
+        (Wire(1, "input", "measured"), Wire(2, "plus", "output")),
+        (Gate("J", (1,), Angle.exact(1, 4)), Gate("CZ", (1, 2)), Gate("CX", (1, 2))),
+    )
+    drv = _Driver(circuit)
+    with pytest.raises(RewriteError, match=r"^no commutation partner eliminates CZ 1 2 at 1$"):
+        _eliminate_corrections(drv)
+    assert drv.steps == []
 
 
 def test_gflow_without_an_injective_designation_says_so():
