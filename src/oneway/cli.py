@@ -13,28 +13,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from .circuits import emit_text, parse_text, slice_circuit
-from .determinism import CorrectionStructure, find_flow, find_gflow, pick_structure, validate_gflow
-from .extend import build_extended
+from .circuits import Circuit, emit_text, parse_text
+from .determinism import find_flow, find_gflow, validate_gflow
 from .graphs import OpenGraph, parse_graph_with_sets
-from .rewrite import (
-    FlowSimplifyError,
-    GflowSearchExhausted,
-    SimplificationTrace,
-    simplify_flow,
-    simplify_gflow,
-    trace_text,
-)
-from .simulate import (
-    ProjectionError,
-    WireCapError,
-    basis_column_order,
-    circuit_isometry,
-    max_deviation,
-    run_pattern,
-)
+from .pipeline import CompileError, compile_pattern
+from .rewrite import SimplificationTrace, trace_text
+from .simulate import ProjectionError, WireCapError, circuit_isometry, max_deviation
 
 __all__ = ["main"]
 
@@ -101,40 +85,20 @@ def cmd_flow(args: argparse.Namespace) -> int:
     return 0 if found else 3
 
 
-def _input_chain(trace: SimplificationTrace, wires: list[int]) -> list[int]:
-    """Follow jgate relabelings so columns of both isometries line up."""
-    moves = {
-        step.wire_removed: step.produced[0].wires[0]
-        for step in trace.steps
-        if step.rule == "jgate"
-    }
-    resolved = []
-    for w in wires:
-        while w in moves:
-            w = moves[w]
-        resolved.append(w)
-    return resolved
-
-
-def _spot_check(
-    graph: OpenGraph,
-    structure: CorrectionStructure,
-    aligned_compact: np.ndarray,
-    seed: int,
-    cap: int,
-) -> float:
-    """Random outcome strings against the measurement-pattern semantics."""
-    rng = np.random.default_rng(seed)
-    order = sorted(graph.measured)
-    dim = 2 ** len(graph.inputs)
-    worst = 0.0
-    for _ in range(2):
-        outcomes = {i: int(rng.integers(2)) for i in order}
-        state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        state /= np.linalg.norm(state)
-        got = run_pattern(graph, structure, state, outcomes, cap=cap).amplitudes
-        worst = max(worst, max_deviation(got, aligned_compact @ state))
-    return worst
+def _write_outputs(
+    args: argparse.Namespace,
+    extended: Circuit | None,
+    trace: SimplificationTrace | None,
+    partial: bool = False,
+) -> None:
+    """--emit-extended and --trace; an exhausted search's partial trace
+    goes to stderr when no --trace is given."""
+    if args.emit_extended and extended is not None:
+        _write(args.emit_extended, emit_text(extended))
+    if args.trace and trace is not None:
+        _write(args.trace, trace_text(trace))
+    elif partial:
+        sys.stderr.write(trace_text(trace))
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
@@ -143,51 +107,16 @@ def cmd_compile(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         return _fail(2, str(exc))
 
-    structure = pick_structure(graph, sets)
-    if isinstance(structure, str):
-        return _fail(3, structure)
-
-    extended = build_extended(graph, structure)
-    if args.emit_extended:
-        _write(args.emit_extended, emit_text(extended))
-    view = slice_circuit(extended, structure)
-
     try:
-        if structure.kind == "flow":
-            compact, trace = simplify_flow(extended, view)
-        else:
-            compact, trace = simplify_gflow(
-                extended, view, structure, budget=args.search_budget
-            )
-    except GflowSearchExhausted as exc:
-        if args.trace:
-            _write(args.trace, trace_text(exc.partial))
-        else:
-            sys.stderr.write(trace_text(exc.partial))
-        return _fail(5, str(exc))
-    except FlowSimplifyError as exc:
-        return _fail(4, f"simplification failed: {exc}")
-
-    if args.trace:
-        _write(args.trace, trace_text(trace))
-
-    if not args.no_verify:
-        if max(len(extended.wires), len(compact.wires)) > args.max_wires:
-            return _fail(
-                4, f"cannot verify: circuit exceeds --max-wires {args.max_wires}"
-            )
-        a = circuit_isometry(extended, cap=args.max_wires)
-        b = circuit_isometry(compact, cap=args.max_wires)
-        chained = _input_chain(trace, list(a.input_wires))
-        aligned = b.matrix[:, basis_column_order(b.input_wires, chained)]
-        dev = max_deviation(a.matrix, aligned)
-        if dev > args.tol:
-            return _fail(4, f"verification failed: deviation {dev:.3e} > {args.tol:.1e}")
-        spot = _spot_check(graph, structure, aligned, args.seed, args.max_wires)
-        if spot > args.tol:
-            return _fail(4, f"outcome spot check failed: deviation {spot:.3e}")
-
-    sys.stdout.write(emit_text(compact))
+        done = compile_pattern(
+            graph, sets, budget=args.search_budget, verify=not args.no_verify,
+            tol=args.tol, max_wires=args.max_wires, seed=args.seed,
+        )
+    except CompileError as exc:
+        _write_outputs(args, exc.extended, exc.trace, partial=exc.code == 5)
+        return _fail(exc.code, str(exc))
+    _write_outputs(args, done.extended, done.trace)
+    sys.stdout.write(emit_text(done.compact))
     return 0
 
 

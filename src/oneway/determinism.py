@@ -18,7 +18,6 @@ __all__ = [
     "find_flow",
     "find_gflow",
     "validate_gflow",
-    "pick_structure",
 ]
 
 
@@ -158,27 +157,6 @@ def validate_gflow(
     if problems:
         return problems
     return CorrectionStructure("gflow", dict(sets), layers)
-
-
-def pick_structure(
-    graph: OpenGraph, sets: dict[int, frozenset[int]] | None
-) -> CorrectionStructure | str:
-    """The supplied sets once validated, else a flow, else a gflow.
-
-    Returns an error string when none exists.
-    """
-    if sets is not None:
-        checked = validate_gflow(graph, sets)
-        if isinstance(checked, list):
-            return "supplied correcting sets invalid: " + "; ".join(checked)
-        return checked
-    flow = find_flow(graph)
-    if flow is not None:
-        return flow
-    gflow = find_gflow(graph)
-    if gflow is not None:
-        return gflow
-    return "graph admits neither flow nor gflow"
 
 
 def find_gflow(graph: OpenGraph) -> CorrectionStructure | None:

@@ -15,9 +15,7 @@ from .angles import Angle
 
 __all__ = [
     "OpenGraph",
-    "Stabilizer",
     "validate",
-    "stabilizer_of",
     "odd_neighborhood",
     "parse_graph",
     "parse_graph_with_sets",
@@ -79,26 +77,6 @@ def validate(graph: OpenGraph) -> list[str]:
     if extra:
         problems.append(f"angles given for unmeasured vertices {sorted(extra)}")
     return problems
-
-
-@dataclass(frozen=True)
-class Stabilizer:
-    """X on one vertex, Z on each of its neighbors; fixes the graph state."""
-
-    vertex: int
-    z_support: frozenset[int]
-
-    @property
-    def x_support(self) -> frozenset[int]:
-        return frozenset({self.vertex})
-
-
-def stabilizer_of(graph: OpenGraph, j: int) -> Stabilizer:
-    if j not in graph.neighbors:
-        raise ValueError(f"vertex {j} not in graph")
-    if j in graph.inputs:
-        raise ValueError(f"vertex {j} is an input; it carries no prepared stabilizer")
-    return Stabilizer(j, graph.neighbors[j])
 
 
 def odd_neighborhood(graph: OpenGraph, subset: frozenset[int] | set[int]) -> frozenset[int]:

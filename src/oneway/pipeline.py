@@ -1,0 +1,121 @@
+"""The one compile sequence: structure, extended circuit, compact circuit,
+then the dense-oracle check that `oneway compile` reports on."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .circuits import Circuit, slice_circuit
+from .determinism import CorrectionStructure, find_flow, find_gflow, validate_gflow
+from .extend import build_extended
+from .graphs import OpenGraph
+from .rewrite import (
+    FlowSimplifyError, GflowSearchExhausted, SimplificationTrace, simplify_flow, simplify_gflow,
+)
+from .simulate import basis_column_order, circuit_isometry, max_deviation, run_pattern
+
+__all__ = ["Compiled", "CompileError", "compile_pattern"]
+
+
+@dataclass(frozen=True)
+class Compiled:
+    structure: CorrectionStructure
+    extended: Circuit
+    compact: Circuit
+    trace: SimplificationTrace
+    deviation: float | None  # worst oracle or spot-check deviation; None unverified
+
+
+class CompileError(Exception):
+    """A failed compile: ``code`` is the exit status of `oneway compile` (3, 4
+    or 5); ``extended`` and ``trace`` are what was built before it failed (the
+    partial trace of an exhausted search), None where that stage was not reached.
+    """
+
+    def __init__(self, code: int, message: str, extended: Circuit | None = None,
+                 trace: SimplificationTrace | None = None):
+        super().__init__(message)
+        self.code = code
+        self.extended = extended
+        self.trace = trace
+
+
+def _input_chain(trace: SimplificationTrace, wires: list[int]) -> list[int]:
+    """Follow jgate relabelings so columns of both isometries line up."""
+    moves = {
+        step.wire_removed: step.produced[0].wires[0]
+        for step in trace.steps
+        if step.rule == "jgate"
+    }
+    resolved = []
+    for w in wires:
+        while w in moves:
+            w = moves[w]
+        resolved.append(w)
+    return resolved
+
+
+def _spot_check(
+    graph: OpenGraph, structure: CorrectionStructure, aligned_compact: np.ndarray, seed: int, cap: int
+) -> float:
+    """Random outcome strings against the measurement-pattern semantics."""
+    rng = np.random.default_rng(seed)
+    order = sorted(graph.measured)
+    dim = 2 ** len(graph.inputs)
+    worst = 0.0
+    for _ in range(2):
+        outcomes = {i: int(rng.integers(2)) for i in order}
+        state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        state /= np.linalg.norm(state)
+        got = run_pattern(graph, structure, state, outcomes, cap=cap).amplitudes
+        worst = max(worst, max_deviation(got, aligned_compact @ state))
+    return worst
+
+
+def compile_pattern(
+    graph: OpenGraph, sets: dict[int, frozenset[int]] | None = None, *, budget: int | None = None,
+    verify: bool = True, tol: float = 1e-9, max_wires: int = 14, seed: int = 0,
+) -> Compiled:
+    """Compile under the supplied ``sets`` once validated, else a flow, else a gflow.
+
+    ``budget`` caps the designation attempts; ``tol``, ``max_wires`` and ``seed``
+    set the verification.  Every failure raises ``CompileError``.
+    """
+    if sets is not None:
+        structure = validate_gflow(graph, sets)
+        if isinstance(structure, list):
+            raise CompileError(3, "supplied correcting sets invalid: " + "; ".join(structure))
+    else:
+        structure = find_flow(graph) or find_gflow(graph)
+        if structure is None:
+            raise CompileError(3, "graph admits neither flow nor gflow")
+
+    extended = build_extended(graph, structure)
+    view = slice_circuit(extended, structure)
+    try:
+        if structure.kind == "flow":
+            compact, trace = simplify_flow(extended, view)
+        else:
+            compact, trace = simplify_gflow(extended, view, structure, budget=budget)
+    except GflowSearchExhausted as exc:
+        raise CompileError(5, str(exc), extended, exc.partial) from exc
+    except FlowSimplifyError as exc:
+        raise CompileError(4, f"simplification failed: {exc}", extended) from exc
+
+    if not verify:
+        return Compiled(structure, extended, compact, trace, None)
+    if max(len(extended.wires), len(compact.wires)) > max_wires:
+        raise CompileError(4, f"cannot verify: circuit exceeds --max-wires {max_wires}", extended, trace)
+    a = circuit_isometry(extended, cap=max_wires)
+    b = circuit_isometry(compact, cap=max_wires)
+    chained = _input_chain(trace, list(a.input_wires))
+    aligned = b.matrix[:, basis_column_order(b.input_wires, chained)]
+    dev = max_deviation(a.matrix, aligned)
+    if dev > tol:
+        raise CompileError(4, f"verification failed: deviation {dev:.3e} > {tol:.1e}", extended, trace)
+    spot = _spot_check(graph, structure, aligned, seed, max_wires)
+    if spot > tol:
+        raise CompileError(4, f"outcome spot check failed: deviation {spot:.3e}", extended, trace)
+    return Compiled(structure, extended, compact, trace, max(dev, spot))

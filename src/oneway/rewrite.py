@@ -149,12 +149,9 @@ def _splice(circuit: Circuit, site: tuple[int, ...], produced: tuple[Gate, ...])
 
 
 def apply_cz_commute(circuit: Circuit, site: tuple[int, ...]) -> tuple[Circuit, RewriteStep]:
-    """Either direction of the CZ/CX commutation identity.
+    """The CZ/CX commutation identity on one CX and two CZs.
 
-    Three gates: the CZ sharing the control wire is consumed, the other two
-    swap order.  Two gates (a CX and the CZ on its target): swap them and
-    materialize the third gate; this direction grows the circuit and is
-    never used by the drivers.
+    The CZ sharing the control wire is consumed, the other two swap order.
     """
     _check_site(circuit, site)
     gates = [circuit.gates[k] for k in site]
@@ -177,20 +174,7 @@ def apply_cz_commute(circuit: Circuit, site: tuple[int, ...]) -> tuple[Circuit, 
         produced = (first, second)
         step = RewriteStep("cz-commute", site, produced)
         return _splice(circuit, site, produced), step
-    if len(site) == 2:
-        if len(cxs) != 1 or len(czs) != 1:
-            raise RewriteError("need one CX and one CZ gate")
-        cx, cz = cxs[0], czs[0]
-        i, j = cx.control, cx.target
-        if j not in cz.wires or i in cz.wires:
-            raise RewriteError("CZ must touch the CX target and avoid its control")
-        (k,) = set(cz.wires) - {j}
-        _check_gather(circuit, site)
-        first, second = (cz, cx) if gates[0] is cx else (cx, cz)
-        produced = (first, second, Gate("CZ", (i, k)))
-        step = RewriteStep("cz-commute", site, produced)
-        return _splice(circuit, site, produced), step
-    raise RewriteError("site must have two or three gates")
+    raise RewriteError("site must have three gates")
 
 
 def _require_fresh(circuit: Circuit, wire: int, before: int, site: set[int]) -> None:
@@ -205,12 +189,11 @@ def _require_fresh(circuit: Circuit, wire: int, before: int, site: set[int]) -> 
 
 
 def apply_cz_to_cx(
-    circuit: Circuit, site: tuple[int, ...], fresh: int | None = None
+    circuit: Circuit, site: tuple[int, ...], fresh: int
 ) -> tuple[Circuit, RewriteStep]:
-    """Trade a CZ pair on a fresh |+> wire for a CX (or back).
+    """Trade a CZ pair on a fresh |+> wire for a CX.
 
-    Forward: [CZ jk; CZ ik] with j fresh becomes [CZ jk; CX ij].  Reverse:
-    [CZ jk; CX ij] with j fresh becomes [CZ jk; CZ ik].
+    [CZ jk; CZ ik] with j = ``fresh`` becomes [CZ jk; CX ij].
     """
     _check_site(circuit, site)
     if len(site) != 2:
@@ -223,19 +206,6 @@ def apply_cz_to_cx(
             raise RewriteError("CZ pair must share exactly one wire")
         (k,) = shared
         others = (set(g0.wires) | set(g1.wires)) - {k}
-        if fresh is None:
-            candidates = []
-            for cand in sorted(others):
-                try:
-                    _require_fresh(circuit, cand, site[-1], set(site))
-                except RewriteError:
-                    continue
-                candidates.append(cand)
-            if len(candidates) != 1:
-                raise RewriteError(
-                    f"fresh wire ambiguous or absent among {sorted(others)}; pass one explicitly"
-                )
-            fresh = candidates[0]
         if fresh not in others:
             raise RewriteError(f"wire {fresh} is not part of the site")
         (i,) = others - {fresh}
@@ -245,19 +215,7 @@ def apply_cz_to_cx(
         step = RewriteStep("cz-to-cx", site, produced)
         return _splice(circuit, site, produced), step
 
-    if g0.kind == "CZ" and g1.kind == "CX":
-        j = g1.target
-        if j not in g0.wires or g1.control in g0.wires:
-            raise RewriteError("CX target must sit on the CZ, its control must not")
-        (k,) = set(g0.wires) - {j}
-        i = g1.control
-        _require_fresh(circuit, j, site[-1], set(site))
-        _check_gather(circuit, site)
-        produced = (Gate("CZ", (j, k)), Gate("CZ", (i, k)))
-        step = RewriteStep("cz-to-cx", site, produced)
-        return _splice(circuit, site, produced), step
-
-    raise RewriteError("site must be a CZ pair or CZ followed by CX")
+    raise RewriteError("site must be a CZ pair")
 
 
 def _cx_word(gate_list: list[Gate], wires: list[int]) -> tuple[int, ...]:
@@ -422,9 +380,7 @@ def _reapply(circuit: Circuit, st: RewriteStep) -> tuple[Circuit, RewriteStep]:
     if st.rule == "cx-commute":
         return apply_cx_commute(circuit, st.consumed)
     if st.rule == "cz-to-cx":
-        cx_gates = [g for g in st.produced if g.kind == "CX"]
-        fresh = cx_gates[0].target if cx_gates else None
-        return apply_cz_to_cx(circuit, st.consumed, fresh=fresh)
+        return apply_cz_to_cx(circuit, st.consumed, fresh=st.produced[1].target)
     raise RewriteError(f"unknown rule {st.rule!r}")
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "ProjectionError",
     "basis_column_order",
     "circuit_isometry",
-    "equivalent",
     "max_deviation",
     "run_pattern",
     "measured_wire_reduced_states",
@@ -196,14 +195,6 @@ def max_deviation(
         return float(np.max(np.abs(ma)))
     phase = (ma[idx] / mb[idx]) / abs(ma[idx] / mb[idx])
     return float(np.max(np.abs(ma - phase * mb)))
-
-
-def equivalent(
-    a: Isometry | StateVector | np.ndarray,
-    b: Isometry | StateVector | np.ndarray,
-    tol: float = 1e-9,
-) -> bool:
-    return max_deviation(a, b) <= tol
 
 
 def run_pattern(

@@ -19,16 +19,12 @@ from oneway import (
     CorrectionStructure,
     OpenGraph,
     SimplificationTrace,
-    build_extended,
     circuit_isometry,
+    compile_pattern,
     emit_text,
     find_flow,
-    find_gflow,
     max_deviation,
     run_pattern,
-    simplify_flow,
-    simplify_gflow,
-    slice_circuit,
     trace_text,
     validate_gflow,
 )
@@ -40,24 +36,18 @@ COMPILE_TRACES: list[SimplificationTrace] = []
 
 
 def compile_with_flow(graph: OpenGraph):
-    structure = find_flow(graph)
-    assert structure is not None
-    ext = build_extended(graph, structure)
-    compact, trace = simplify_flow(ext, slice_circuit(ext, structure))
-    COMPILE_TRACES.append(trace)
-    assert len(compact.wires) == len(graph.outputs), (graph.edges, graph.outputs)
-    dev = max_deviation(circuit_isometry(ext).matrix, circuit_isometry(compact).matrix)
-    return compact, trace, dev
+    done = compile_pattern(graph)
+    assert done.structure.kind == "flow"
+    COMPILE_TRACES.append(done.trace)
+    assert len(done.compact.wires) == len(graph.outputs), (graph.edges, graph.outputs)
+    return done.compact, done.trace, done.deviation
 
 
 def compile_with_gflow(graph: OpenGraph, sets):
-    structure = validate_gflow(graph, sets)
-    assert isinstance(structure, CorrectionStructure), structure
-    ext = build_extended(graph, structure)
-    compact, trace = simplify_gflow(ext, slice_circuit(ext, structure), structure)
-    COMPILE_TRACES.append(trace)
-    dev = max_deviation(circuit_isometry(ext).matrix, circuit_isometry(compact).matrix)
-    return compact, trace, dev
+    done = compile_pattern(graph, sets)
+    assert done.structure.kind == "gflow"
+    COMPILE_TRACES.append(done.trace)
+    return done.compact, done.trace, done.deviation
 
 
 def test_single_edge_pattern_compiles_to_j():
@@ -68,9 +58,7 @@ def test_single_edge_pattern_compiles_to_j():
             (1, 2), frozenset({(1, 2)}), frozenset({1}), frozenset({2}),
             {1: Angle.radians(float(theta))},
         )
-        structure = find_flow(graph)
-        ext = build_extended(graph, structure)
-        compact, _ = simplify_flow(ext, slice_circuit(ext, structure))
+        compact = compile_pattern(graph, verify=False).compact
         assert len(compact.wires) == 1
         assert [g.kind for g in compact.gates] == ["J"]
         assert max_deviation(circuit_isometry(compact).matrix, j_of(float(theta))) <= 1e-9
@@ -185,12 +173,9 @@ def test_patterns_are_outcome_independent():
     rng = np.random.default_rng(23)
     for name in ("path3", "example1", "example2", "strip2x3", "budget"):
         graph, sets = load_fixture(name)
-        if sets is not None:
-            structure = validate_gflow(graph, sets)
-            assert isinstance(structure, CorrectionStructure)
-        else:
-            structure = find_flow(graph) or find_gflow(graph)
-        iso = circuit_isometry(build_extended(graph, structure))
+        done = compile_pattern(graph, sets, verify=False)
+        structure = done.structure
+        iso = circuit_isometry(done.extended)
         state = rng.normal(size=2 ** len(graph.inputs)) + 1j * rng.normal(size=2 ** len(graph.inputs))
         state /= np.linalg.norm(state)
         expected = iso.matrix @ state

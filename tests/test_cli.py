@@ -117,6 +117,19 @@ def test_compile_wire_cap_exits_4(fixtures_dir, capsys):
     assert "cannot verify: circuit exceeds --max-wires 2" in capsys.readouterr().err
 
 
+def test_failed_compile_still_writes_extended_and_trace(fixtures_dir, tmp_path, capsys):
+    ext, trace = tmp_path / "extended.circuit", tmp_path / "steps.txt"
+    outputs = ["--emit-extended", str(ext), "--trace", str(trace)]
+    assert main(["compile", fx(fixtures_dir, "budget"), "--search-budget", "1", *outputs]) == 5
+    assert len(parse_text(ext.read_text()).wires) == 5
+    assert trace.read_text().strip()
+
+    assert main(["compile", fx(fixtures_dir, "path3"), "--max-wires", "2", *outputs]) == 4
+    assert len(parse_text(ext.read_text()).wires) == 3
+    assert len(trace.read_text().splitlines()) == 3
+    assert capsys.readouterr().out == ""
+
+
 def test_compile_verifies_past_the_default_wire_cap(tmp_path, capsys):
     # a 15-vertex path: 15 wires and one input, so 2^16 dense amplitudes
     path = tmp_path / "path15.graph"

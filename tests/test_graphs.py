@@ -9,7 +9,6 @@ from oneway import (
     odd_neighborhood,
     parse_graph,
     parse_graph_with_sets,
-    stabilizer_of,
     validate,
 )
 
@@ -57,17 +56,6 @@ def test_validate_reports_each_problem():
             square(angles={1: Angle.exact(0), 2: Angle.exact(0), 3: Angle.exact(0)})
         )
     )
-
-
-def test_stabilizer_matches_neighborhood():
-    g = square()
-    s = stabilizer_of(g, 3)
-    assert s.x_support == frozenset({3})
-    assert s.z_support == frozenset({2, 4})
-    with pytest.raises(ValueError):
-        stabilizer_of(g, 1)  # inputs carry no prepared stabilizer
-    with pytest.raises(ValueError):
-        stabilizer_of(g, 99)
 
 
 def test_odd_neighborhood_small_cases():

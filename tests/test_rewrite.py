@@ -150,19 +150,11 @@ def test_cz_commute_rejections():
     circ = Circuit(plain_wires(1, 2, 3), (Gate("CZ", (1, 2)), Gate("CX", (1, 2)), Gate("CZ", (1, 3))))
     with pytest.raises(RewriteError, match="does not fit"):
         apply_cz_commute(circ, (0, 1, 2))
-    circ = Circuit(plain_wires(1, 2, 3), (Gate("CX", (1, 2)), Gate("CZ", (1, 3))))
-    with pytest.raises(RewriteError, match="touch the CX target"):
+    circ = Circuit(plain_wires(1, 2, 3), (Gate("CX", (1, 2)), Gate("CZ", (2, 3))))
+    with pytest.raises(RewriteError, match="three gates"):
         apply_cz_commute(circ, (0, 1))
     with pytest.raises(RewriteError, match="strictly ascending"):
         apply_cz_commute(circ, (1, 0))
-
-
-def test_cz_commute_reverse_direction_grows():
-    circ = Circuit(plain_wires(1, 2, 3), (Gate("CX", (1, 2)), Gate("CZ", (2, 3))))
-    out, step = apply_cz_commute(circ, (0, 1))
-    assert len(step.produced) == 3
-    assert step.produced[-1] == Gate("CZ", (1, 3))
-    assert_same_action(circ, out)
 
 
 def cz_to_cx_wires() -> tuple[Wire, ...]:
@@ -171,23 +163,19 @@ def cz_to_cx_wires() -> tuple[Wire, ...]:
 
 def test_cz_to_cx_forward():
     circ = Circuit(cz_to_cx_wires(), (Gate("CZ", (2, 3)), Gate("CZ", (1, 3))))
-    out, step = apply_cz_to_cx(circ, (0, 1))
+    out, step = apply_cz_to_cx(circ, (0, 1), fresh=2)
     assert [g.text() for g in step.produced] == ["CZ 2 3", "CX 1 2"]
     assert_same_action(circ, out)
 
-
-def test_cz_to_cx_reverse():
+    # only this direction: the CX is never traded back for a CZ
     circ = Circuit(cz_to_cx_wires(), (Gate("CZ", (2, 3)), Gate("CX", (1, 2))))
-    out, step = apply_cz_to_cx(circ, (0, 1))
-    assert [g.text() for g in step.produced] == ["CZ 2 3", "CZ 1 3"]
-    assert_same_action(circ, out)
+    with pytest.raises(RewriteError, match="site must be a CZ pair"):
+        apply_cz_to_cx(circ, (0, 1), fresh=2)
 
 
 def test_cz_to_cx_fresh_wire_selection():
     wires = (Wire(1, "plus", "output"), Wire(2, "plus", "output"), Wire(3, "input", "output"))
     circ = Circuit(wires, (Gate("CZ", (1, 3)), Gate("CZ", (2, 3))))
-    with pytest.raises(RewriteError, match="ambiguous"):
-        apply_cz_to_cx(circ, (0, 1))
     out, step = apply_cz_to_cx(circ, (0, 1), fresh=2)
     assert [g.text() for g in step.produced] == ["CZ 2 3", "CX 1 2"]
     assert_same_action(circ, out)
