@@ -9,7 +9,7 @@ entangling, measurement-unitary, and correction rounds.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,17 +87,23 @@ class Wire:
 class Circuit:
     wires: tuple[Wire, ...]
     gates: tuple[Gate, ...]
+    # Each wire's gate positions in program order.  A circuit never changes,
+    # so the index is built once, by __post_init__, and never invalidated.
+    _on: dict[int, list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "wires", tuple(sorted(self.wires, key=lambda w: w.id)))
         object.__setattr__(self, "gates", tuple(self.gates))
-        ids = [w.id for w in self.wires]
-        if len(set(ids)) != len(ids):
+        on: dict[int, list[int]] = {w.id: [] for w in self.wires}
+        if len(on) != len(self.wires):
             raise ValueError("duplicate wire ids")
-        declared = set(ids)
-        for g in self.gates:
-            if not set(g.wires) <= declared:
-                raise ValueError(f"gate {g.text()} uses undeclared wire")
+        try:
+            for k, g in enumerate(self.gates):
+                for w in g.wires:
+                    on[w].append(k)
+        except KeyError:
+            raise ValueError(f"gate {g.text()} uses undeclared wire") from None
+        object.__setattr__(self, "_on", on)
 
     def wire(self, wire_id: int) -> Wire:
         for w in self.wires:
@@ -106,7 +112,8 @@ class Circuit:
         raise KeyError(wire_id)
 
     def gates_on(self, wire_id: int) -> list[int]:
-        return [k for k, g in enumerate(self.gates) if wire_id in g.wires]
+        """Positions of the gates on a wire, in program order."""
+        return list(self._on.get(wire_id, ()))
 
 
 def j_matrix(angle: Angle | float) -> np.ndarray:
@@ -118,11 +125,12 @@ def j_matrix(angle: Angle | float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeSlicedView:
-    """Gate indices grouped as E_1, J_1, C_1, ..., E_d, J_d, C_d.
+    """Gate indices of an extended circuit grouped as E_1, J_1, C_1, ..., E_d, J_d, C_d.
 
-    Entangling slices past the first are always empty for freshly built
-    extended circuits; they exist so rewrites have a place to park CZs
-    migrating forward.
+    Entangling slices past the first are always empty: the extend module puts
+    every graph CZ in E_1.  The rewrite engine reads the view once, for the
+    layer order (the J slices) and the graph neighbours (E_1), and then
+    rewrites the gate list itself; the view is not kept up to date.
     """
 
     depth: int
@@ -133,9 +141,6 @@ class TimeSlicedView:
 
     def j_slice(self, round_: int) -> tuple[int, ...]:
         return self.slices[3 * round_ + 1]
-
-    def corrections(self, round_: int) -> tuple[int, ...]:
-        return self.slices[3 * round_ + 2]
 
 
 def slice_circuit(circuit: Circuit, structure: CorrectionStructure) -> TimeSlicedView:

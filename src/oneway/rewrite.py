@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .circuits import Circuit, Gate, TimeSlicedView, Wire, digest
@@ -55,6 +56,10 @@ __all__ = [
     "simplify_flow",
     "simplify_gflow",
 ]
+
+
+_TOL = 1e-9  # the per-step oracle checks' deviation bound
+_PLAN_BUDGET = 4000  # search nodes per designation
 
 
 class RewriteError(ValueError):
@@ -127,15 +132,32 @@ def _check_site(circuit: Circuit, site: tuple[int, ...]) -> None:
         raise RewriteError(f"site {site} out of range")
 
 
+def _crossed(circuit: Circuit, p: int, stop: int) -> list[int]:
+    """The gates after p and before stop that share a wire with gate p (the rest commute with it)."""
+    spans = set()
+    for w in circuit.gates[p].wires:
+        on = circuit.gates_on(w)
+        spans.update(on[bisect_right(on, p):bisect_left(on, stop)])
+    return sorted(spans)
+
+
+def _czs_on(circuit: Circuit, w: int) -> dict[int, list[int]]:
+    """The CZs on wire w, keyed by their other wire, each list in program order."""
+    out: dict[int, list[int]] = {}
+    for k in circuit.gates_on(w):
+        g = circuit.gates[k]
+        if g.kind == "CZ":
+            out.setdefault(g.wires[g.wires[0] == w], []).append(k)
+    return out
+
+
 def _check_gather(circuit: Circuit, site: tuple[int, ...]) -> None:
     """Each site gate must commute past the non-site gates it crosses."""
     in_site = set(site)
     gates = circuit.gates
     for p in site[:-1]:
-        for q in range(p + 1, site[-1]):
-            if q in in_site:
-                continue
-            if not _commutes(gates[p], gates[q]):
+        for q in _crossed(circuit, p, site[-1]):
+            if q not in in_site and not _commutes(gates[p], gates[q]):
                 raise RewriteError(
                     f"gate {gates[q].text()} at {q} blocks gathering {gates[p].text()} from {p}"
                 )
@@ -181,8 +203,8 @@ def _require_fresh(circuit: Circuit, wire: int, before: int, site: set[int]) -> 
     w = circuit.wire(wire)
     if w.init != "plus":
         raise RewriteError(f"wire {wire} is not |+>-initialized")
-    for q in range(before):
-        if q not in site and wire in circuit.gates[q].wires:
+    for q in circuit.gates_on(wire):
+        if q < before and q not in site:
             raise RewriteError(
                 f"wire {wire} is not fresh: touched by {circuit.gates[q].text()} at {q}"
             )
@@ -326,19 +348,20 @@ def apply_jgate(circuit: Circuit, i: int, j: int) -> tuple[Circuit, RewriteStep]
     # the way past the final CX (a CX sharing j as its target does); it is
     # reinserted right after the teleported J.  Scanning right to left lets
     # earlier riders skip over later ones, which keep their relative order.
+    on_j = circuit.gates_on(j)
     sliders: list[int] = []
-    for q in range(cx_pos - 1, cz_pos, -1):
+    for q in reversed(on_j):
         g = gates[q]
-        if q in site or j not in g.wires or i in g.wires:
+        if not cz_pos < q < cx_pos or i in g.wires:
             continue
         movable = all(
-            r in sliders or _commutes(g, gates[r]) for r in range(q + 1, cx_pos + 1)
+            r in sliders or _commutes(g, gates[r]) for r in _crossed(circuit, q, cx_pos + 1)
         )
         if movable:
             sliders.append(q)
     slid = set(sliders)
-    for q in range(cx_pos):
-        if q not in site and q not in slid and j in gates[q].wires:
+    for q in on_j:
+        if q < cx_pos and q not in site and q not in slid:
             raise RewriteError(f"wire {j} is not fresh: {gates[q].text()} at {q}")
 
     theta = gates[jg_pos].angle
@@ -398,25 +421,18 @@ def replay(circuit: Circuit, steps: tuple[RewriteStep, ...] | list[RewriteStep])
 
 
 class _Driver:
-    """A circuit and the steps that led to it from the engine's input.
+    """A circuit and the steps that led to it from the engine's input."""
 
-    ``path`` holds every circuit along the way, first to last, and is kept
-    only when the accepted steps are to be checked against the oracle.
-    """
-
-    def __init__(self, circuit: Circuit, steps=(), path: list[Circuit] | None = None):
+    def __init__(self, circuit: Circuit, steps=()):
         self.circuit = circuit
         self.steps = list(steps)
-        self.path = path
 
     def fire(self, result: _Result) -> None:
         self.circuit, step = result
         self.steps.append(step)
-        if self.path is not None:
-            self.path.append(self.circuit)
 
     def fork(self) -> "_Driver":
-        return _Driver(self.circuit, self.steps, None if self.path is None else list(self.path))
+        return _Driver(self.circuit, self.steps)
 
 
 def _peephole_pass(drv: _Driver) -> None:
@@ -428,7 +444,7 @@ def _peephole_pass(drv: _Driver) -> None:
             g = gates[q1]
             if g.kind == "J":
                 continue
-            for q2 in range(q1 + 1, len(gates)):
+            for q2 in _crossed(drv.circuit, q1, len(gates)):
                 if gates[q2] == g:
                     drv.fire(apply_peephole(drv.circuit, (q1, q2)))
                     changed = True
@@ -467,16 +483,15 @@ def _partner_moves(circuit: Circuit, q: int, movers: list[int]):
     gates = circuit.gates
     for m in movers:
         (k,) = set(gates[q].wires) - {m}
+        partners = _czs_on(circuit, k)
         for cx_idx in _cx_controlled_by(circuit, m):
-            target = gates[cx_idx].target
-            if k == target:
-                continue  # degenerate: would need a CZ from the target to itself
-            for p, h in enumerate(gates):
-                if p != q and h.kind == "CZ" and set(h.wires) == {target, k}:
-                    try:
-                        yield apply_cz_commute(circuit, tuple(sorted((p, cx_idx, q))))
-                    except RewriteError:
-                        pass
+            # the partner CZ pairs k with the CX target (never the CZ at q,
+            # which pairs k with the CX control)
+            for p in partners.get(gates[cx_idx].target, ()):
+                try:
+                    yield apply_cz_commute(circuit, tuple(sorted((p, cx_idx, q))))
+                except RewriteError:
+                    pass
 
 
 def _eliminate_corrections(drv: _Driver) -> None:
@@ -513,11 +528,8 @@ def _eliminate_corrections(drv: _Driver) -> None:
 
 
 def _cx_controlled_by(circuit: Circuit, control: int) -> list[int]:
-    return [
-        k
-        for k, g in enumerate(circuit.gates)
-        if g.kind == "CX" and g.control == control
-    ]
+    gates = circuit.gates
+    return [k for k in circuit.gates_on(control) if gates[k].kind == "CX" and gates[k].control == control]
 
 
 def _measured_ids(circuit: Circuit) -> set[int]:
@@ -565,17 +577,7 @@ def _mint_candidates(circuit: Circuit, work: list[tuple[int, int, int]]):
         for m, _ in _middles(circuit, i, t):
             if _helper_indices(circuit, m, t):
                 continue
-            t_czs: dict[int, list[int]] = {}
-            m_czs: dict[int, list[int]] = {}
-            for k, g in enumerate(circuit.gates):
-                if g.kind != "CZ":
-                    continue
-                if t in g.wires:
-                    (c,) = set(g.wires) - {t}
-                    t_czs.setdefault(c, []).append(k)
-                if m in g.wires:
-                    (c,) = set(g.wires) - {m}
-                    m_czs.setdefault(c, []).append(k)
+            t_czs, m_czs = _czs_on(circuit, t), _czs_on(circuit, m)
             for c in sorted(set(t_czs) & set(m_czs)):
                 for kt in t_czs[c]:
                     for km in m_czs[c]:
@@ -604,18 +606,17 @@ def _hop_candidates(circuit: Circuit, work: list[tuple[int, int, int]]):
                     continue
                 seen_helpers.add(h)
                 helper = gates[h]
-                for q in range(h + 1, len(gates)):
+                for q in _crossed(circuit, h, len(gates)):
                     g = gates[q]
                     if _commutes(helper, g):
                         continue
                     if g.kind == "CZ" and t in g.wires and m not in g.wires:
                         (y,) = set(g.wires) - {t}
-                        for p, hh in enumerate(gates):
-                            if p not in (h, q) and hh.kind == "CZ" and set(hh.wires) == {m, y}:
-                                try:
-                                    yield apply_cz_commute(circuit, tuple(sorted((h, q, p))))
-                                except RewriteError:
-                                    pass
+                        for p in _czs_on(circuit, m).get(y, ()):
+                            try:
+                                yield apply_cz_commute(circuit, tuple(sorted((h, q, p))))
+                            except RewriteError:
+                                pass
                     break  # only the first blocker can move this helper
 
 
@@ -623,18 +624,13 @@ def _shift_candidates(circuit: Circuit, work: list[tuple[int, int, int]]):
     """Commutations that swap a CZ on the target past the unwanted CX itself."""
     gates = circuit.gates
     for u, i, t in work:
-        eaten_by_y: dict[int, list[int]] = {}
-        for e, g in enumerate(gates):
-            if g.kind == "CZ" and i in g.wires:
-                (y,) = set(g.wires) - {i}
-                eaten_by_y.setdefault(y, []).append(e)
-        for q, g in enumerate(gates):
-            if g.kind != "CZ" or t not in g.wires or i in g.wires:
+        eaten_by_y = _czs_on(circuit, i)
+        for q in circuit.gates_on(t):
+            g = gates[q]
+            if g.kind != "CZ" or i in g.wires:
                 continue
             (y,) = set(g.wires) - {t}
             for e in eaten_by_y.get(y, ()):
-                if e == q:
-                    continue
                 try:
                     yield apply_cz_commute(circuit, tuple(sorted((q, u, e))))
                 except RewriteError:
@@ -664,7 +660,6 @@ def _plan(
     order: list[int],
     targets: dict[int, int],
     seen: set[str],
-    node_budget: int = 4000,
 ) -> tuple[_Driver, str | None]:
     """Depth-first search for a step sequence that strips every measured wire.
 
@@ -701,7 +696,7 @@ def _plan(
                 continue
             seen.add(d)
             nodes += 1
-            if nodes > node_budget:
+            if nodes > _PLAN_BUDGET:
                 raise _PlanBudgetExceeded
             child = drv.fork()
             child.fire(result)
@@ -713,35 +708,37 @@ def _plan(
     try:
         found = rec(root)
     except _PlanBudgetExceeded:
-        return best, f"the plan search spent its {node_budget}-node budget"
+        return best, f"the plan search spent its {_PLAN_BUDGET}-node budget"
     return (found, None) if found is not None else (best, why)
 
 
-def _check_path(drv: _Driver, tol: float) -> tuple[_Driver, str | None]:
+def _check_path(circuit: Circuit, drv: _Driver) -> tuple[_Driver, str | None]:
     """Oracle-check each accepted step on circuits of at most 12 wires.
 
-    Each step compares the isometries of the circuits on either side of it,
-    with input columns lined up through the jgate relabelings.  Returns the
-    driver and None, or the steps before the first drifting one and why.
+    The steps are replayed from the engine's input ``circuit``; each one
+    compares the isometries of the circuits on either side of it, with input
+    columns lined up through the jgate relabelings.  Returns the driver and
+    None, or the steps before the first drifting one and why.
     """
     from .simulate import basis_column_order, circuit_isometry, max_deviation
 
-    order = [w.id for w in drv.path[0].wires if w.init == "input"]
+    order = [w.id for w in circuit.wires if w.init == "input"]
     before = None
     for k, step in enumerate(drv.steps):
+        following, _ = _reapply(circuit, step)
         order_after = [step.produced[0].wires[0] if w == step.wire_removed else w for w in order]
-        if len(drv.path[k].wires) <= 12:
+        if len(circuit.wires) <= 12:
             if before is None:
-                before = circuit_isometry(drv.path[k])
-            after = circuit_isometry(drv.path[k + 1])
+                before = circuit_isometry(circuit)
+            after = circuit_isometry(following)
             mb = before.matrix[:, basis_column_order(before.input_wires, order)]
             ma = after.matrix[:, basis_column_order(after.input_wires, order_after)]
             dev = max_deviation(mb, ma)
-            if dev > tol:
+            if dev > _TOL:
                 why = f"step {step.text()} drifted by {dev:.3g}"
-                return _Driver(drv.path[k], drv.steps[:k]), why
+                return _Driver(circuit, drv.steps[:k]), why
             before = after
-        order = order_after
+        circuit, order = following, order_after
     return drv, None
 
 
@@ -751,7 +748,6 @@ def _simplify(
     candidates: list[list[int]],
     budget: int | None,
     verify_steps: bool,
-    tol: float,
 ) -> tuple[Circuit, SimplificationTrace]:
     """The one rewrite engine behind both entry points.
 
@@ -774,10 +770,9 @@ def _simplify(
             break
         attempts += 1
         targets = dict(zip(order, assignment))
-        root = _Driver(circuit, path=[circuit] if verify_steps else None)
-        drv, why = _plan(root, order, targets, {initial})
+        drv, why = _plan(_Driver(circuit), order, targets, {initial})
         if why is None and verify_steps:
-            drv, why = _check_path(drv, tol)
+            drv, why = _check_path(circuit, drv)
         trace = SimplificationTrace(tuple(drv.steps), initial, digest(drv.circuit))
         if why is None:
             return drv.circuit, trace
@@ -802,7 +797,6 @@ def simplify_flow(
     view: TimeSlicedView,
     *,
     verify_steps: bool = False,
-    tol: float = 1e-9,
 ) -> tuple[Circuit, SimplificationTrace]:
     """Strip every measured wire of a flow-built extended circuit.
 
@@ -820,7 +814,7 @@ def simplify_flow(
             raise FlowSimplifyError(f"wire {i} has {len(cxs)} correction CXs; flow needs 1")
         candidates.append([circuit.gates[cxs[0]].target])
     try:
-        return _simplify(circuit, order, candidates, None, verify_steps, tol)
+        return _simplify(circuit, order, candidates, None, verify_steps)
     except GflowSearchExhausted as exc:
         raise FlowSimplifyError(exc.reason) from exc
 
@@ -832,7 +826,6 @@ def simplify_gflow(
     *,
     budget: int | None = None,
     verify_steps: bool = True,
-    tol: float = 1e-9,
 ) -> tuple[Circuit, SimplificationTrace]:
     """Search a special-CX designation and strip every measured wire.
 
@@ -863,4 +856,4 @@ def simplify_gflow(
                 f"wire {i} has no graph neighbour in its correcting set",
             )
         candidates.append(cand)
-    return _simplify(circuit, order, candidates, budget, verify_steps, tol)
+    return _simplify(circuit, order, candidates, budget, verify_steps)

@@ -17,14 +17,19 @@ import pytest
 from oneway import (
     Angle,
     CorrectionStructure,
+    GflowSearchExhausted,
     OpenGraph,
     SimplificationTrace,
+    build_extended,
     circuit_isometry,
     compile_pattern,
     emit_text,
     find_flow,
+    find_gflow,
     max_deviation,
     run_pattern,
+    simplify_gflow,
+    slice_circuit,
     trace_text,
     validate_gflow,
 )
@@ -126,6 +131,51 @@ def test_flow_pipeline_strips_every_measured_wire():
     # every compact circuit and trace, byte for byte
     assert texts.hexdigest() == "7b4033ed009585ca7cd4f960c505f5ad4af7108dfa4db11f99bf0cdcd7f236ac"
     assert time.perf_counter() - start < 60.0
+
+
+def atlas_gflow_only_graphs():
+    """Connected graphs of 2 to 5 vertices, every output subset, gflow but no flow."""
+    for atlas in nx.graph_atlas_g():
+        n = atlas.number_of_nodes()
+        if n > 5:
+            break
+        if n < 2 or not nx.is_connected(atlas):
+            continue
+        rel = nx.relabel_nodes(atlas, {v: v + 1 for v in atlas.nodes})
+        vertices = tuple(sorted(rel.nodes))
+        edges = frozenset(tuple(sorted(e)) for e in rel.edges)
+        for r in range(n + 1):
+            for outs in itertools.combinations(vertices, r):
+                angles = {
+                    v: Angle.exact(2 * k + 1, 8)
+                    for k, v in enumerate(v for v in vertices if v not in outs)
+                }
+                graph = OpenGraph(vertices, edges, frozenset(), frozenset(outs), angles)
+                if find_flow(graph) is None and find_gflow(graph) is not None:
+                    yield graph
+
+
+def test_gflow_only_atlas_coverage_is_pinned():
+    # the designation search and the plan search on every small gflow-only
+    # graph: how many compile, and every circuit, trace and failure message
+    count = compiled = 0
+    texts = hashlib.sha256()
+    for graph in atlas_gflow_only_graphs():
+        structure = find_gflow(graph)
+        ext = build_extended(graph, structure)
+        try:
+            compact, trace = simplify_gflow(ext, slice_circuit(ext, structure), structure)
+        except GflowSearchExhausted as exc:
+            texts.update((str(exc) + trace_text(exc.partial)).encode())
+        else:
+            assert len(compact.wires) == len(graph.outputs)
+            COMPILE_TRACES.append(trace)
+            texts.update((emit_text(compact) + trace_text(trace)).encode())
+            compiled += 1
+        count += 1
+    assert count == 10
+    assert compiled >= 3
+    assert texts.hexdigest() == "df95f3a6402e308219c0282adc1fd0e392e9fbabd90dd02a3c7f48a42d9d10c2"
 
 
 def test_example1_compiles_to_three_wires(example1):

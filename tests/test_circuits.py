@@ -117,6 +117,34 @@ def test_digest_tracks_content(circuit):
     assert digest(parse_text(emit_text(circuit))) == d
 
 
+@given(circuits())
+def test_gates_on_matches_a_scan_of_the_gate_list(circuit):
+    declared = {w.id for w in circuit.wires}
+    for w in declared:
+        assert circuit.gates_on(w) == [k for k, g in enumerate(circuit.gates) if w in g.wires]
+    for unknown in set(range(8)) - declared:
+        assert circuit.gates_on(unknown) == []
+
+
+@given(circuits())
+def test_wire_index_leaves_equality_hash_and_repr_alone(circuit):
+    twin = Circuit(tuple(reversed(circuit.wires)), list(circuit.gates))
+    assert twin == circuit
+    assert hash(twin) == hash(circuit)
+    assert repr(twin) == repr(circuit)
+    assert repr(circuit) == f"Circuit(wires={circuit.wires!r}, gates={circuit.gates!r})"
+
+
+@given(circuits())
+def test_gates_on_returns_a_list_the_caller_owns(circuit):
+    for w in circuit.wires:
+        first = circuit.gates_on(w.id)
+        expected = list(first)
+        first.append(len(circuit.gates))
+        first.reverse()
+        assert circuit.gates_on(w.id) == expected
+
+
 def test_parse_reports_line_numbers():
     with pytest.raises(ValueError, match="line 1"):
         parse_text("wire one plus output\n")

@@ -193,6 +193,22 @@ def test_cz_to_cx_requires_freshness():
         apply_cz_to_cx(circ, (1, 2), fresh=2)
 
 
+def test_cz_to_cx_names_the_first_gate_that_touches_the_fresh_wire():
+    wires = (Wire(1, "input", "output"), Wire(2, "plus", "output"), Wire(3, "input", "output"))
+    circ = Circuit(
+        wires,
+        (
+            Gate("CZ", (1, 3)),  # shares no wire with the fresh wire 2
+            Gate("CX", (1, 2)),
+            Gate("J", (2,), Angle.exact(0)),
+            Gate("CZ", (2, 3)),
+            Gate("CZ", (1, 3)),
+        ),
+    )
+    with pytest.raises(RewriteError, match=r"^wire 2 is not fresh: touched by CX 1 2 at 1$"):
+        apply_cz_to_cx(circ, (3, 4), fresh=2)
+
+
 def test_cx_commute_cancels_the_chord():
     circ = Circuit(plain_wires(1, 2, 3), (Gate("CX", (2, 3)), Gate("CX", (1, 2)), Gate("CX", (1, 3))))
     out, step = apply_cx_commute(circ, (0, 1, 2))
@@ -230,6 +246,23 @@ def test_peephole_rejections():
     jpair = Circuit(plain_wires(1,), (Gate("J", (1,), Angle.exact(0)), Gate("J", (1,), Angle.exact(0))))
     with pytest.raises(RewriteError, match="equal CZ or CX pair"):
         apply_peephole(jpair, (0, 1))
+
+
+def test_gather_names_the_first_blocking_gate():
+    circ = Circuit(
+        plain_wires(1, 2, 3, 4),
+        (
+            Gate("CZ", (1, 2)),
+            Gate("CZ", (3, 4)),  # shares no wire with the pair
+            Gate("J", (1,), Angle.exact(1, 4)),
+            Gate("CX", (3, 2)),
+            Gate("CZ", (1, 2)),
+        ),
+    )
+    with pytest.raises(
+        RewriteError, match=r"^gate J\(1/4pi\) 1 at 2 blocks gathering CZ 1 2 from 0$"
+    ):
+        apply_peephole(circ, (0, 4))
 
 
 def teleport_wires() -> tuple[Wire, ...]:
