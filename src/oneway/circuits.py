@@ -2,13 +2,16 @@
 
 Wires mirror graph vertices and carry their preparation (input state or |+>)
 and fate (output or measured).  Gates are kept in program order, left to
-right.  The time-sliced view groups an extended circuit's gates into
-entangling, measurement-unitary, and correction rounds.
+right.  The time-sliced view holds the two facts the rewrite engine reads off
+an extended circuit: the layer order of its measured wires and their graph
+neighbours.  The extended circuit's layout itself (entangling CZs, then per
+round J gates and their corrections) is the extend module's to define.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,79 +128,34 @@ def j_matrix(angle: Angle | float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeSlicedView:
-    """Gate indices of an extended circuit grouped as E_1, J_1, C_1, ..., E_d, J_d, C_d.
+    """What the rewrite engine reads from an extended circuit.
 
-    Entangling slices past the first are always empty: the extend module puts
-    every graph CZ in E_1.  The rewrite engine reads the view once, for the
-    layer order (the J slices) and the graph neighbours (E_1), and then
-    rewrites the gate list itself; the view is not kept up to date.
+    ``order`` lists the measured wires layer by layer, ascending within a
+    layer; ``neighbors`` maps each measured wire to its graph neighbours.
+    Both follow from the structure and the graph, so the one
+    ``simplify(extended, structure)`` entry of ROADMAP item 3 deletes this
+    view together with ``slice_circuit``.
     """
 
-    depth: int
-    slices: tuple[tuple[int, ...], ...]  # length 3*depth (or 1 when nothing measured)
-
-    def entangle(self, round_: int) -> tuple[int, ...]:
-        return self.slices[3 * round_]
-
-    def j_slice(self, round_: int) -> tuple[int, ...]:
-        return self.slices[3 * round_ + 1]
+    order: tuple[int, ...]
+    neighbors: dict[int, frozenset[int]]
 
 
 def slice_circuit(circuit: Circuit, structure: CorrectionStructure) -> TimeSlicedView:
-    """Partition an extended circuit's gate list into time slices.
+    """Read the layer order and the graph neighbours off an extended circuit.
 
-    The circuit must follow the extend module's layout: entangling CZs, then
-    per measurement round its J gates followed by its correction gates.
+    The circuit must follow the extend module's layout, whose leading CZs
+    are exactly the graph edges.
     """
-    gates = circuit.gates
-    n = len(gates)
-    pos = 0
-    while pos < n and gates[pos].kind == "CZ":
-        pos += 1
-    # Correction CZs are indistinguishable from entangling ones by kind
-    # alone: the first J gate ends E_1.  Rounds then alternate J / correction
-    # blocks keyed by which wires are measured in each round.
-    slices: list[tuple[int, ...]] = [tuple(range(pos))]
-    if not structure.layers:
-        if pos != n:
-            raise ValueError("gates after entangling round in a measurement-free circuit")
-        return TimeSlicedView(0, tuple(slices))
-
-    for round_, layer in enumerate(structure.layers):
-        j_indices: list[int] = []
-        expect = sorted(layer)
-        for wire_id in expect:
-            if pos >= n or gates[pos].kind != "J" or gates[pos].wires[0] != wire_id:
-                raise ValueError(
-                    f"round {round_ + 1}: expected J on wire {wire_id} at gate {pos}"
-                )
-            j_indices.append(pos)
-            pos += 1
-        corr: list[int] = []
-        while pos < n and gates[pos].kind != "J":
-            g = gates[pos]
-            controller = g.wires[0] if g.kind == "CX" else None
-            if g.kind == "CZ" and not (set(g.wires) & layer):
-                raise ValueError(f"correction CZ {g.text()} touches no round-{round_ + 1} wire")
-            if controller is not None and controller not in layer:
-                raise ValueError(f"correction {g.text()} controlled outside round {round_ + 1}")
-            corr.append(pos)
-            pos += 1
-        if round_ == 0:
-            slices.extend([tuple(j_indices), tuple(corr)])
-        else:
-            slices.extend([(), tuple(j_indices), tuple(corr)])
-    if pos != n:
-        raise ValueError("trailing gates not covered by any round")
-
-    counts: dict[int, int] = {}
-    for g in gates:
-        if g.kind == "CX":
-            counts[g.control] = counts.get(g.control, 0) + 1
-    for i, gset in structure.correcting_sets.items():
-        if counts.get(i, 0) != len(gset):
-            raise ValueError(f"wire {i} controls {counts.get(i, 0)} CX gates, wants {len(gset)}")
-    return TimeSlicedView(len(structure.layers), tuple(slices))
+    order = tuple(i for layer in structure.layers for i in sorted(layer))
+    neighbors: dict[int, set[int]] = {i: set() for i in order}
+    for g in itertools.takewhile(lambda g: g.kind == "CZ", circuit.gates):
+        a, b = g.wires
+        if a in neighbors:
+            neighbors[a].add(b)
+        if b in neighbors:
+            neighbors[b].add(a)
+    return TimeSlicedView(order, {i: frozenset(n) for i, n in neighbors.items()})
 
 
 def emit_text(circuit: Circuit) -> str:

@@ -12,7 +12,8 @@ from .determinism import CorrectionStructure, find_flow, find_gflow, validate_gf
 from .extend import build_extended
 from .graphs import OpenGraph
 from .rewrite import (
-    FlowSimplifyError, GflowSearchExhausted, SimplificationTrace, simplify_flow, simplify_gflow,
+    FlowSimplifyError, GflowSearchExhausted, SimplificationTrace, follow_jgates, simplify_flow,
+    simplify_gflow,
 )
 from .simulate import basis_column_order, circuit_isometry, max_deviation, run_pattern
 
@@ -40,21 +41,6 @@ class CompileError(Exception):
         self.code = code
         self.extended = extended
         self.trace = trace
-
-
-def _input_chain(trace: SimplificationTrace, wires: list[int]) -> list[int]:
-    """Follow jgate relabelings so columns of both isometries line up."""
-    moves = {
-        step.wire_removed: step.produced[0].wires[0]
-        for step in trace.steps
-        if step.rule == "jgate"
-    }
-    resolved = []
-    for w in wires:
-        while w in moves:
-            w = moves[w]
-        resolved.append(w)
-    return resolved
 
 
 def _spot_check(
@@ -110,7 +96,7 @@ def compile_pattern(
         raise CompileError(4, f"cannot verify: circuit exceeds --max-wires {max_wires}", extended, trace)
     a = circuit_isometry(extended, cap=max_wires)
     b = circuit_isometry(compact, cap=max_wires)
-    chained = _input_chain(trace, list(a.input_wires))
+    chained = follow_jgates(trace.steps, list(a.input_wires))
     aligned = b.matrix[:, basis_column_order(b.input_wires, chained)]
     dev = max_deviation(a.matrix, aligned)
     if dev > tol:

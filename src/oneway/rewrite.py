@@ -417,6 +417,15 @@ def replay(circuit: Circuit, steps: tuple[RewriteStep, ...] | list[RewriteStep])
     return c
 
 
+def follow_jgates(steps: tuple[RewriteStep, ...] | list[RewriteStep], wires: list[int]) -> list[int]:
+    """Where ``wires`` end up after ``steps``: a jgate moves wire i onto j."""
+    for st in steps:
+        if st.rule == "jgate":
+            j = st.produced[0].wires[0]
+            wires = [j if w == st.wire_removed else w for w in wires]
+    return wires
+
+
 # --- the engine --------------------------------------------------------------
 
 
@@ -536,7 +545,7 @@ def _measured_ids(circuit: Circuit) -> set[int]:
     return {w.id for w in circuit.wires if w.terminal == "measured"}
 
 
-def _unwanted_cxs(circuit: Circuit, order: list[int], targets: dict[int, int]) -> list[tuple[int, int, int]]:
+def _unwanted_cxs(circuit: Circuit, order: tuple[int, ...], targets: dict[int, int]) -> list[tuple[int, int, int]]:
     out = []
     for i in order:
         for k in _cx_controlled_by(circuit, i):
@@ -637,7 +646,7 @@ def _shift_candidates(circuit: Circuit, work: list[tuple[int, int, int]]):
                     pass
 
 
-def _tail(drv: _Driver, order: list[int], targets: dict[int, int]) -> str | None:
+def _tail(drv: _Driver, order: tuple[int, ...], targets: dict[int, int]) -> str | None:
     """Cancel pairs, clear correction CZs, collapse wires; why it failed, or None."""
     try:
         _peephole_pass(drv)
@@ -657,7 +666,7 @@ class _PlanBudgetExceeded(Exception):
 
 def _plan(
     root: _Driver,
-    order: list[int],
+    order: tuple[int, ...],
     targets: dict[int, int],
     seen: set[str],
 ) -> tuple[_Driver, str | None]:
@@ -726,7 +735,7 @@ def _check_path(circuit: Circuit, drv: _Driver) -> tuple[_Driver, str | None]:
     before = None
     for k, step in enumerate(drv.steps):
         following, _ = _reapply(circuit, step)
-        order_after = [step.produced[0].wires[0] if w == step.wire_removed else w for w in order]
+        order_after = follow_jgates([step], order)
         if len(circuit.wires) <= 12:
             if before is None:
                 before = circuit_isometry(circuit)
@@ -744,7 +753,7 @@ def _check_path(circuit: Circuit, drv: _Driver) -> tuple[_Driver, str | None]:
 
 def _simplify(
     circuit: Circuit,
-    order: list[int],
+    order: tuple[int, ...],
     candidates: list[list[int]],
     budget: int | None,
     verify_steps: bool,
@@ -785,13 +794,6 @@ def _simplify(
     raise GflowSearchExhausted(attempts, partial, why)
 
 
-def _layer_order(circuit: Circuit, view: TimeSlicedView) -> list[int]:
-    order: list[int] = []
-    for layer in range(view.depth):
-        order.extend(sorted(circuit.gates[k].wires[0] for k in view.j_slice(layer)))
-    return order
-
-
 def simplify_flow(
     circuit: Circuit,
     view: TimeSlicedView,
@@ -806,15 +808,14 @@ def simplify_flow(
     entangler CZs forward in the same stroke) and collapsing each measured
     wire onto its corrector in layer order.
     """
-    order = _layer_order(circuit, view)
     candidates = []
-    for i in order:
+    for i in view.order:
         cxs = _cx_controlled_by(circuit, i)
         if len(cxs) != 1:
             raise FlowSimplifyError(f"wire {i} has {len(cxs)} correction CXs; flow needs 1")
         candidates.append([circuit.gates[cxs[0]].target])
     try:
-        return _simplify(circuit, order, candidates, None, verify_steps)
+        return _simplify(circuit, view.order, candidates, None, verify_steps)
     except GflowSearchExhausted as exc:
         raise FlowSimplifyError(exc.reason) from exc
 
@@ -836,18 +837,9 @@ def simplify_gflow(
     the attempt budget; per-step oracle checks guard the accepted steps on
     small circuits.
     """
-    order = _layer_order(circuit, view)
-    neighbors: dict[int, set[int]] = {i: set() for i in order}
-    for k in view.entangle(0):
-        a, b = circuit.gates[k].wires
-        if a in neighbors:
-            neighbors[a].add(b)
-        if b in neighbors:
-            neighbors[b].add(a)
-
     candidates: list[list[int]] = []
-    for i in order:
-        cand = sorted(structure.correcting_sets[i] & frozenset(neighbors[i]))
+    for i in view.order:
+        cand = sorted(structure.correcting_sets[i] & view.neighbors[i])
         if not cand:
             initial = digest(circuit)
             raise GflowSearchExhausted(
@@ -856,4 +848,4 @@ def simplify_gflow(
                 f"wire {i} has no graph neighbour in its correcting set",
             )
         candidates.append(cand)
-    return _simplify(circuit, order, candidates, budget, verify_steps)
+    return _simplify(circuit, view.order, candidates, budget, verify_steps)

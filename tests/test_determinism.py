@@ -156,6 +156,19 @@ def test_layers_respect_the_definition():
                 assert structure.layer_of(v) > structure.layer_of(i)
 
 
+def test_layering_a_long_chain_does_not_recurse():
+    n = 3000
+    graph = OpenGraph(
+        tuple(range(1, n + 1)),
+        frozenset((i, i + 1) for i in range(1, n)),
+        frozenset({1}),
+        frozenset({n}),
+        {i: Angle.exact(1, 4) for i in range(1, n)},
+    )
+    structure = validate_gflow(graph, {i: frozenset({i + 1}) for i in range(1, n)})
+    assert structure.layers == tuple(frozenset({i}) for i in range(1, n))
+
+
 def test_flow_implies_gflow():
     flows = gflows = 0
     for graph in all_small_open_graphs(max_vertices=5):

@@ -3,7 +3,9 @@
 The frozen gate list for the path fixture below was derived by hand from the
 construction rules: edge CZs first, then per round a J gate per measured
 vertex followed by one block per correcting-set member (CX onto the member,
-CZs onto the member's other neighbors).
+CZs onto the member's other neighbors).  The layout checks hold for every
+extended circuit, since build_extended is the only code that makes one: the
+rewrite engine reads the layer order and the graph neighbours off it.
 """
 
 import pytest
@@ -12,12 +14,16 @@ from oneway import (
     Angle,
     Gate,
     OpenGraph,
+    TimeSlicedView,
     build_extended,
     correction_block,
     find_flow,
+    find_gflow,
     slice_circuit,
     validate_gflow,
 )
+from conftest import load_fixture
+from test_determinism import all_small_open_graphs
 
 
 def test_correction_block_shape(path3):
@@ -51,16 +57,61 @@ def test_extended_gflow_has_one_block_per_set_member(example1):
         assert {g.target for g in controlled} == set(gset)
 
 
-def test_extended_slices_cleanly(example1, example2):
-    for graph, sets in (example1, example2):
-        structure = validate_gflow(graph, sets)
-        ext = build_extended(graph, structure)
-        view = slice_circuit(ext, structure)
-        assert view.depth == len(structure.layers)
-        covered = [k for s in view.slices for k in s]
-        assert sorted(covered) == list(range(len(ext.gates)))
-        # first entangling slice is exactly the graph's edge set
-        assert len(view.entangle(0)) == len(graph.edges)
+def fixture_structures():
+    """Every fixture with a valid structure: its supplied sets, else its flow."""
+    for name in ("path3", "example1", "example2", "budget", "strip2x3"):
+        graph, sets = load_fixture(name)
+        yield graph, validate_gflow(graph, sets) if sets is not None else find_flow(graph)
+
+
+def assert_extended_layout(graph, structure):
+    ext = build_extended(graph, structure)
+    gates = ext.gates
+    edges = sorted(graph.edges)
+    assert gates[: len(edges)] == tuple(Gate("CZ", e) for e in edges)
+    pos = len(edges)
+    for layer in structure.layers:
+        js = sorted(layer)
+        assert gates[pos : pos + len(js)] == tuple(Gate("J", (i,), graph.angles[i]) for i in js)
+        pos += len(js)
+        while pos < len(gates) and gates[pos].kind != "J":
+            g = gates[pos]
+            if g.kind == "CX":
+                assert g.control in layer, g.text()
+            else:
+                assert set(g.wires) & layer, g.text()
+            pos += 1
+    assert pos == len(gates)
+    for w in ext.wires:
+        controlled = sum(g.kind == "CX" and g.control == w.id for g in gates)
+        assert controlled == len(structure.correcting_sets.get(w.id, ()))
+
+
+def test_extended_layout_on_the_fixtures():
+    for graph, structure in fixture_structures():
+        assert_extended_layout(graph, structure)
+
+
+def test_extended_layout_on_the_atlas():
+    checked = 0
+    for graph in all_small_open_graphs():
+        for structure in (find_flow(graph), find_gflow(graph)):
+            if structure is not None:
+                assert_extended_layout(graph, structure)
+                checked += 1
+    assert checked > 500
+
+
+def test_view_holds_the_layer_order_and_the_neighbours():
+    for graph, structure in fixture_structures():
+        view = slice_circuit(build_extended(graph, structure), structure)
+        assert view.order == tuple(i for layer in structure.layers for i in sorted(layer))
+        assert view.neighbors == {i: graph.neighbors[i] for i in graph.measured}
+
+    graph, _ = load_fixture("path3")
+    structure = find_flow(graph)
+    view = slice_circuit(build_extended(graph, structure), structure)
+    assert view == TimeSlicedView((1, 2), {1: frozenset({2}), 2: frozenset({1, 3})})
 
 
 def test_build_rejects_mismatched_structure(example1):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from oneway import CompileError, compile_pattern, emit_text, parse_graph, trace_text
+from oneway import CompileError, build_extended, compile_pattern, emit_text, parse_graph, trace_text
 from conftest import load_fixture
 
 TRIANGLE = parse_graph(
@@ -61,4 +61,15 @@ def test_relabelled_inputs_are_lined_up_before_comparing():
     done = compile_pattern(CROSSED)
     assert done.structure.kind == "flow"
     assert len(done.compact.wires) == 2
+    assert done.deviation <= 1e-9
+
+
+def test_a_pattern_without_measurements_compiles_to_its_extended_circuit():
+    graph = parse_graph("vertices: 1 2 3\nedges: 1-2 2-3\ninputs: 1\noutputs: 1 2 3\nangles:\n")
+    done = compile_pattern(graph)
+    assert done.structure.layers == ()
+    assert done.compact == done.extended == build_extended(graph, done.structure)
+    assert [g.text() for g in done.compact.gates] == ["CZ 1 2", "CZ 2 3"]
+    assert done.trace.steps == ()
+    assert done.trace.initial_digest == done.trace.final_digest
     assert done.deviation <= 1e-9
