@@ -28,14 +28,22 @@ clears correction CZs, cancels pairs again and collapses each wire with the
 J-gate identity.  The first path that strips every measured wire is the
 result; each of its steps is applied once, and only its circuits are
 oracle-checked when step checks are on.
+
+A Circuit never changes: each rule applied to one returns a new Circuit,
+and the plan search forks them freely.  The tail works on an engine-private
+gate store instead, a mutable copy of the circuit that offers the same reads;
+on it a rule returns its edit, which the driver splices in place when the
+step fires, and one Circuit is built when the tail ends.  The step checks
+replay their unchecked prefix through a store the same way.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .circuits import Circuit, Gate, TimeSlicedView, Wire, digest
 from .determinism import CorrectionStructure
@@ -163,11 +171,45 @@ def _check_gather(circuit: Circuit, site: tuple[int, ...]) -> None:
                 )
 
 
-def _splice(circuit: Circuit, site: tuple[int, ...], produced: tuple[Gate, ...]) -> Circuit:
-    insert_at = site[-1] - (len(site) - 1)
-    in_site = set(site)
-    kept = [g for k, g in enumerate(circuit.gates) if k not in in_site]
-    return Circuit(circuit.wires, tuple(kept[:insert_at]) + produced + tuple(kept[insert_at:]))
+class _Edit(NamedTuple):
+    """What a rule does to the gate list: drop the gates at ``drop``
+    (ascending positions), then insert ``produced`` at ``at``, counted after
+    the drop.  A jgate also sets ``moved = (i, j)``: the gates left on wire i
+    move onto j, j inherits i's start, and wire i goes."""
+
+    drop: tuple[int, ...]
+    at: int
+    produced: tuple[Gate, ...]
+    moved: tuple[int, int] | None = None
+
+
+def _relabel(g: Gate, i: int, j: int) -> Gate:
+    if i not in g.wires:
+        return g
+    return Gate(g.kind, tuple(j if w == i else w for w in g.wires), g.angle)
+
+
+def _moved_wires(wires: tuple[Wire, ...], i: int, j: int) -> tuple[Wire, ...]:
+    wi = next(w for w in wires if w.id == i)
+    return tuple(Wire(w.id, wi.init, w.terminal) if w.id == j else w for w in wires if w.id != i)
+
+
+def _splice(circuit: Circuit | _GateStore, edit: _Edit) -> Circuit | _Edit:
+    """The circuit after ``edit``; a gate store gets the edit back, to apply when the step fires."""
+    if isinstance(circuit, _GateStore):
+        return edit
+    dropped = set(edit.drop)
+    kept = [g for k, g in enumerate(circuit.gates) if k not in dropped]
+    wires = circuit.wires
+    if edit.moved is not None:
+        i, j = edit.moved
+        kept = [_relabel(g, i, j) for g in kept]
+        wires = _moved_wires(wires, i, j)
+    return Circuit(wires, tuple(kept[: edit.at]) + edit.produced + tuple(kept[edit.at :]))
+
+
+def _site_edit(site: tuple[int, ...], produced: tuple[Gate, ...]) -> _Edit:
+    return _Edit(site, site[-1] - (len(site) - 1), produced)
 
 
 def apply_cz_commute(circuit: Circuit, site: tuple[int, ...]) -> tuple[Circuit, RewriteStep]:
@@ -195,7 +237,7 @@ def apply_cz_commute(circuit: Circuit, site: tuple[int, ...]) -> tuple[Circuit, 
         first, second = (partner[0], cx) if gates.index(cx) < gates.index(partner[0]) else (cx, partner[0])
         produced = (first, second)
         step = RewriteStep("cz-commute", site, produced)
-        return _splice(circuit, site, produced), step
+        return _splice(circuit, _site_edit(site, produced)), step
     raise RewriteError("site must have three gates")
 
 
@@ -235,7 +277,7 @@ def apply_cz_to_cx(
         _check_gather(circuit, site)
         produced = (Gate("CZ", (fresh, k)), Gate("CX", (i, fresh)))
         step = RewriteStep("cz-to-cx", site, produced)
-        return _splice(circuit, site, produced), step
+        return _splice(circuit, _site_edit(site, produced)), step
 
     raise RewriteError("site must be a CZ pair")
 
@@ -280,7 +322,7 @@ def apply_cx_commute(circuit: Circuit, site: tuple[int, ...]) -> tuple[Circuit, 
                 _check_gather(circuit, site)
                 produced = candidate
                 step = RewriteStep("cx-commute", site, produced)
-                return _splice(circuit, site, produced), step
+                return _splice(circuit, _site_edit(site, produced)), step
     raise RewriteError("CX triple does not reduce to a two-gate word")
 
 
@@ -294,7 +336,7 @@ def apply_peephole(circuit: Circuit, site: tuple[int, ...]) -> tuple[Circuit, Re
         raise RewriteError("site gates must be an equal CZ or CX pair")
     _check_gather(circuit, site)
     step = RewriteStep("peephole-cancel", site, ())
-    return _splice(circuit, site, ()), step
+    return _splice(circuit, _site_edit(site, ())), step
 
 
 def apply_jgate(circuit: Circuit, i: int, j: int) -> tuple[Circuit, RewriteStep]:
@@ -329,7 +371,8 @@ def apply_jgate(circuit: Circuit, i: int, j: int) -> tuple[Circuit, RewriteStep]
     if between:
         raise RewriteError(f"leftover gate on wire {i} between J and CX: {gates[between[0]].text()}")
 
-    cz_candidates = [k for k in on_i if k < jg_pos and gates[k] == Gate("CZ", (i, j))]
+    cz = Gate("CZ", (i, j))
+    cz_candidates = [k for k in on_i if k < jg_pos and gates[k] == cz]
     if not cz_candidates:
         raise RewriteError(f"no CZ {min(i, j)} {max(i, j)} precedes the J on wire {i}")
     cz_pos = cz_candidates[-1]
@@ -367,28 +410,15 @@ def apply_jgate(circuit: Circuit, i: int, j: int) -> tuple[Circuit, RewriteStep]
     theta = gates[jg_pos].angle
     assert theta is not None
     produced = Gate("J", (j,), theta)
-
-    def relabel(g: Gate) -> Gate:
-        if i not in g.wires:
-            return g
-        wires = tuple(j if w == i else w for w in g.wires)
-        return Gate(g.kind, wires, g.angle)
-
-    kept = [relabel(g) for k, g in enumerate(gates) if k not in site and k not in slid]
-    insert_at = cx_pos - 2 - len(sliders)
-    new_gates = (
-        tuple(kept[:insert_at])
-        + (produced,)
-        + tuple(gates[q] for q in sorted(sliders))
-        + tuple(kept[insert_at:])
-    )
-    new_wires = tuple(
-        Wire(w.id, wi.init, w.terminal) if w.id == j else w
-        for w in circuit.wires
-        if w.id != i
+    # the teleported J, then the riders in program order, where the CX was
+    edit = _Edit(
+        tuple(sorted(site | slid)),
+        cx_pos - 2 - len(sliders),
+        (produced,) + tuple(gates[q] for q in sorted(sliders)),
+        (i, j),
     )
     step = RewriteStep("jgate", (cz_pos, jg_pos, cx_pos), (produced,), wire_removed=i)
-    return Circuit(new_wires, new_gates), step
+    return _splice(circuit, edit), step
 
 
 def _reapply(circuit: Circuit, st: RewriteStep) -> tuple[Circuit, RewriteStep]:
@@ -429,15 +459,103 @@ def follow_jgates(steps: tuple[RewriteStep, ...] | list[RewriteStep], wires: lis
 # --- the engine --------------------------------------------------------------
 
 
-class _Driver:
-    """A circuit and the steps that led to it from the engine's input."""
+# Spacing of a fresh store's order keys.  Two leaves room for one nested
+# insertion, all the eliminator's re-emissions need on the strips and the flow
+# atlas; deeper nesting renumbers every key.
+_GAP = 2
 
-    def __init__(self, circuit: Circuit, steps=()):
+
+class _GateStore:
+    """The tail's mutable circuit: each fired step splices it in place.
+
+    It offers the reads the rules make of a Circuit (``wires``, ``gates``,
+    ``wire``, ``gates_on``), so each identity keeps one implementation.
+    Every gate also carries an order key; keys ascend in program order and
+    survive splices elsewhere, so the per-wire index holds keys and reads
+    positions off them once per wire between splices.  When a splice finds no
+    room between two neighbouring keys, all keys are renumbered
+    (``renumbered`` counts how often).
+    """
+
+    def __init__(self, circuit: Circuit):
+        self.wires = circuit.wires
+        self.gates = list(circuit.gates)
+        self.renumbered = 0
+        self._renumber()
+
+    def _renumber(self) -> None:
+        self.keys = list(range(0, len(self.gates) * _GAP, _GAP))
+        # gates_on per wire, kept until the next splice
+        self._pos: dict[int, list[int]] = {w.id: [] for w in self.wires}
+        for p, g in enumerate(self.gates):
+            for w in g.wires:
+                self._pos[w].append(p)
+        self._on = {w: [p * _GAP for p in ps] for w, ps in self._pos.items()}
+
+    wire = Circuit.wire
+
+    def gates_on(self, wire_id: int) -> list[int]:
+        """Positions of the gates on a wire, in program order; shared until the next splice."""
+        pos = self._pos.get(wire_id)
+        if pos is None:
+            keys = self.keys
+            pos = self._pos[wire_id] = [bisect_left(keys, k) for k in self._on.get(wire_id, ())]
+        return pos
+
+    def apply(self, edit: _Edit) -> None:
+        gates, keys, on = self.gates, self.keys, self._on
+        for p in reversed(edit.drop):
+            k = keys.pop(p)
+            for w in gates.pop(p).wires:
+                ks = on[w]
+                del ks[bisect_left(ks, k)]
+        at, new = edit.at, edit.produced
+        room = _GAP * (len(new) + 1)  # past either end there is always room
+        lo = keys[at - 1] if at else (keys[0] if keys else 0) - room
+        hi = keys[at] if at < len(keys) else lo + room
+        step = (hi - lo) // (len(new) + 1)
+        gates[at:at] = new
+        if step:
+            fresh = range(lo + step, hi, step)[: len(new)]
+            keys[at:at] = fresh
+            for k, g in zip(fresh, new):
+                for w in g.wires:
+                    insort(on[w], k)
+        else:
+            self.renumbered += 1
+            self._renumber()
+        if edit.moved is not None:
+            i, j = edit.moved
+            keys, on = self.keys, self._on
+            for k in on[i]:
+                p = bisect_left(keys, k)
+                gates[p] = _relabel(gates[p], i, j)
+            on[j] = sorted(on[j] + on.pop(i))
+            self.wires = _moved_wires(self.wires, i, j)
+        self._pos = {}
+
+    def circuit(self) -> Circuit:
+        return Circuit(self.wires, tuple(self.gates))
+
+
+class _Driver:
+    """A circuit and the steps that led to it from the engine's input.
+
+    During the plan search ``circuit`` is an immutable Circuit, which
+    ``fork`` shares.  The tail swaps in a _GateStore that each fired step
+    splices in place, and builds one Circuit from it when it succeeds.
+    """
+
+    def __init__(self, circuit: Circuit | _GateStore, steps=()):
         self.circuit = circuit
         self.steps = list(steps)
 
     def fire(self, result: _Result) -> None:
-        self.circuit, step = result
+        out, step = result
+        if isinstance(self.circuit, _GateStore):
+            self.circuit.apply(out)
+        else:
+            self.circuit = out
         self.steps.append(step)
 
     def fork(self) -> "_Driver":
@@ -464,6 +582,11 @@ def _peephole_pass(drv: _Driver) -> None:
                 break
 
 
+def _controllers(g: Gate, q: int, measured: set[int], first_j: dict[int, int]) -> list[int]:
+    """The measured wires of the CZ g at q whose first J comes before it."""
+    return [m for m in g.wires if m in measured and first_j.get(m, q) < q]
+
+
 def _correction_czs(circuit: Circuit):
     """Each CZ sitting after the J of a measured wire it touches, with those wires.
 
@@ -477,7 +600,7 @@ def _correction_czs(circuit: Circuit):
         if g.kind == "J":
             j_at.setdefault(g.wires[0], q)
         elif g.kind == "CZ":
-            controllers = [m for m in g.wires if m in measured and j_at.get(m, q) < q]
+            controllers = _controllers(g, q, measured, j_at)
             if controllers:
                 yield q, controllers
 
@@ -503,37 +626,103 @@ def _partner_moves(circuit: Circuit, q: int, movers: list[int]):
                     pass
 
 
-def _eliminate_corrections(drv: _Driver) -> None:
-    """Strip every correction-shaped CZ, measured wires first as movers."""
-    while True:
-        circuit = drv.circuit
-        shaped = list(_correction_czs(circuit))
-        if not shaped:
+class _Corrections:
+    """The eliminator's worklist: a gate store's correction-shaped CZs, in firing order.
+
+    ``order`` holds one (rank, -key, controllers) entry per shaped CZ, sorted:
+    ``key`` is the CZ's order key and ``rank`` the order key of the first CX
+    that one of its controllers controls (inf if none).  Order keys sort as
+    positions do and survive splices elsewhere, so a fire only re-tests the
+    gates it moved.
+    """
+
+    def __init__(self, store: _GateStore):
+        self.store = store
+        self.measured = _measured_ids(store)
+        self._seed()
+
+    def _seed(self) -> None:
+        store = self.store
+        self.renumbered = store.renumbered
+        self.first_j: dict[int, int] = {}
+        self.first_cx: dict[int, int] = {}
+        for k, g in zip(store.keys, store.gates):
+            if g.kind == "J":
+                self.first_j.setdefault(g.wires[0], k)
+            elif g.kind == "CX":
+                self.first_cx.setdefault(g.control, k)
+        self.entry: dict[int, tuple] = {}
+        for q, controllers in _correction_czs(store):
+            key = store.keys[q]
+            self.entry[key] = self._entry(key, tuple(controllers))
+        self.order = sorted(self.entry.values())
+
+    def _entry(self, key: int, controllers: tuple[int, ...]) -> tuple:
+        return (min(self.first_cx.get(m, math.inf) for m in controllers), -key, controllers)
+
+    def _add(self, key: int, controllers: tuple[int, ...]) -> None:
+        self.entry[key] = entry = self._entry(key, controllers)
+        insort(self.order, entry)
+
+    def _drop(self, key: int) -> None:
+        entry = self.entry.pop(key, None)
+        if entry is not None:
+            del self.order[bisect_left(self.order, entry)]
+
+    def fire(self, drv: _Driver, result: _Result) -> None:
+        """Fire ``result`` on the store and update from the gates it moved."""
+        store, edit = self.store, result[0]
+        dropped = [(store.keys[p], store.gates[p]) for p in edit.drop]
+        drv.fire(result)
+        if store.renumbered != self.renumbered:
+            self._seed()
             return
-        # A fire re-emits its partner CZ just past the mover CX, so ordering
-        # matters twice over: within one mover's span the rightmost CZ must go
-        # first (a re-emission lands between the mover and anything left of
-        # the consumed gate), and across movers the leftmost block must go
-        # first (two blocks can share a partner, and only the earlier block
-        # can reach it before it is relocated).  A blocked CZ is retried on a
-        # later pass once others have moved.
-        far = len(circuit.gates)
-        first_cx: dict[int, int] = {}
-        for k, g in enumerate(circuit.gates):
-            if g.kind == "CX":
-                first_cx.setdefault(g.control, k)
-        shaped.sort(key=lambda e: (min(first_cx.get(m, far) for m in e[1]), -e[0]))
-        for q, controllers in shaped:
-            movers = controllers + [w for w in circuit.gates[q].wires if w not in controllers]
-            result = next(_partner_moves(circuit, q, movers), None)
+        controls = {g.control for _, g in dropped if g.kind == "CX"}
+        controls.update(g.control for g in edit.produced if g.kind == "CX")
+        for k, _ in dropped:
+            self._drop(k)
+        for c in controls:
+            cxs = _cx_controlled_by(store, c)
+            self.first_cx[c] = store.keys[cxs[0]] if cxs else math.inf
+        for t, g in enumerate(edit.produced):
+            if g.kind == "CZ":
+                k = store.keys[edit.at + t]
+                controllers = _controllers(g, k, self.measured, self.first_j)
+                if controllers:
+                    self._add(k, tuple(controllers))
+        for c in controls:  # re-rank the CZs c controls
+            for p in store.gates_on(c):
+                entry = self.entry.get(store.keys[p])
+                if entry is not None and c in entry[2]:
+                    self._drop(-entry[1])
+                    self._add(-entry[1], entry[2])
+
+
+def _eliminate_corrections(drv: _Driver) -> None:
+    """Strip every correction-shaped CZ, measured wires first as movers.
+
+    A fire re-emits its partner CZ just past the mover CX, so ordering
+    matters twice over: within one mover's span the rightmost CZ must go
+    first (a re-emission lands between the mover and anything left of the
+    consumed gate), and across movers the leftmost block must go first (two
+    blocks can share a partner, and only the earlier block can reach it
+    before it is relocated).  Each pass walks the worklist in that order and
+    fires the first CZ that moves; a blocked CZ is retried on a later pass
+    once others have moved.
+    """
+    store = drv.circuit
+    work = _Corrections(store)
+    while work.order:
+        for _, key, controllers in work.order:
+            q = bisect_left(store.keys, -key)
+            movers = list(controllers) + [w for w in store.gates[q].wires if w not in controllers]
+            result = next(_partner_moves(store, q, movers), None)
             if result is not None:
-                drv.fire(result)
                 break
         else:
-            q = shaped[0][0]
-            raise RewriteError(
-                f"no commutation partner eliminates {circuit.gates[q].text()} at {q}"
-            )
+            q = bisect_left(store.keys, -work.order[0][1])
+            raise RewriteError(f"no commutation partner eliminates {store.gates[q].text()} at {q}")
+        work.fire(drv, result)
 
 
 def _cx_controlled_by(circuit: Circuit, control: int) -> list[int]:
@@ -566,7 +755,7 @@ def _helper_indices(circuit: Circuit, m: int, t: int) -> list[int]:
     return [k for k in _cx_controlled_by(circuit, m) if circuit.gates[k].target == t]
 
 
-_Result = tuple[Circuit, RewriteStep]
+_Result = tuple[Circuit | _Edit, RewriteStep]
 
 
 def _direct_candidates(circuit: Circuit, work: list[tuple[int, int, int]]):
@@ -647,17 +836,25 @@ def _shift_candidates(circuit: Circuit, work: list[tuple[int, int, int]]):
 
 
 def _tail(drv: _Driver, order: tuple[int, ...], targets: dict[int, int]) -> str | None:
-    """Cancel pairs, clear correction CZs, collapse wires; why it failed, or None."""
+    """Cancel pairs, clear correction CZs, collapse wires; why it failed, or None.
+
+    The steps splice a gate store in place; on success ``drv.circuit`` is
+    the one Circuit built from it.
+    """
+    drv.circuit = store = _GateStore(drv.circuit)
     try:
         _peephole_pass(drv)
         _eliminate_corrections(drv)
         _peephole_pass(drv)
         for i in order:
-            drv.fire(apply_jgate(drv.circuit, i, targets[i]))
+            drv.fire(apply_jgate(store, i, targets[i]))
     except RewriteError as exc:
         return str(exc)
-    left = _measured_ids(drv.circuit)
-    return f"wires {sorted(left)} were not removed" if left else None
+    left = _measured_ids(store)
+    if left:
+        return f"wires {sorted(left)} were not removed"
+    drv.circuit = store.circuit()
+    return None
 
 
 class _PlanBudgetExceeded(Exception):
@@ -724,30 +921,38 @@ def _plan(
 def _check_path(circuit: Circuit, drv: _Driver) -> tuple[_Driver, str | None]:
     """Oracle-check each accepted step on circuits of at most 12 wires.
 
-    The steps are replayed from the engine's input ``circuit``; each one
-    compares the isometries of the circuits on either side of it, with input
-    columns lined up through the jgate relabelings.  Returns the driver and
-    None, or the steps before the first drifting one and why.
+    The steps are replayed from the engine's input ``circuit``: through a
+    gate store, unchecked, while it is wider than 12 wires, then on Circuits,
+    each step comparing the isometries of the circuits on either side of it,
+    with input columns lined up through the jgate relabelings.  Returns the
+    driver and None, or the steps before the first drifting one and why.
     """
     from .simulate import basis_column_order, circuit_isometry, max_deviation
 
+    steps = drv.steps
     order = [w.id for w in circuit.wires if w.init == "input"]
+    start = 0
+    if len(circuit.wires) > 12:
+        store = _GateStore(circuit)
+        while start < len(steps) and len(store.wires) > 12:
+            store.apply(_reapply(store, steps[start])[0])
+            start += 1
+        circuit = store.circuit()
+        order = follow_jgates(steps[:start], order)
     before = None
-    for k, step in enumerate(drv.steps):
+    for k, step in enumerate(steps[start:], start):
         following, _ = _reapply(circuit, step)
         order_after = follow_jgates([step], order)
-        if len(circuit.wires) <= 12:
-            if before is None:
-                before = circuit_isometry(circuit)
-            after = circuit_isometry(following)
-            mb = before.matrix[:, basis_column_order(before.input_wires, order)]
-            ma = after.matrix[:, basis_column_order(after.input_wires, order_after)]
-            dev = max_deviation(mb, ma)
-            if dev > _TOL:
-                why = f"step {step.text()} drifted by {dev:.3g}"
-                return _Driver(circuit, drv.steps[:k]), why
-            before = after
-        circuit, order = following, order_after
+        if before is None:
+            before = circuit_isometry(circuit)
+        after = circuit_isometry(following)
+        mb = before.matrix[:, basis_column_order(before.input_wires, order)]
+        ma = after.matrix[:, basis_column_order(after.input_wires, order_after)]
+        dev = max_deviation(mb, ma)
+        if dev > _TOL:
+            why = f"step {step.text()} drifted by {dev:.3g}"
+            return _Driver(circuit, steps[:k]), why
+        circuit, order, before = following, order_after, after
     return drv, None
 
 

@@ -11,9 +11,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oneway.rewrite
+import oneway.simulate
 from oneway import (
     Angle,
     Circuit,
@@ -37,6 +38,7 @@ from oneway import (
     find_flow,
     find_gflow,
     max_deviation,
+    parse_text,
     replay,
     simplify_flow,
     simplify_gflow,
@@ -44,9 +46,18 @@ from oneway import (
     trace_text,
     validate_gflow,
 )
-from oneway.rewrite import _Driver, _commutes, _eliminate_corrections
+from oneway.rewrite import (
+    _Driver,
+    _GateStore,
+    _commutes,
+    _correction_czs,
+    _eliminate_corrections,
+    _partner_moves,
+    _reapply,
+)
 from _oracle import cx_on, cz_on, j_of, j_on, plus_embedding
 from conftest import cluster_strip, load_fixture
+from test_determinism import all_small_open_graphs
 
 TRIPLES = list(itertools.permutations((1, 2, 3)))
 
@@ -496,6 +507,8 @@ STRIP_DIGESTS = {
     16: "95d7e49ffb725b22d2c9a4e11de2f55ce035f5fdbf16f06f137629b225f5bee8",
     32: "9323e11efb5594207978ad4a051dbcd406deb4bff439829d3dcac6ffa51c2a75",
     64: "e1f7b36280317b77068879f11c10438daff5b67c3a78de9efd07fd646019d486",
+    128: "6fba734b5012bba9c9d94e63f6acf9e452c35b9a2ff874b6874c518c7f8a2a9e",
+    256: "3fcfeb6dee0742cb2a69d234a4ab21fb73aee09f4c71bf5845f8ff336ce6695e",
 }
 
 
@@ -517,7 +530,7 @@ def test_eliminator_names_a_correction_cz_it_cannot_move():
         (Wire(1, "input", "measured"), Wire(2, "plus", "output")),
         (Gate("J", (1,), Angle.exact(1, 4)), Gate("CZ", (1, 2)), Gate("CX", (1, 2))),
     )
-    drv = _Driver(circuit)
+    drv = _Driver(_GateStore(circuit))
     with pytest.raises(RewriteError, match=r"^no commutation partner eliminates CZ 1 2 at 1$"):
         _eliminate_corrections(drv)
     assert drv.steps == []
@@ -559,8 +572,11 @@ def test_step_checks_catch_a_drifting_step(monkeypatch):
     def bent_jgate(circuit, i, j):
         out, step = good_jgate(circuit, i, j)
         bent = Gate("J", (j,), Angle.exact(1, 3))
-        gates = tuple(bent if g == step.produced[0] else g for g in out.gates)
-        return Circuit(out.wires, gates), RewriteStep(step.rule, step.consumed, (bent,), i)
+        if isinstance(out, Circuit):
+            out = Circuit(out.wires, tuple(bent if g == step.produced[0] else g for g in out.gates))
+        else:  # on the tail's gate store: the edit, whose first produced gate is the J
+            out = out._replace(produced=(bent,) + out.produced[1:])
+        return out, RewriteStep(step.rule, step.consumed, (bent,), i)
 
     monkeypatch.setattr(oneway.rewrite, "apply_jgate", bent_jgate)
     with pytest.raises(GflowSearchExhausted, match="drifted") as info:
@@ -572,3 +588,165 @@ def test_step_checks_catch_a_drifting_step(monkeypatch):
     _, ext, view = fixture_pipeline("path3")
     with pytest.raises(FlowSimplifyError, match="drifted"):
         simplify_flow(ext, view, verify_steps=True)
+
+
+def test_step_checks_pass_on_a_strip_wider_than_the_checked_width(monkeypatch):
+    # 16 wires: the steps taken above 12 wires replay unchecked through a
+    # gate store, the rest are each checked against the dense oracle
+    calls = []
+    isometry = oneway.simulate.circuit_isometry
+    monkeypatch.setattr(oneway.simulate, "circuit_isometry", lambda c: calls.append(c) or isometry(c))
+    graph = cluster_strip(8)
+    structure = find_flow(graph)
+    ext = build_extended(graph, structure)
+    compact, trace = simplify_flow(ext, slice_circuit(ext, structure), verify_steps=True)
+    text = emit_text(compact) + trace_text(trace)
+    assert hashlib.sha256(text.encode()).hexdigest() == STRIP_DIGESTS[8]
+    assert 0 < len(calls) < len(trace.steps) + 1
+    assert all(len(c.wires) <= 12 for c in calls)
+
+
+def assert_store_tracks_replay(ext: Circuit, steps) -> _GateStore:
+    """Fire ``steps`` on a gate store; after each, it must match ``replay`` on Circuits."""
+    store = _GateStore(ext)
+    circuit = ext
+    for step in steps:
+        circuit = replay(circuit, [step])
+        edit, redo = _reapply(store, step)
+        assert redo == step
+        store.apply(edit)
+        assert tuple(store.gates) == circuit.gates
+        assert store.wires == circuit.wires
+        for w in ext.wires:
+            assert store.gates_on(w.id) == circuit.gates_on(w.id), (step.text(), w.id)
+        assert all(a < b for a, b in zip(store.keys, store.keys[1:]))
+    assert store.circuit() == circuit
+    return store
+
+
+def spelled(terminals: str, *gates: str) -> Circuit:
+    """A circuit on |+> wires, each measured ("m") or output ("o"), from gate
+    lines such as "CZ 1 3" or "J 2" (a J of angle pi/4)."""
+    lines = [f"wire {k} plus {'measured' if t == 'm' else 'output'}" for k, t in enumerate(terminals, 1)]
+    lines += [f"J(1/4pi) {g[2:]}" if g.startswith("J") else g for g in gates]
+    return parse_text("\n".join(lines))
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_DIGESTS))
+def test_gate_store_tracks_replay_on_the_fixtures(name):
+    structure, ext, view = fixture_pipeline(name)
+    if structure.kind == "flow":
+        _, trace = simplify_flow(ext, view)
+    else:
+        _, trace = simplify_gflow(ext, view, structure)
+    assert_store_tracks_replay(ext, trace.steps)
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_gate_store_tracks_replay_on_the_strips(n):
+    graph = cluster_strip(n)
+    structure = find_flow(graph)
+    ext = build_extended(graph, structure)
+    _, trace = simplify_flow(ext, slice_circuit(ext, structure))
+    assert_store_tracks_replay(ext, trace.steps)
+
+
+def test_gate_store_renumbers_when_splices_nest():
+    # each cz-commute re-emits its CX where the consumed CZ was; the second
+    # lands between the first one's re-emission and the J before it, where a
+    # fresh store's order keys leave no room
+    circ = spelled("ooooo", "CZ 2 4", "CZ 1 4", "CZ 2 3", "CX 1 2", "J 5", "CZ 1 3", "J 5")
+    first, step1 = apply_cz_commute(circ, (2, 3, 5))
+    _, step2 = apply_cz_commute(first, (0, 1, 3))
+    store = assert_store_tracks_replay(circ, [step1, step2])
+    assert store.renumbered == 1
+
+
+ATLAS = list(all_small_open_graphs())
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(ATLAS))
+def test_gate_store_tracks_replay_on_the_atlas(graph):
+    structure = find_flow(graph) or find_gflow(graph)
+    assume(structure is not None)
+    ext = build_extended(graph, structure)
+    view = slice_circuit(ext, structure)
+    try:
+        if structure.kind == "flow":
+            _, trace = simplify_flow(ext, view)
+        else:
+            _, trace = simplify_gflow(ext, view, structure)
+    except GflowSearchExhausted as exc:
+        trace = exc.partial
+    assert_store_tracks_replay(ext, trace.steps)
+
+
+def resorted_corrections(circuit: Circuit) -> list[tuple[int, tuple[int, ...]]]:
+    """The eliminator's order computed from scratch: every correction-shaped
+    CZ by the first CX of its controllers, then rightmost first."""
+    far = len(circuit.gates)
+    first_cx: dict[int, int] = {}
+    for k, g in enumerate(circuit.gates):
+        if g.kind == "CX":
+            first_cx.setdefault(g.control, k)
+    shaped = [(q, tuple(c)) for q, c in _correction_czs(circuit)]
+    return sorted(shaped, key=lambda e: (min(first_cx.get(m, far) for m in e[1]), -e[0]))
+
+
+def eliminate_by_resorting(circuit: Circuit) -> tuple[list[RewriteStep], str | None]:
+    """The eliminator with its order sorted from scratch on every pass, on
+    immutable circuits: the reference its worklist must reproduce."""
+    steps = []
+    while shaped := resorted_corrections(circuit):
+        for q, controllers in shaped:
+            movers = list(controllers) + [w for w in circuit.gates[q].wires if w not in controllers]
+            result = next(_partner_moves(circuit, q, movers), None)
+            if result is not None:
+                circuit, step = result
+                steps.append(step)
+                break
+        else:
+            q = shaped[0][0]
+            return steps, f"no commutation partner eliminates {circuit.gates[q].text()} at {q}"
+    return steps, None
+
+
+@st.composite
+def eliminator_inputs(draw) -> Circuit:
+    n = draw(st.integers(3, 6))
+    terminals = draw(st.lists(st.sampled_from(["measured", "output"]), min_size=n, max_size=n))
+    pair = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True).map(tuple)
+    gate = st.one_of(
+        pair.map(lambda p: Gate("CZ", p)),
+        pair.map(lambda p: Gate("CX", p)),
+        st.integers(1, n).map(lambda w: Gate("J", (w,), Angle.exact(1, 4))),
+    )
+    wires = tuple(Wire(k + 1, "plus", t) for k, t in enumerate(terminals))
+    return Circuit(wires, tuple(draw(st.lists(gate, min_size=4, max_size=20))))
+
+
+# In the first two circuits a stale first-CX rank after a fire changes the
+# outcome: the first names a different blocked CZ, the second fires a
+# different third step.  In the third the second fire renumbers the keys.
+@example(spelled("mmm", "CX 3 2", "CX 1 2", "J 1", "CZ 1 3", "CZ 2 1", "J 3", "CZ 1 3", "CZ 3 2"))
+@example(spelled(
+    "omom", "J 4", "CZ 4 3", "CX 4 1", "CZ 4 2", "CZ 3 4", "CZ 3 1", "CX 4 3", "CZ 1 3", "CX 2 3",
+    "CZ 4 3",
+))
+@example(spelled(
+    "mmo", "CZ 3 2", "J 1", "CZ 2 1", "CZ 2 1", "CZ 1 3", "CZ 1 3", "CZ 1 3", "CZ 2 3", "CX 2 3",
+    "CX 1 2",
+))
+@settings(deadline=None, max_examples=150)
+@given(eliminator_inputs())
+def test_correction_worklist_fires_as_a_fresh_sort_per_pass(circuit):
+    expected, why = eliminate_by_resorting(circuit)
+    drv = _Driver(_GateStore(circuit))
+    try:
+        _eliminate_corrections(drv)
+        failed = None
+    except RewriteError as exc:
+        failed = str(exc)
+    assert drv.steps == expected
+    assert failed == why
