@@ -2,7 +2,7 @@
 
 Exit codes are part of the contract:
   0 success
-  2 unreadable or unparsable input
+  2 unreadable or unparsable input, or an option value out of range
   3 no determinism structure (no flow, no gflow, or supplied sets invalid)
   4 verification failure or shape/cap mismatch
   5 special-CX designation search exhausted
@@ -36,6 +36,23 @@ def _write(path: str, text: str) -> None:
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _bounded(kind, ok, want: str):
+    """An option type: ``kind`` read from the text, refused at parse time (exit 2) unless ``ok``."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {want}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_AT_LEAST_ONE = _bounded(int, lambda v: v >= 1, "at least 1")
+_NON_NEGATIVE = _bounded(float, lambda v: v >= 0, "non-negative")
 
 
 def _load_graph(path: str) -> tuple[OpenGraph, dict[int, frozenset[int]] | None]:
@@ -161,12 +178,12 @@ def main(argv: list[str] | None = None) -> int:
         "--emit-extended", metavar="PATH", help="write the extended circuit here"
     )
     p_compile.add_argument("--no-verify", action="store_true", help="skip the oracle check")
-    p_compile.add_argument("--tol", type=float, default=1e-9)
-    p_compile.add_argument("--max-wires", type=int, default=14)
+    p_compile.add_argument("--tol", type=_NON_NEGATIVE, default=1e-9)
+    p_compile.add_argument("--max-wires", type=_AT_LEAST_ONE, default=14)
     p_compile.add_argument("--seed", type=int, default=0, help="seed for outcome spot checks")
     p_compile.add_argument(
         "--search-budget",
-        type=int,
+        type=_AT_LEAST_ONE,
         default=None,
         help="cap on special-CX designation attempts (default: all, at most 10000)",
     )
@@ -175,8 +192,8 @@ def main(argv: list[str] | None = None) -> int:
     p_verify = sub.add_parser("verify", help="compare two circuit files up to global phase")
     p_verify.add_argument("circuit_a")
     p_verify.add_argument("circuit_b")
-    p_verify.add_argument("--tol", type=float, default=1e-9)
-    p_verify.add_argument("--max-wires", type=int, default=14)
+    p_verify.add_argument("--tol", type=_NON_NEGATIVE, default=1e-9)
+    p_verify.add_argument("--max-wires", type=_AT_LEAST_ONE, default=14)
     p_verify.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)

@@ -29,12 +29,13 @@ J-gate identity.  The first path that strips every measured wire is the
 result; each of its steps is applied once, and only its circuits are
 oracle-checked when step checks are on.
 
-A Circuit never changes: each rule applied to one returns a new Circuit,
-and the plan search forks them freely.  The tail works on an engine-private
-gate store instead, a mutable copy of the circuit that offers the same reads;
-on it a rule returns its edit, which the driver splices in place when the
-step fires, and one Circuit is built when the tail ends.  The step checks
-replay their unchecked prefix through a store the same way.
+A Circuit never changes: each rule applied to one returns a new Circuit.
+The engine hands the rules stand-ins on which a rule returns its edit
+instead.  The plan search reads each node through a read-only view and
+builds a child's Circuit only when the child's gates are new.  The tail
+splices an engine-private gate store in place, a mutable copy of the circuit
+that offers the same reads, and builds one Circuit when it ends.  The step
+checks replay their unchecked prefix through a store the same way.
 """
 
 from __future__ import annotations
@@ -79,15 +80,17 @@ class FlowSimplifyError(RuntimeError):
 
 
 class GflowSearchExhausted(RuntimeError):
-    """No special-CX designation succeeded; ``reason`` says why (or why none was tried)."""
+    """No special-CX designation succeeded: ``reason`` says why (or why none
+    was tried), ``nodes`` counts the plan nodes spent over all attempts."""
 
-    def __init__(self, attempts: int, partial: "SimplificationTrace", reason: str):
+    def __init__(self, attempts: int, partial: "SimplificationTrace", reason: str, nodes: int = 0):
         super().__init__(
             f"gflow designation search exhausted after {attempts} attempts: {reason}"
         )
         self.attempts = attempts
         self.partial = partial
         self.reason = reason
+        self.nodes = nodes
 
 
 @dataclass(frozen=True)
@@ -149,6 +152,21 @@ def _crossed(circuit: Circuit, p: int, stop: int) -> list[int]:
     return sorted(spans)
 
 
+def _per_node(table):
+    """A per-wire table that a plan node fills once; other circuits compute it on every call."""
+
+    def lookup(circuit, w: int):
+        if type(circuit) is not _Node:
+            return table(circuit, w)
+        key, tables = (table, w), circuit.tables
+        if key not in tables:
+            tables[key] = table(circuit, w)
+        return tables[key]
+
+    return lookup
+
+
+@_per_node
 def _czs_on(circuit: Circuit, w: int) -> dict[int, list[int]]:
     """The CZs on wire w, keyed by their other wire, each list in program order."""
     out: dict[int, list[int]] = {}
@@ -159,16 +177,23 @@ def _czs_on(circuit: Circuit, w: int) -> dict[int, list[int]]:
     return out
 
 
-def _check_gather(circuit: Circuit, site: tuple[int, ...]) -> None:
-    """Each site gate must commute past the non-site gates it crosses."""
+def _blocker(circuit: Circuit, site: tuple[int, ...]) -> tuple[int, int] | None:
+    """The first site position p and non-site gate q past which gate p cannot be gathered, or None."""
     in_site = set(site)
     gates = circuit.gates
     for p in site[:-1]:
         for q in _crossed(circuit, p, site[-1]):
             if q not in in_site and not _commutes(gates[p], gates[q]):
-                raise RewriteError(
-                    f"gate {gates[q].text()} at {q} blocks gathering {gates[p].text()} from {p}"
-                )
+                return p, q
+    return None
+
+
+def _check_gather(circuit: Circuit, site: tuple[int, ...]) -> None:
+    """Each site gate must commute past the non-site gates it crosses."""
+    blocked = _blocker(circuit, site)
+    if blocked is not None:
+        (p, q), gates = blocked, circuit.gates
+        raise RewriteError(f"gate {gates[q].text()} at {q} blocks gathering {gates[p].text()} from {p}")
 
 
 class _Edit(NamedTuple):
@@ -194,18 +219,23 @@ def _moved_wires(wires: tuple[Wire, ...], i: int, j: int) -> tuple[Wire, ...]:
     return tuple(Wire(w.id, wi.init, w.terminal) if w.id == j else w for w in wires if w.id != i)
 
 
-def _splice(circuit: Circuit | _GateStore, edit: _Edit) -> Circuit | _Edit:
-    """The circuit after ``edit``; a gate store gets the edit back, to apply when the step fires."""
-    if isinstance(circuit, _GateStore):
-        return edit
-    dropped = set(edit.drop)
-    kept = [g for k, g in enumerate(circuit.gates) if k not in dropped]
-    wires = circuit.wires
+def _spliced(gates: tuple[Gate, ...], edit: _Edit) -> tuple[Gate, ...]:
+    """The gate list after ``edit``."""
+    out = list(gates)
+    for p in reversed(edit.drop):
+        del out[p]
     if edit.moved is not None:
-        i, j = edit.moved
-        kept = [_relabel(g, i, j) for g in kept]
-        wires = _moved_wires(wires, i, j)
-    return Circuit(wires, tuple(kept[: edit.at]) + edit.produced + tuple(kept[edit.at :]))
+        out = [_relabel(g, *edit.moved) for g in out]
+    out[edit.at:edit.at] = edit.produced
+    return tuple(out)
+
+
+def _splice(circuit: Circuit | _Node | _GateStore, edit: _Edit) -> Circuit | _Edit:
+    """The circuit after ``edit``; a plan node or a gate store gets the edit back."""
+    if isinstance(circuit, (_Node, _GateStore)):
+        return edit
+    wires = circuit.wires if edit.moved is None else _moved_wires(circuit.wires, *edit.moved)
+    return Circuit(wires, _spliced(circuit.gates, edit))
 
 
 def _site_edit(site: tuple[int, ...], produced: tuple[Gate, ...]) -> _Edit:
@@ -538,6 +568,20 @@ class _GateStore:
         return Circuit(self.wires, tuple(self.gates))
 
 
+class _Node:
+    """A plan-search node as the rules read it: a read-only view of a Circuit
+    whose ``gates_on`` lists are the circuit's own, uncopied, and whose
+    ``_per_node`` tables fill on first use; callers only read either."""
+
+    def __init__(self, circuit: Circuit):
+        self.wires, self.gates, self._on, self.tables = circuit.wires, circuit.gates, circuit._on, {}
+
+    wire = Circuit.wire
+
+    def gates_on(self, wire_id: int) -> list[int]:
+        return self._on.get(wire_id, [])
+
+
 class _Driver:
     """A circuit and the steps that led to it from the engine's input.
 
@@ -551,11 +595,9 @@ class _Driver:
         self.steps = list(steps)
 
     def fire(self, result: _Result) -> None:
-        out, step = result
-        if isinstance(self.circuit, _GateStore):
-            self.circuit.apply(out)
-        else:
-            self.circuit = out
+        """Splice a step's edit into the gate store and record the step."""
+        edit, step = result
+        self.circuit.apply(edit)
         self.steps.append(step)
 
     def fork(self) -> "_Driver":
@@ -620,10 +662,20 @@ def _partner_moves(circuit: Circuit, q: int, movers: list[int]):
             # the partner CZ pairs k with the CX target (never the CZ at q,
             # which pairs k with the CX control)
             for p in partners.get(gates[cx_idx].target, ()):
-                try:
-                    yield apply_cz_commute(circuit, tuple(sorted((p, cx_idx, q))))
-                except RewriteError:
-                    pass
+                yield from _fits(apply_cz_commute, circuit, (p, cx_idx, q))
+
+
+def _fits(rule, circuit: Circuit, gates: tuple[int, ...], skip_blocked: bool = True, **kw):
+    """Yield ``rule`` at the site of ``gates`` if it matches.  On a plan node a
+    blocked site is skipped before the rule sees it, unless ``skip_blocked`` is
+    off; in the tail nearly every site tried fires, so the rule checks alone."""
+    site = tuple(sorted(gates))
+    if skip_blocked and type(circuit) is _Node and _blocker(circuit, site) is not None:
+        return
+    try:
+        yield rule(circuit, site, **kw)
+    except RewriteError:
+        pass
 
 
 class _Corrections:
@@ -725,6 +777,7 @@ def _eliminate_corrections(drv: _Driver) -> None:
         work.fire(drv, result)
 
 
+@_per_node
 def _cx_controlled_by(circuit: Circuit, control: int) -> list[int]:
     gates = circuit.gates
     return [k for k in circuit.gates_on(control) if gates[k].kind == "CX" and gates[k].control == control]
@@ -763,10 +816,7 @@ def _direct_candidates(circuit: Circuit, work: list[tuple[int, int, int]]):
     for u, i, t in work:
         for m, m_idx in _middles(circuit, i, t):
             for h in _helper_indices(circuit, m, t):
-                try:
-                    yield apply_cx_commute(circuit, tuple(sorted((h, m_idx, u))))
-                except RewriteError:
-                    pass
+                yield from _fits(apply_cx_commute, circuit, (h, m_idx, u))
 
 
 def _mint_candidates(circuit: Circuit, work: list[tuple[int, int, int]]):
@@ -779,12 +829,7 @@ def _mint_candidates(circuit: Circuit, work: list[tuple[int, int, int]]):
             for c in sorted(set(t_czs) & set(m_czs)):
                 for kt in t_czs[c]:
                     for km in m_czs[c]:
-                        try:
-                            yield apply_cz_to_cx(
-                                circuit, tuple(sorted((kt, km))), fresh=t
-                            )
-                        except RewriteError:
-                            pass
+                        yield from _fits(apply_cz_to_cx, circuit, (kt, km), skip_blocked=False, fresh=t)
 
 
 def _fire_candidates(circuit: Circuit):
@@ -811,10 +856,7 @@ def _hop_candidates(circuit: Circuit, work: list[tuple[int, int, int]]):
                     if g.kind == "CZ" and t in g.wires and m not in g.wires:
                         (y,) = set(g.wires) - {t}
                         for p in _czs_on(circuit, m).get(y, ()):
-                            try:
-                                yield apply_cz_commute(circuit, tuple(sorted((h, q, p))))
-                            except RewriteError:
-                                pass
+                            yield from _fits(apply_cz_commute, circuit, (h, q, p))
                     break  # only the first blocker can move this helper
 
 
@@ -829,10 +871,7 @@ def _shift_candidates(circuit: Circuit, work: list[tuple[int, int, int]]):
                 continue
             (y,) = set(g.wires) - {t}
             for e in eaten_by_y.get(y, ()):
-                try:
-                    yield apply_cz_commute(circuit, tuple(sorted((q, u, e))))
-                except RewriteError:
-                    pass
+                yield from _fits(apply_cz_commute, circuit, (q, u, e))
 
 
 def _tail(drv: _Driver, order: tuple[int, ...], targets: dict[int, int]) -> str | None:
@@ -862,33 +901,34 @@ class _PlanBudgetExceeded(Exception):
 
 
 def _plan(
-    root: _Driver,
-    order: tuple[int, ...],
-    targets: dict[int, int],
-    seen: set[str],
-) -> tuple[_Driver, str | None]:
+    circuit: Circuit, order: tuple[int, ...], targets: dict[int, int]
+) -> tuple[_Driver, str | None, int]:
     """Depth-first search for a step sequence that strips every measured wire.
 
     A CX is unwanted when its target is not its control's designated
-    partner.  Moves are tried most-direct-first; circuits already in
-    ``seen`` (digests) are pruned.  Once no unwanted CX remains, the tail is
-    the goal test.  Returns the driver of the accepted path and None, or the
-    deepest explored prefix and why the search failed.
+    partner.  Moves are tried most-direct-first on a read-only ``_Node``
+    view, where each rule returns its edit.  The plan moves no wire (jgate
+    fires only in the tail), so a child is keyed on its gate tuple: a seen
+    one is pruned, only a new one becomes a Circuit.  Once no unwanted CX
+    remains, the tail is the goal test.  Returns the driver of the accepted
+    path and None, or the deepest explored prefix and why the search failed;
+    then the nodes spent.
     """
     nodes = 0
-    best = root
+    best = root = _Driver(circuit)
+    seen = {circuit.gates}
     why = "no sequence of moves cancels every unwanted CX"
 
     def rec(drv: _Driver) -> _Driver | None:
         nonlocal nodes, best, why
-        work = _unwanted_cxs(drv.circuit, order, targets)
+        c = _Node(drv.circuit)
+        work = _unwanted_cxs(c, order, targets)
         if not work:
             done = drv.fork()
             why = _tail(done, order, targets)
             return done if why is None else None
         if len(drv.steps) > len(best.steps):
             best = drv
-        c = drv.circuit
         candidates = itertools.chain(
             _direct_candidates(c, work),
             _mint_candidates(c, work),
@@ -896,17 +936,15 @@ def _plan(
             _hop_candidates(c, work),
             _shift_candidates(c, work),
         )
-        for result in candidates:
-            d = digest(result[0])
-            if d in seen:
+        for edit, step in candidates:
+            gates = _spliced(c.gates, edit)
+            if gates in seen:
                 continue
-            seen.add(d)
+            seen.add(gates)
             nodes += 1
             if nodes > _PLAN_BUDGET:
                 raise _PlanBudgetExceeded
-            child = drv.fork()
-            child.fire(result)
-            found = rec(child)
+            found = rec(_Driver(Circuit(c.wires, gates), [*drv.steps, step]))
             if found is not None:
                 return found
         return None
@@ -914,8 +952,8 @@ def _plan(
     try:
         found = rec(root)
     except _PlanBudgetExceeded:
-        return best, f"the plan search spent its {_PLAN_BUDGET}-node budget"
-    return (found, None) if found is not None else (best, why)
+        return best, f"the plan search spent its {_PLAN_BUDGET}-node budget", _PLAN_BUDGET
+    return (found, None, nodes) if found is not None else (best, why, nodes)
 
 
 def _check_path(circuit: Circuit, drv: _Driver) -> tuple[_Driver, str | None]:
@@ -974,7 +1012,7 @@ def _simplify(
     initial = digest(circuit)
     cap = min(math.prod(map(len, candidates)), 10_000) if budget is None else budget
 
-    attempts = 0
+    attempts = nodes = 0
     partial = SimplificationTrace((), initial, initial)
     why: str | None = f"the attempt budget is {cap}"
     for assignment in itertools.product(*candidates):
@@ -984,7 +1022,8 @@ def _simplify(
             break
         attempts += 1
         targets = dict(zip(order, assignment))
-        drv, why = _plan(_Driver(circuit), order, targets, {initial})
+        drv, why, spent = _plan(circuit, order, targets)
+        nodes += spent
         if why is None and verify_steps:
             drv, why = _check_path(circuit, drv)
         trace = SimplificationTrace(tuple(drv.steps), initial, digest(drv.circuit))
@@ -996,7 +1035,7 @@ def _simplify(
             why = "no injective designation exists among the candidate partners " + " ".join(
                 f"{i}:{{{','.join(map(str, cand))}}}" for i, cand in zip(order, candidates)
             )
-    raise GflowSearchExhausted(attempts, partial, why)
+    raise GflowSearchExhausted(attempts, partial, why, nodes)
 
 
 def simplify_flow(

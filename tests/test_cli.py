@@ -203,3 +203,18 @@ def test_verify_parse_error_exits_2(tmp_path, capsys):
     ok.write_text("wire 1 input output\n")
     assert main(["verify", str(bad), str(ok)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, value, reason",
+    [
+        ("--search-budget", "0", "must be at least 1, got 0"),
+        ("--max-wires", "0", "must be at least 1, got 0"),
+        ("--tol", "-1", "must be non-negative, got -1"),
+    ],
+)
+def test_compile_refuses_out_of_range_options_at_parse_time(fixtures_dir, option, value, reason, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["compile", fx(fixtures_dir, "budget"), option, value])
+    assert info.value.code == 2
+    assert f"argument {option}: {reason}" in capsys.readouterr().err

@@ -6,6 +6,8 @@ machinery, so a regression in the rules cannot hide behind the oracle that
 the drivers themselves use.
 """
 
+import contextlib
+import functools
 import hashlib
 import itertools
 
@@ -49,6 +51,7 @@ from oneway import (
 from oneway.rewrite import (
     _Driver,
     _GateStore,
+    _blocker,
     _commutes,
     _correction_czs,
     _eliminate_corrections,
@@ -57,6 +60,7 @@ from oneway.rewrite import (
 )
 from _oracle import cx_on, cz_on, j_of, j_on, plus_embedding
 from conftest import cluster_strip, load_fixture
+from test_acceptance import atlas_gflow_only_graphs
 from test_determinism import all_small_open_graphs
 
 TRIPLES = list(itertools.permutations((1, 2, 3)))
@@ -274,6 +278,19 @@ def test_gather_names_the_first_blocking_gate():
         RewriteError, match=r"^gate J\(1/4pi\) 1 at 2 blocks gathering CZ 1 2 from 0$"
     ):
         apply_peephole(circ, (0, 4))
+
+
+def test_cz_commute_names_the_gate_that_blocks_gathering():
+    # the J on wire 2 sits between the partner CZ 2 3 and the CX 1 2
+    gates = (
+        Gate("CZ", (2, 3)), Gate("J", (2,), Angle.exact(1, 4)), Gate("CX", (1, 2)), Gate("CZ", (1, 3)),
+    )
+    circ = Circuit(plain_wires(1, 2, 3), gates)
+    assert _blocker(circ, (0, 2, 3)) == (0, 1)
+    with pytest.raises(RewriteError, match=r"^gate J\(1/4pi\) 2 at 1 blocks gathering CZ 2 3 from 0$"):
+        apply_cz_commute(circ, (0, 2, 3))
+    unblocked = Circuit(plain_wires(1, 2, 3), gates[:1] + gates[2:])
+    assert _blocker(unblocked, (0, 1, 2)) is None
 
 
 def teleport_wires() -> tuple[Wire, ...]:
@@ -750,3 +767,66 @@ def test_correction_worklist_fires_as_a_fresh_sort_per_pass(circuit):
         failed = str(exc)
     assert drv.steps == expected
     assert failed == why
+
+
+
+@functools.cache
+def recorded_plan_search() -> tuple[list[int], list[tuple[tuple[Wire, ...], list]]]:
+    """Run the gflow search on every gflow-only atlas graph, in order, then on
+    the example1, example2 and budget fixtures.  Returns the plan nodes spent
+    on each atlas graph, and for each ``_plan`` call its wires and the gate
+    tuples of the root and of every child it generated."""
+    nodes: list[int] = []
+    plans: list[tuple[tuple[Wire, ...], list]] = []
+    running: list[list] = []  # the children of the _plan call under way
+    plan, spliced = oneway.rewrite._plan, oneway.rewrite._spliced
+
+    def recording_plan(circuit, order, targets):
+        plans.append((circuit.wires, [circuit.gates]))
+        running.append(plans[-1][1])
+        try:
+            found = plan(circuit, order, targets)
+        finally:
+            running.pop()
+        nodes[-1] += found[2]
+        return found
+
+    def recording_spliced(gates, edit):
+        out = spliced(gates, edit)
+        if running:
+            running[-1].append(out)
+        return out
+
+    inputs = []
+    for graph in atlas_gflow_only_graphs():
+        structure = find_gflow(graph)
+        ext = build_extended(graph, structure)
+        inputs.append((structure, ext, slice_circuit(ext, structure)))
+    atlas = len(inputs)
+    inputs.extend(fixture_pipeline(name) for name in ("example1", "example2", "budget"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oneway.rewrite, "_plan", recording_plan)
+        mp.setattr(oneway.rewrite, "_spliced", recording_spliced)
+        for structure, ext, view in inputs:
+            nodes.append(0)
+            try:
+                simplify_gflow(ext, view, structure)
+            except GflowSearchExhausted as exc:
+                assert exc.nodes == nodes[-1]
+    return nodes[:atlas], plans
+
+
+def test_plan_nodes_per_gflow_only_graph_are_pinned():
+    # a key for the visited set that merges or splits search nodes
+    # differently from their emitted text moves these counts
+    nodes, _ = recorded_plan_search()
+    assert nodes == [0, 31, 45, 0, 0, 120, 1280, 1900, 437, 1642]
+
+
+def test_children_share_a_key_exactly_when_they_emit_the_same_text():
+    _, plans = recorded_plan_search()
+    assert sum(len(children) for _, children in plans) > 18_000
+    for wires, children in plans:
+        keys = set(children)
+        # the text is a function of the key, so equal counts make it one-to-one
+        assert len({emit_text(Circuit(wires, gates)) for gates in keys}) == len(keys)
