@@ -56,6 +56,19 @@ class Gate:
         else:
             raise ValueError(f"unknown gate kind {self.kind!r}")
 
+    # Not a field: __hash__ keeps the hash here on first use, because hashing
+    # the angle hashes a Fraction, which is slow.
+    _hash = None
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.kind, self.wires, self.angle)))
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild from the fields: a string's hash differs between processes.
+        return (Gate, (self.kind, self.wires, self.angle))
+
     @property
     def control(self) -> int:
         assert self.kind == "CX"

@@ -1,21 +1,30 @@
-"""Dense statevector oracle.
+"""Dense statevector oracle on flat in-place views.
 
-Everything here is brute force on purpose: circuits become explicit
-isometries by evolving all input basis states at once, and measurement
-patterns are simulated outcome by outcome with adapted angles.  Wire order
-is big-endian throughout: the first wire in a listing is the most
-significant bit of the state index.
+The simulator owns one contiguous state array per run and applies each gate
+as one or two numpy calls on a reshaped view of it.  Wire order is big-endian
+throughout: the first wire in a listing is the most significant bit of the
+state index, so the wire at position ``a`` of ``n`` is the middle axis of
+``psi.reshape(2**a, 2, -1)``.  A J gate is one ``matmul`` on that view, a CZ
+negates the ``(1, 1)`` block of two such axes in place, a CX reverses the
+target half of its control-1 block in place, and projecting or measuring a
+wire contracts the same view with a two-entry bra.  Circuits become explicit
+isometries by evolving all input basis states at once (a trailing batch
+axis); measurement patterns are simulated outcome by outcome with adapted
+angles.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Gate, j_matrix
+from .angles import Angle
+from .circuits import Circuit, j_matrix
 from .determinism import CorrectionStructure
 from .graphs import OpenGraph, odd_neighborhood
 
@@ -31,7 +40,7 @@ __all__ = [
     "measured_wire_reduced_states",
 ]
 
-_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 class WireCapError(ValueError):
@@ -55,53 +64,63 @@ class Isometry:
     output_wires: tuple[int, ...]
 
 
-def _apply_gate(psi: np.ndarray, gate: Gate, axis_of: dict[int, int]) -> np.ndarray:
-    """Apply one gate to a (2,)*n (+ optional batch axis) tensor."""
-    if gate.kind == "J":
-        assert gate.angle is not None
-        a = axis_of[gate.wires[0]]
-        psi = np.tensordot(j_matrix(gate.angle), psi, axes=(1, a))
-        return np.moveaxis(psi, 0, a)
-    if gate.kind == "CZ":
-        a, b = (axis_of[w] for w in gate.wires)
-        sl: list[object] = [slice(None)] * psi.ndim
-        sl[a] = 1
-        sl[b] = 1
-        psi = psi.copy()
-        psi[tuple(sl)] *= -1.0
-        return psi
-    a, b = axis_of[gate.control], axis_of[gate.target]
-    sl = [slice(None)] * psi.ndim
-    sl[a] = 1
-    psi = psi.copy()
-    target_axis = b - 1 if b > a else b
-    psi[tuple(sl)] = np.flip(psi[tuple(sl)], axis=target_axis)
-    return psi
+@functools.lru_cache(maxsize=1024)
+def _j(angle: Angle) -> np.ndarray:
+    """``j_matrix(angle)``, built once per angle and shared, so read-only."""
+    m = j_matrix(angle)
+    m.flags.writeable = False
+    return m
+
+
+def _start_state(amplitudes: np.ndarray, is_input: list[bool], batch: int) -> np.ndarray:
+    """Flat product state: ``amplitudes`` on the input wires, |+> on the rest.
+
+    ``amplitudes`` holds 2**k * batch entries, big-endian over the k input
+    wires and then the batch index.  The result is a fresh array, so the
+    kernels may change it in place.
+    """
+    shape = [2 if inp else 1 for inp in is_input] + [batch]
+    scale = _SQRT_HALF ** is_input.count(False)
+    psi = np.empty((2,) * len(is_input) + (batch,), dtype=complex)
+    np.multiply(amplitudes.reshape(shape), scale, out=psi)
+    return psi.reshape(-1)
+
+
+def _apply_cz(psi: np.ndarray, a: int, b: int) -> None:
+    """CZ on the wires at positions a < b: negate their (1, 1) block in place."""
+    block = psi.reshape(1 << a, 2, 1 << (b - a - 1), 2, -1)[:, 1, :, 1, :]
+    np.negative(block, out=block)
+
+
+def _apply_cx(psi: np.ndarray, c: int, t: int) -> None:
+    """CX, control at position c, target at t: reverse the target axis of the control-1 block."""
+    if c < t:
+        block = psi.reshape(1 << c, 2, 1 << (t - c - 1), 2, -1)[:, 1]
+        block[...] = block[:, :, ::-1]
+    else:
+        block = psi.reshape(1 << t, 2, 1 << (c - t - 1), 2, -1)[:, :, :, 1]
+        block[...] = block[:, ::-1]
 
 
 def _evolved_tensor(circuit: Circuit, cap: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """State after all gates, shape (2,)*n + (2**k,), one column per input word."""
+    """Flat state after all gates, (2,)*n + (2**k,) in C order, one column per input word."""
     n = len(circuit.wires)
     if n > cap:
         raise WireCapError(f"{n} wires exceeds the simulation cap {cap}")
     axis_of = {w.id: k for k, w in enumerate(circuit.wires)}
+    is_input = [w.init == "input" for w in circuit.wires]
     input_wires = tuple(w.id for w in circuit.wires if w.init == "input")
-    batch = 2 ** len(input_wires)
+    batch = 1 << len(input_wires)
 
-    cur = np.ones((1, batch), dtype=complex)
-    for w in circuit.wires:
-        if w.init == "plus":
-            vec = np.tile(_PLUS[:, None], (1, batch))
-        else:
-            k = input_wires.index(w.id)
-            bits = (np.arange(batch) >> (len(input_wires) - 1 - k)) & 1
-            vec = np.zeros((2, batch), dtype=complex)
-            vec[bits, np.arange(batch)] = 1.0
-        cur = (cur[:, None, :] * vec[None, :, :]).reshape(-1, batch)
-    psi = cur.reshape((2,) * n + (batch,))
-
+    psi = _start_state(np.eye(batch, dtype=complex), is_input, batch)
     for gate in circuit.gates:
-        psi = _apply_gate(psi, gate, axis_of)
+        if gate.kind == "J":
+            view = psi.reshape(1 << axis_of[gate.wires[0]], 2, -1)
+            psi = np.matmul(_j(gate.angle), view).reshape(-1)
+        elif gate.kind == "CZ":
+            _apply_cz(psi, axis_of[gate.wires[0]], axis_of[gate.wires[1]])
+        else:
+            _apply_cx(psi, axis_of[gate.wires[0]], axis_of[gate.wires[1]])
     return psi, input_wires
 
 
@@ -113,15 +132,14 @@ def circuit_isometry(circuit: Circuit, cap: int = 14) -> Isometry:
     are renormalized anyway and a tiny norm is reported as an error.
     """
     psi, input_wires = _evolved_tensor(circuit, cap)
-    axis_of = {w.id: k for k, w in enumerate(circuit.wires)}
     output_wires = tuple(w.id for w in circuit.wires if w.terminal == "output")
 
-    measured_axes = sorted(
-        (axis_of[w.id] for w in circuit.wires if w.terminal == "measured"),
-        reverse=True,
-    )
-    for a in measured_axes:
-        psi = np.tensordot(_PLUS, psi, axes=(0, a))
+    # Last wire first, so the positions still to project stay put.
+    for a in reversed(range(len(circuit.wires))):
+        if circuit.wires[a].terminal == "measured":
+            view = psi.reshape(1 << a, 2, -1)
+            psi = view[:, 0] + view[:, 1]
+            psi *= _SQRT_HALF
     matrix = psi.reshape(2 ** len(output_wires), 2 ** len(input_wires))
 
     norms = np.linalg.norm(matrix, axis=0)
@@ -140,13 +158,12 @@ def measured_wire_reduced_states(circuit: Circuit, cap: int = 14) -> dict[int, n
     deterministic circuit leaves each of them exactly in |+><+|.
     """
     psi, input_wires = _evolved_tensor(circuit, cap)
-    axis_of = {w.id: k for k, w in enumerate(circuit.wires)}
     batch = 2 ** len(input_wires)
     out: dict[int, np.ndarray] = {}
-    for w in circuit.wires:
+    for a, w in enumerate(circuit.wires):
         if w.terminal != "measured":
             continue
-        moved = np.moveaxis(psi, axis_of[w.id], 0).reshape(2, -1)
+        moved = psi.reshape(1 << a, 2, -1).transpose(1, 0, 2).reshape(2, -1)
         out[w.id] = (moved @ moved.conj().T) / batch
     return out
 
@@ -217,25 +234,17 @@ def run_pattern(
     if set(outcomes) != set(graph.measured):
         raise ValueError("need exactly one forced outcome per measured vertex")
 
-    inputs = sorted(graph.inputs)
     input_state = np.asarray(input_state, dtype=complex).reshape(-1)
-    if input_state.shape != (2 ** len(inputs),):
+    if input_state.shape != (2 ** len(graph.inputs),):
         raise ValueError("input state dimension does not match the input set")
 
-    psi = input_state.reshape((2,) * len(inputs)) if inputs else np.ones((), dtype=complex)
-    present = list(inputs)
-    for v in sorted(set(graph.vertices) - set(inputs)):
-        pos = bisect_left(present, v)
-        psi = np.moveaxis(np.multiply.outer(psi, _PLUS), -1, pos)
-        present.insert(pos, v)
+    present = sorted(graph.vertices)
+    is_input = [v in graph.inputs for v in present]
+    psi = _start_state(input_state, is_input, 1)
+    pos = {v: k for k, v in enumerate(present)}
+    for u, v in sorted(graph.edges):
+        _apply_cz(psi, pos[u], pos[v])
 
-    def axes() -> dict[int, int]:
-        return {v: k for k, v in enumerate(present)}
-
-    for edge in sorted(graph.edges):
-        psi = _apply_gate(psi, Gate("CZ", edge), axes())
-
-    odd_of = {i: odd_neighborhood(graph, g) for i, g in structure.correcting_sets.items()}
     x_hits = {v: 0 for v in graph.vertices}
     z_hits = {v: 0 for v in graph.vertices}
 
@@ -243,29 +252,30 @@ def run_pattern(
         for i in sorted(layer):
             theta = graph.angles[i].to_radians()
             adapted = (-1.0) ** (x_hits[i] % 2) * theta + (z_hits[i] % 2) * math.pi
-            bra = j_matrix(adapted)[outcomes[i], :]
-            a = axes()[i]
-            psi = np.tensordot(bra, psi, axes=(0, a))
+            # Row r = outcomes[i] of j_matrix(adapted): (<0| + (-1)^r e^{i adapted} <1|) / sqrt 2.
+            phase = cmath.exp(1j * adapted) * _SQRT_HALF
+            a = bisect_left(present, i)
+            view = psi.reshape(1 << a, 2, -1)
+            psi = view[:, 1] * (-phase if outcomes[i] else phase)
+            psi += view[:, 0] * _SQRT_HALF
             present.pop(a)
-            norm = float(np.linalg.norm(psi))
+            norm = math.sqrt(np.vdot(psi, psi).real)
             if norm < 1e-9:
                 raise ProjectionError(f"outcome {outcomes[i]} on vertex {i} has zero amplitude")
-            psi = psi / norm
+            psi /= norm
+            psi = psi.reshape(-1)
             if outcomes[i]:
                 for v in structure.correcting_sets[i]:
                     x_hits[v] += 1
-                for v in odd_of[i] - {i}:
+                for v in odd_neighborhood(graph, structure.correcting_sets[i]) - {i}:
                     z_hits[v] += 1
 
-    x_mat = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    z_mat = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+    # X^x Z^z on each output: Z negates its 1 half, then X swaps its halves.
     for v in sorted(graph.outputs):
-        if x_hits[v] % 2 == 0 and z_hits[v] % 2 == 0:
-            continue
-        u = np.linalg.matrix_power(x_mat, x_hits[v] % 2) @ np.linalg.matrix_power(
-            z_mat, z_hits[v] % 2
-        )
-        a = axes()[v]
-        psi = np.moveaxis(np.tensordot(u, psi, axes=(1, a)), 0, a)
+        view = psi.reshape(1 << bisect_left(present, v), 2, -1)
+        if z_hits[v] % 2:
+            np.negative(view[:, 1], out=view[:, 1])
+        if x_hits[v] % 2:
+            view[...] = view[:, ::-1]
 
-    return StateVector(psi.reshape(-1), tuple(sorted(graph.outputs)))
+    return StateVector(psi, tuple(sorted(graph.outputs)))

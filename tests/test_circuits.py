@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -157,3 +159,13 @@ def test_parse_reports_line_numbers():
 def test_parse_skips_comments():
     c = parse_text("# header\nwire 1 input output\n\nJ(1/2pi) 1  # inline\n")
     assert len(c.gates) == 1
+
+
+def test_a_pickled_gate_drops_its_cached_hash():
+    # a string's hash differs between processes, so the cache must not travel
+    gate = Gate("J", (3,), Angle.exact(1, 4))
+    hash(gate)
+    copy = pickle.loads(pickle.dumps(gate))
+    assert copy == gate and repr(copy) == repr(gate)
+    assert "_hash" not in vars(copy)
+    assert hash(copy) == hash(gate)

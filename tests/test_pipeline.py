@@ -73,3 +73,16 @@ def test_a_pattern_without_measurements_compiles_to_its_extended_circuit():
     assert done.trace.steps == ()
     assert done.trace.initial_digest == done.trace.final_digest
     assert done.deviation <= 1e-9
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"budget": 0}, "budget must be at least 1, got 0"),
+    ({"budget": -3}, "budget must be at least 1, got -3"),
+    ({"max_wires": 0}, "max_wires must be at least 1, got 0"),
+    ({"tol": -1.0}, "tol must be non-negative, got -1.0"),
+    ({"tol": float("nan")}, "tol must be non-negative, got nan"),
+])
+def test_out_of_range_arguments_are_refused_up_front(kwargs, message):
+    graph, sets = load_fixture("budget")
+    with pytest.raises(ValueError, match=message):
+        compile_pattern(graph, sets, **kwargs)

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from oneway import (
     Angle,
@@ -17,12 +19,17 @@ from oneway import (
     build_extended,
     circuit_isometry,
     find_flow,
+    find_gflow,
+    j_matrix,
     max_deviation,
     measured_wire_reduced_states,
+    parse_graph,
     run_pattern,
     validate_gflow,
 )
+from oneway.simulate import _j
 from _oracle import PLUS, cx_on, cz_on, j_of, j_on, plus_embedding
+from test_determinism import all_small_open_graphs
 
 
 def two_output_wires():
@@ -157,3 +164,123 @@ def test_run_pattern_input_validation(path3):
         run_pattern(path3, structure, np.ones(4), {1: 0, 2: 0})
     with pytest.raises(WireCapError):
         run_pattern(path3, structure, np.array([1.0, 0.0]), {1: 0, 2: 0}, cap=2)
+
+
+@st.composite
+def dense_circuits(draw):
+    """1 to 5 wires in any mix of input/plus and output/measured; J, CZ and
+    CX on any wires, so controls land on either side of their targets."""
+    n = draw(st.integers(1, 5))
+    ids = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n, unique=True))
+    wires = tuple(
+        Wire(i, draw(st.sampled_from(["input", "plus"])), draw(st.sampled_from(["output", "measured"])))
+        for i in ids
+    )
+    angles = st.one_of(
+        st.builds(Angle.exact, st.integers(0, 7), st.just(4)),
+        st.builds(Angle.radians, st.floats(-4.0, 4.0)),
+    )
+    gates = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["J", "CZ", "CX"] if n > 1 else ["J"]))
+        if kind == "J":
+            gates.append(Gate("J", (draw(st.sampled_from(ids)),), draw(angles)))
+        else:
+            gates.append(Gate(kind, tuple(draw(st.permutations(ids))[:2])))
+    return Circuit(wires, tuple(gates))
+
+
+def lifted_isometry(circuit):
+    """The circuit's unnormalized isometry from test-local kron matrices."""
+    order = tuple(w.id for w in circuit.wires)
+    program = np.eye(2 ** len(order), dtype=complex)
+    for g in circuit.gates:
+        if g.kind == "J":
+            program = j_on(g.angle.to_radians(), g.wires[0], order) @ program
+        elif g.kind == "CZ":
+            program = cz_on(*g.wires, order) @ program
+        else:
+            program = cx_on(g.control, g.target, order) @ program
+    register = order
+    for w in circuit.wires:
+        if w.init == "plus":
+            program = program @ plus_embedding(w.id, register)
+            register = tuple(v for v in register if v != w.id)
+    register = order
+    for w in circuit.wires:
+        if w.terminal == "measured":
+            program = plus_embedding(w.id, register).conj().T @ program
+            register = tuple(v for v in register if v != w.id)
+    return program
+
+
+@given(dense_circuits())
+def test_isometry_equals_the_lifted_product(circuit):
+    raw = lifted_isometry(circuit)
+    norms = np.linalg.norm(raw, axis=0)
+    if norms.min() < 1e-12:
+        with pytest.raises(ProjectionError):
+            circuit_isometry(circuit)
+        return
+    assume(norms.min() > 1e-2)  # renormalizing a tiny column magnifies rounding
+    iso = circuit_isometry(circuit)
+    assert iso.input_wires == tuple(w.id for w in circuit.wires if w.init == "input")
+    assert iso.output_wires == tuple(w.id for w in circuit.wires if w.terminal == "output")
+    assert np.max(np.abs(iso.matrix - raw / norms)) <= 1e-12
+
+
+def test_run_pattern_agrees_with_the_extended_isometry_on_the_atlas():
+    rng = np.random.default_rng(5)
+    checked = 0
+    for graph in all_small_open_graphs(5):
+        structure = find_flow(graph) or find_gflow(graph)
+        if structure is None:
+            continue
+        iso = circuit_isometry(build_extended(graph, structure))
+        for _ in range(2):
+            outcomes = {i: int(rng.integers(2)) for i in sorted(graph.measured)}
+            got = run_pattern(graph, structure, np.array([1.0]), outcomes).amplitudes
+            assert max_deviation(got, iso.matrix[:, 0]) <= 1e-9, (graph.edges, outcomes)
+        checked += 1
+    assert checked > 300
+
+
+def test_run_pattern_keeps_the_amplitude_of_an_empty_input():
+    graph = parse_graph("vertices: 1 2 3\nedges: 1-2 2-3\ninputs:\noutputs: 3\nangles: 1=1/4pi 2=1/8pi\n")
+    structure = find_flow(graph)
+    for outcomes in ({1: 0, 2: 0}, {1: 1, 2: 0}, {1: 1, 2: 1}):
+        one = run_pattern(graph, structure, np.array([1.0]), outcomes).amplitudes
+        phased = run_pattern(graph, structure, np.array([1j]), outcomes).amplitudes
+        assert phased == pytest.approx(1j * one, rel=0, abs=1e-15)
+
+
+def test_simulation_leaves_its_arguments_alone(path3, example1):
+    # every vertex an input: the start state is the input state itself, then CZ'd
+    graph = parse_graph("vertices: 1 2\nedges: 1-2\ninputs: 1 2\noutputs: 1 2\nangles:\n")
+    state = np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex)
+    kept = state.copy()
+    got = run_pattern(graph, find_flow(graph), state, {}).amplitudes
+    assert np.array_equal(state, kept)
+    assert got == pytest.approx(kept * [1, 1, 1, -1], abs=1e-15)
+
+    state = np.array([0.6, 0.8j], dtype=complex)
+    kept = state.copy()
+    run_pattern(path3, find_flow(path3), state, {1: 1, 2: 1})
+    assert np.array_equal(state, kept)
+
+    graph, sets = example1
+    ext = build_extended(graph, validate_gflow(graph, sets))
+    first, second = circuit_isometry(ext), circuit_isometry(ext)
+    assert np.array_equal(first.matrix, second.matrix)
+    assert not np.shares_memory(first.matrix, second.matrix)
+
+
+def test_cached_j_matrices_are_read_only():
+    angle = Angle.exact(3, 8)
+    cached = _j(angle)
+    assert cached is _j(Angle.exact(3, 8))
+    assert np.array_equal(cached, j_matrix(angle))
+    assert not cached.flags.writeable
+    with pytest.raises(ValueError):
+        cached[0, 0] = 0.0
+    assert j_matrix(angle).flags.writeable  # j_matrix itself still hands out fresh arrays
