@@ -17,8 +17,8 @@ class Angle:
     """An angle in radians, either an exact multiple of pi or a float.
 
     Exact angles are reduced fractions of pi normalised into [0, 2); the float
-    fallback keeps whatever the caller supplied.  The two representations never
-    compare equal, which keeps serialisation canonical.
+    fallback keeps whatever finite value the caller supplied.  The two
+    representations never compare equal, which keeps serialisation canonical.
     """
 
     pi_multiple: Fraction | None = None
@@ -29,6 +29,8 @@ class Angle:
             raise ValueError("angle needs exactly one of pi_multiple / float_radians")
         if self.pi_multiple is not None:
             object.__setattr__(self, "pi_multiple", Fraction(self.pi_multiple) % 2)
+        elif not math.isfinite(self.float_radians):
+            raise ValueError(f"angle must be finite, got {self.float_radians} radians")
 
     @staticmethod
     def exact(numerator: int | Fraction, denominator: int = 1) -> Angle:
@@ -48,9 +50,10 @@ class Angle:
                 raise ValueError(f"zero denominator in angle {token!r}")
             return Angle.exact(p, q)
         try:
-            return Angle.radians(float(token))
+            value = float(token)
         except ValueError:
             raise ValueError(f"cannot parse angle {token!r}") from None
+        return Angle.radians(value)
 
     def to_radians(self) -> float:
         if self.pi_multiple is not None:

@@ -180,7 +180,10 @@ def main(argv: list[str] | None = None) -> int:
     p_compile.add_argument("--no-verify", action="store_true", help="skip the oracle check")
     p_compile.add_argument("--tol", type=_NON_NEGATIVE, default=1e-9)
     p_compile.add_argument("--max-wires", type=_AT_LEAST_ONE, default=14)
-    p_compile.add_argument("--seed", type=int, default=0, help="seed for outcome spot checks")
+    p_compile.add_argument(
+        "--seed", type=_bounded(int, lambda v: v >= 0, "non-negative"), default=0,
+        help="seed for outcome spot checks",
+    )
     p_compile.add_argument(
         "--search-budget",
         type=_AT_LEAST_ONE,

@@ -106,7 +106,7 @@ def parse_graph(text: str) -> OpenGraph:
 
 
 def parse_graph_with_sets(text: str) -> tuple[OpenGraph, dict[int, frozenset[int]] | None]:
-    fields: dict[str, str] = {}
+    fields: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -117,41 +117,46 @@ def parse_graph_with_sets(text: str) -> tuple[OpenGraph, dict[int, frozenset[int
         key = key.strip()
         if key in fields:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        fields[key] = value.strip()
+        fields[key] = lineno, value.strip()
 
     for required in ("vertices", "edges", "inputs", "outputs"):
         if required not in fields:
             raise ValueError(f"missing key {required!r}")
 
-    def ints(value: str) -> list[int]:
-        return [int(tok) for tok in value.split()] if value else []
+    def read(key: str, parse_token) -> list:
+        """Parse each token of ``key``'s value; an error names the key and its line."""
+        if key not in fields:
+            return []
+        lineno, value = fields[key]
+        try:
+            return [parse_token(tok) for tok in value.split()]
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {key}: {exc}") from None
 
-    vertices = tuple(ints(fields["vertices"]))
-    edges = set()
-    for tok in fields["edges"].split():
+    def edge(tok: str) -> tuple[int, int]:
         a, sep, b = tok.partition("-")
         if not sep:
             raise ValueError(f"bad edge {tok!r}")
-        edges.add((int(a), int(b)))
-    inputs = frozenset(ints(fields["inputs"]))
-    outputs = frozenset(ints(fields["outputs"]))
+        return int(a), int(b)
 
-    angles: dict[int, Angle] = {}
-    for tok in fields.get("angles", "").split():
+    def angle(tok: str) -> tuple[int, Angle]:
         v, sep, expr = tok.partition("=")
         if not sep:
             raise ValueError(f"bad angle assignment {tok!r}")
-        angles[int(v)] = Angle.parse(expr)
+        return int(v), Angle.parse(expr)
 
-    sets: dict[int, frozenset[int]] | None = None
-    if "correcting_sets" in fields:
-        sets = {}
-        for tok in fields["correcting_sets"].split():
-            v, sep, body = tok.partition("=")
-            if not sep or not (body.startswith("{") and body.endswith("}")):
-                raise ValueError(f"bad correcting set {tok!r}")
-            members = frozenset(int(x) for x in body[1:-1].split(",") if x)
-            sets[int(v)] = members
+    def correcting_set(tok: str) -> tuple[int, frozenset[int]]:
+        v, sep, body = tok.partition("=")
+        if not sep or not (body.startswith("{") and body.endswith("}")):
+            raise ValueError(f"bad correcting set {tok!r}")
+        return int(v), frozenset(int(x) for x in body[1:-1].split(",") if x)
+
+    vertices = tuple(read("vertices", int))
+    edges = set(read("edges", edge))
+    inputs = frozenset(read("inputs", int))
+    outputs = frozenset(read("outputs", int))
+    angles = dict(read("angles", angle))
+    sets = dict(read("correcting_sets", correcting_set)) if "correcting_sets" in fields else None
 
     graph = OpenGraph(vertices, frozenset(edges), inputs, outputs, angles)
     problems = validate(graph)

@@ -67,9 +67,9 @@ def compile_pattern(
     """Compile under the supplied ``sets`` once validated, else a flow, else a gflow.
 
     ``budget`` caps the designation attempts; ``tol``, ``max_wires`` and ``seed``
-    set the verification.  An out-of-range ``budget``, ``tol`` or ``max_wires``
-    raises ``ValueError``, worded as the CLI refuses it; every failure to
-    compile raises ``CompileError``.
+    set the verification.  An out-of-range ``budget``, ``tol``, ``max_wires`` or
+    ``seed`` raises ``ValueError``, worded as the CLI refuses it; every failure
+    to compile raises ``CompileError``.
     """
     if budget is not None and not budget >= 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -77,6 +77,8 @@ def compile_pattern(
         raise ValueError(f"tol must be non-negative, got {tol}")
     if not max_wires >= 1:
         raise ValueError(f"max_wires must be at least 1, got {max_wires}")
+    if not seed >= 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if sets is not None:
         structure = validate_gflow(graph, sets)
         if isinstance(structure, list):

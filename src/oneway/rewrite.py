@@ -26,8 +26,8 @@ neighbours in g(i).  For each injective designation a depth-first search
 cancels every CX off the designation, then a fixed tail cancels pairs,
 clears correction CZs, cancels pairs again and collapses each wire with the
 J-gate identity.  The first path that strips every measured wire is the
-result; each of its steps is applied once, and only its circuits are
-oracle-checked when step checks are on.
+result; each of its steps is applied once and, under ``simplify_gflow``
+only, oracle-checked on circuits of at most ``_CHECKED_WIDTH`` wires.
 
 A Circuit never changes: each rule applied to one returns a new Circuit.
 The engine hands the rules stand-ins on which a rule returns its edit
@@ -69,6 +69,7 @@ __all__ = [
 
 _TOL = 1e-9  # the per-step oracle checks' deviation bound
 _PLAN_BUDGET = 4000  # search nodes per designation
+_CHECKED_WIDTH = 12  # the widest circuit the per-step oracle checks compare
 
 
 class RewriteError(ValueError):
@@ -665,12 +666,12 @@ def _partner_moves(circuit: Circuit, q: int, movers: list[int]):
                 yield from _fits(apply_cz_commute, circuit, (p, cx_idx, q))
 
 
-def _fits(rule, circuit: Circuit, gates: tuple[int, ...], skip_blocked: bool = True, **kw):
+def _fits(rule, circuit: Circuit, gates: tuple[int, ...], **kw):
     """Yield ``rule`` at the site of ``gates`` if it matches.  On a plan node a
-    blocked site is skipped before the rule sees it, unless ``skip_blocked`` is
-    off; in the tail nearly every site tried fires, so the rule checks alone."""
+    blocked site is skipped before the rule sees it; in the tail nearly every
+    site tried fires, so the rule checks alone."""
     site = tuple(sorted(gates))
-    if skip_blocked and type(circuit) is _Node and _blocker(circuit, site) is not None:
+    if type(circuit) is _Node and _blocker(circuit, site) is not None:
         return
     try:
         yield rule(circuit, site, **kw)
@@ -829,7 +830,7 @@ def _mint_candidates(circuit: Circuit, work: list[tuple[int, int, int]]):
             for c in sorted(set(t_czs) & set(m_czs)):
                 for kt in t_czs[c]:
                     for km in m_czs[c]:
-                        yield from _fits(apply_cz_to_cx, circuit, (kt, km), skip_blocked=False, fresh=t)
+                        yield from _fits(apply_cz_to_cx, circuit, (kt, km), fresh=t)
 
 
 def _fire_candidates(circuit: Circuit):
@@ -957,10 +958,10 @@ def _plan(
 
 
 def _check_path(circuit: Circuit, drv: _Driver) -> tuple[_Driver, str | None]:
-    """Oracle-check each accepted step on circuits of at most 12 wires.
+    """Oracle-check each accepted step on circuits of at most ``_CHECKED_WIDTH`` wires.
 
     The steps are replayed from the engine's input ``circuit``: through a
-    gate store, unchecked, while it is wider than 12 wires, then on Circuits,
+    gate store, unchecked, while it is wider than that, then on Circuits,
     each step comparing the isometries of the circuits on either side of it,
     with input columns lined up through the jgate relabelings.  Returns the
     driver and None, or the steps before the first drifting one and why.
@@ -970,9 +971,9 @@ def _check_path(circuit: Circuit, drv: _Driver) -> tuple[_Driver, str | None]:
     steps = drv.steps
     order = [w.id for w in circuit.wires if w.init == "input"]
     start = 0
-    if len(circuit.wires) > 12:
+    if len(circuit.wires) > _CHECKED_WIDTH:
         store = _GateStore(circuit)
-        while start < len(steps) and len(store.wires) > 12:
+        while start < len(steps) and len(store.wires) > _CHECKED_WIDTH:
             store.apply(_reapply(store, steps[start])[0])
             start += 1
         circuit = store.circuit()
@@ -995,19 +996,16 @@ def _check_path(circuit: Circuit, drv: _Driver) -> tuple[_Driver, str | None]:
 
 
 def _simplify(
-    circuit: Circuit,
-    order: tuple[int, ...],
-    candidates: list[list[int]],
-    budget: int | None,
-    verify_steps: bool,
+    circuit: Circuit, order: tuple[int, ...], candidates: list[list[int]],
+    budget: int | None, check_steps: bool,
 ) -> tuple[Circuit, SimplificationTrace]:
     """The one rewrite engine behind both entry points.
 
     ``candidates[k]`` lists the possible teleportation partners of wire
     ``order[k]``.  Injective designations are tried in product order, at
     most ``budget`` of them (default: all, capped at 10000); each gets one
-    plan search, whose accepted path is the result once its steps pass the
-    oracle checks (when ``verify_steps``).
+    plan search, whose accepted path is the result, once its steps pass the
+    oracle checks if the entry point asks for them (``check_steps``).
     """
     initial = digest(circuit)
     cap = min(math.prod(map(len, candidates)), 10_000) if budget is None else budget
@@ -1024,7 +1022,7 @@ def _simplify(
         targets = dict(zip(order, assignment))
         drv, why, spent = _plan(circuit, order, targets)
         nodes += spent
-        if why is None and verify_steps:
+        if why is None and check_steps:
             drv, why = _check_path(circuit, drv)
         trace = SimplificationTrace(tuple(drv.steps), initial, digest(drv.circuit))
         if why is None:
@@ -1038,19 +1036,15 @@ def _simplify(
     raise GflowSearchExhausted(attempts, partial, why, nodes)
 
 
-def simplify_flow(
-    circuit: Circuit,
-    view: TimeSlicedView,
-    *,
-    verify_steps: bool = False,
-) -> tuple[Circuit, SimplificationTrace]:
+def simplify_flow(circuit: Circuit, view: TimeSlicedView) -> tuple[Circuit, SimplificationTrace]:
     """Strip every measured wire of a flow-built extended circuit.
 
     A flow corrects each measured wire through its one CX, whose target is
     the only designation the engine is given: no CX needs cancelling, so the
     engine goes straight to its tail, clearing correction CZs (migrating
     entangler CZs forward in the same stroke) and collapsing each measured
-    wire onto its corrector in layer order.
+    wire onto its corrector in layer order.  It checks no step; the
+    pipeline's final oracle check covers the result.
     """
     candidates = []
     for i in view.order:
@@ -1059,7 +1053,7 @@ def simplify_flow(
             raise FlowSimplifyError(f"wire {i} has {len(cxs)} correction CXs; flow needs 1")
         candidates.append([circuit.gates[cxs[0]].target])
     try:
-        return _simplify(circuit, view.order, candidates, None, verify_steps)
+        return _simplify(circuit, view.order, candidates, None, check_steps=False)
     except GflowSearchExhausted as exc:
         raise FlowSimplifyError(exc.reason) from exc
 
@@ -1070,7 +1064,6 @@ def simplify_gflow(
     structure: CorrectionStructure,
     *,
     budget: int | None = None,
-    verify_steps: bool = True,
 ) -> tuple[Circuit, SimplificationTrace]:
     """Search a special-CX designation and strip every measured wire.
 
@@ -1078,8 +1071,8 @@ def simplify_gflow(
     partner, a graph neighbour in g(i)); the engine cancels the others with
     the CX-triangle identity, minting helpers from CZ pairs where needed.
     Designations are tried in ascending-target order, injectively, within
-    the attempt budget; per-step oracle checks guard the accepted steps on
-    small circuits.
+    the attempt budget.  Each accepted step on at most ``_CHECKED_WIDTH``
+    wires is oracle-checked; a drifting step fails the designation.
     """
     candidates: list[list[int]] = []
     for i in view.order:
@@ -1092,4 +1085,4 @@ def simplify_gflow(
                 f"wire {i} has no graph neighbour in its correcting set",
             )
         candidates.append(cand)
-    return _simplify(circuit, view.order, candidates, budget, verify_steps)
+    return _simplify(circuit, view.order, candidates, budget, check_steps=True)

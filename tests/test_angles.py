@@ -24,10 +24,16 @@ def test_parse_rational_and_decimal():
     assert Angle.parse("0.25").float_radians == 0.25
 
 
-@pytest.mark.parametrize("bad", ["pi", "1/0pi", "x", ""])
+@pytest.mark.parametrize("bad", ["pi", "1/0pi", "x", "", "nan", "inf", "-inf"])
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
         Angle.parse(bad)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_radians_are_refused(value):
+    with pytest.raises(ValueError, match="angle must be finite"):
+        Angle.radians(value)
 
 
 def test_constructor_needs_exactly_one_representation():

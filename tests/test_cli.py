@@ -60,6 +60,9 @@ def test_unreadable_or_malformed_input_exits_2(tmp_path, capsys):
     bad.write_text("vertices: 1 2\nedges: 1-2\n")
     assert main(["compile", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+    bad.write_text("vertices: 1 2\nedges: 1-2\ninputs: 1\noutputs: 2\nangles: 1=nan\n")
+    assert main(["compile", str(bad)]) == 2
+    assert "line 5: angles: angle must be finite, got nan radians" in capsys.readouterr().err
 
 
 def test_compile_path3(fixtures_dir, tmp_path, capsys):
@@ -203,6 +206,9 @@ def test_verify_parse_error_exits_2(tmp_path, capsys):
     ok.write_text("wire 1 input output\n")
     assert main(["verify", str(bad), str(ok)]) == 2
     assert "error:" in capsys.readouterr().err
+    bad.write_text("wire 1 input output\nJ(nan) 1\n")
+    assert main(["verify", str(bad), str(ok)]) == 2
+    assert "line 2: angle must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -211,6 +217,7 @@ def test_verify_parse_error_exits_2(tmp_path, capsys):
         ("--search-budget", "0", "must be at least 1, got 0"),
         ("--max-wires", "0", "must be at least 1, got 0"),
         ("--tol", "-1", "must be non-negative, got -1"),
+        ("--seed", "-1", "must be non-negative, got -1"),
     ],
 )
 def test_compile_refuses_out_of_range_options_at_parse_time(fixtures_dir, option, value, reason, capsys):

@@ -100,6 +100,16 @@ def test_parse_reports_line_numbers():
         parse_graph("vertices: 1 2\nedges: 1-2\ninputs: 1\n")
     with pytest.raises(ValueError, match="bad edge"):
         parse_graph("vertices: 1 2\nedges: 12\ninputs: 1\noutputs: 2\n")
+    # a token that is not a number names its key and line
+    ok = "vertices: 1 2\nedges: 1-2\ninputs: 1\noutputs: 2\nangles: 1=1/4pi\n"
+    for good, bad, where in [
+        ("vertices: 1 2", "vertices: 1 a", "line 1: vertices: "),
+        ("edges: 1-2", "edges: 1-b", "line 2: edges: "),
+        ("angles: 1=1/4pi", "angles: x=1/4pi", "line 5: angles: "),
+        ("angles: 1=1/4pi", "angles: 1=1/4pi\ncorrecting_sets: 1={x}", "line 6: correcting_sets: "),
+    ]:
+        with pytest.raises(ValueError, match=f"^{where}invalid literal for int"):
+            parse_graph(ok.replace(good, bad))
 
 
 def test_parse_rejects_invalid_graphs():

@@ -81,6 +81,7 @@ def test_a_pattern_without_measurements_compiles_to_its_extended_circuit():
     ({"max_wires": 0}, "max_wires must be at least 1, got 0"),
     ({"tol": -1.0}, "tol must be non-negative, got -1.0"),
     ({"tol": float("nan")}, "tol must be non-negative, got nan"),
+    ({"seed": -1}, "seed must be non-negative, got -1"),
 ])
 def test_out_of_range_arguments_are_refused_up_front(kwargs, message):
     graph, sets = load_fixture("budget")

@@ -20,6 +20,7 @@ import oneway.simulate
 from oneway import (
     Angle,
     Circuit,
+    CompileError,
     CorrectionStructure,
     FlowSimplifyError,
     Gate,
@@ -35,6 +36,7 @@ from oneway import (
     apply_peephole,
     build_extended,
     circuit_isometry,
+    compile_pattern,
     digest,
     emit_text,
     find_flow,
@@ -602,21 +604,24 @@ def test_step_checks_catch_a_drifting_step(monkeypatch):
     assert partial.steps and partial.steps[-1].rule != "jgate"
     assert digest(replay(ext, partial.steps)) == partial.final_digest
 
-    _, ext, view = fixture_pipeline("path3")
-    with pytest.raises(FlowSimplifyError, match="drifted"):
-        simplify_flow(ext, view, verify_steps=True)
+    # flow compiles check no step: the pipeline's final oracle check catches it
+    graph, sets = load_fixture("path3")
+    with pytest.raises(CompileError, match="^verification failed: deviation 2.588e-01 > 1.0e-09$") as info:
+        compile_pattern(graph, sets)
+    assert info.value.code == 4
 
 
 def test_step_checks_pass_on_a_strip_wider_than_the_checked_width(monkeypatch):
     # 16 wires: the steps taken above 12 wires replay unchecked through a
-    # gate store, the rest are each checked against the dense oracle
+    # gate store, the rest are each checked against the dense oracle; the
+    # flow, supplied as correcting sets, gives simplify_gflow one designation
     calls = []
     isometry = oneway.simulate.circuit_isometry
     monkeypatch.setattr(oneway.simulate, "circuit_isometry", lambda c: calls.append(c) or isometry(c))
     graph = cluster_strip(8)
-    structure = find_flow(graph)
+    structure = validate_gflow(graph, find_flow(graph).correcting_sets)
     ext = build_extended(graph, structure)
-    compact, trace = simplify_flow(ext, slice_circuit(ext, structure), verify_steps=True)
+    compact, trace = simplify_gflow(ext, slice_circuit(ext, structure), structure)
     text = emit_text(compact) + trace_text(trace)
     assert hashlib.sha256(text.encode()).hexdigest() == STRIP_DIGESTS[8]
     assert 0 < len(calls) < len(trace.steps) + 1
