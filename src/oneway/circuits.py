@@ -2,10 +2,11 @@
 
 Wires mirror graph vertices and carry their preparation (input state or |+>)
 and fate (output or measured).  Gates are kept in program order, left to
-right.  The time-sliced view holds the two facts the rewrite engine reads off
-an extended circuit: the layer order of its measured wires and their graph
-neighbours.  The extended circuit's layout itself (entangling CZs, then per
-round J gates and their corrections) is the extend module's to define.
+right.  The time-sliced view holds the two facts the simplify entry points
+read off an extended circuit: the layer order of its measured wires and
+their graph neighbours.  The extended circuit's layout itself (entangling
+CZs, then per round J gates and their corrections) is the extend module's
+to define.
 """
 
 from __future__ import annotations
@@ -141,13 +142,14 @@ def j_matrix(angle: Angle | float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeSlicedView:
-    """What the rewrite engine reads from an extended circuit.
+    """What the two simplify entry points read beside an extended circuit.
 
     ``order`` lists the measured wires layer by layer, ascending within a
     layer; ``neighbors`` maps each measured wire to its graph neighbours.
-    Both follow from the structure and the graph, so the one
-    ``simplify(extended, structure)`` entry of ROADMAP item 3 deletes this
-    view together with ``slice_circuit``.
+    ``simplify_flow`` reads only ``order``, which must be the order of the
+    circuit's J gates; the gflow engine reads both.  Both follow from the
+    structure and the graph, so a single ``simplify(extended, structure)``
+    entry (ROADMAP item 3) deletes this view together with ``slice_circuit``.
     """
 
     order: tuple[int, ...]

@@ -133,6 +133,15 @@ def parse_graph_with_sets(text: str) -> tuple[OpenGraph, dict[int, frozenset[int
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {key}: {exc}") from None
 
+    def assigned(key: str, parse_token) -> dict:
+        """``key``'s ``v=...`` tokens by vertex; a vertex given twice is refused."""
+        out: dict = {}
+        for v, value in read(key, parse_token):
+            if v in out:
+                raise ValueError(f"line {fields[key][0]}: {key}: duplicate vertex {v}")
+            out[v] = value
+        return out
+
     def edge(tok: str) -> tuple[int, int]:
         a, sep, b = tok.partition("-")
         if not sep:
@@ -155,8 +164,8 @@ def parse_graph_with_sets(text: str) -> tuple[OpenGraph, dict[int, frozenset[int
     edges = set(read("edges", edge))
     inputs = frozenset(read("inputs", int))
     outputs = frozenset(read("outputs", int))
-    angles = dict(read("angles", angle))
-    sets = dict(read("correcting_sets", correcting_set)) if "correcting_sets" in fields else None
+    angles = assigned("angles", angle)
+    sets = assigned("correcting_sets", correcting_set) if "correcting_sets" in fields else None
 
     graph = OpenGraph(vertices, frozenset(edges), inputs, outputs, angles)
     problems = validate(graph)

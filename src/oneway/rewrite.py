@@ -18,16 +18,20 @@ Identity catalogue, written in program order (left gate acts first):
                wire i measured and otherwise finished; j inherits i's start)
   peephole     equal CZ or CX pairs cancel
 
-One engine drives these identities for flow and gflow alike.  It is given,
-for each measured wire in layer order, the wires it may teleport onto:
-``simplify_flow`` passes the single CX target of each wire (a flow is a
-gflow whose correcting sets are singletons), ``simplify_gflow`` the graph
-neighbours in g(i).  For each injective designation a depth-first search
-cancels every CX off the designation, then a fixed tail cancels pairs,
-clears correction CZs, cancels pairs again and collapses each wire with the
-J-gate identity.  The first path that strips every measured wire is the
-result; each of its steps is applied once and, under ``simplify_gflow``
-only, oracle-checked on circuits of at most ``_CHECKED_WIDTH`` wires.
+Under a causal flow these identities always strip the extended circuit the
+same way, so ``simplify_flow`` searches nothing: it reads the flow off the
+circuit, writes the compact circuit in closed form and derives the trace
+from that fixed schedule, calling no rule.
+
+The rewrite engine serves ``simplify_gflow``.  It is given, for each
+measured wire in layer order, the graph neighbours in g(i) it may teleport
+onto.  For each injective designation a depth-first search cancels every CX
+off the designation, then a fixed tail cancels pairs, clears correction CZs,
+cancels pairs again and collapses each wire with the J-gate identity.  The
+first path that strips every measured wire is the result; each of its steps
+is applied once and oracle-checked on circuits of at most
+``_CHECKED_WIDTH`` wires.  Given a flow as singleton correcting sets, the
+engine reproduces ``simplify_flow``'s output byte for byte.
 
 A Circuit never changes: each rule applied to one returns a new Circuit.
 The engine hands the rules stand-ins on which a rule returns its edit
@@ -43,6 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right, insort
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -77,7 +82,7 @@ class RewriteError(ValueError):
 
 
 class FlowSimplifyError(RuntimeError):
-    """The flow driver hit a circuit it could not strip (invalid input)."""
+    """``simplify_flow`` was given a circuit that is not a flow-built extended circuit."""
 
 
 class GflowSearchExhausted(RuntimeError):
@@ -487,12 +492,161 @@ def follow_jgates(steps: tuple[RewriteStep, ...] | list[RewriteStep], wires: lis
     return wires
 
 
+# --- flow: the closed form ---------------------------------------------------
+
+
+def _read_flow(circuit: Circuit, order: tuple[int, ...]):
+    """Read ``build_extended``'s flow layout off ``circuit`` in one pass.
+
+    Returns the leading CZs' wire pairs (the graph edges), the graph
+    neighbours, f, and the positions of each measured wire's J and CX.  A
+    circuit laid out any other way, or whose rounds do not make f a causal
+    flow measured in ``order``, raises FlowSimplifyError.
+    """
+    gates = circuit.gates
+    cxs = Counter(g.control for g in gates if g.kind == "CX")
+    for i in order:
+        if cxs[i] != 1:
+            raise FlowSimplifyError(f"wire {i} has {cxs[i]} correction CXs; flow needs 1")
+
+    def off_layout(p: int) -> FlowSimplifyError:
+        at = f"gate {gates[p].text()} at {p}" if p < len(gates) else "the end of the circuit"
+        return FlowSimplifyError(f"{at} is off the flow layout of an extended circuit")
+
+    p = 0
+    while p < len(gates) and gates[p].kind == "CZ":
+        if p and gates[p - 1].wires >= gates[p].wires:
+            raise off_layout(p)
+        p += 1
+    edges = [g.wires for g in gates[:p]]
+    nbrs: dict[int, set[int]] = {w.id: set() for w in circuit.wires}
+    for a, b in edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+
+    # each round: its J gates in ascending wire order, then per wire i its CX
+    # onto f(i) and its CZs onto the other neighbours of f(i)
+    f: dict[int, int] = {}
+    layer_of: dict[int, int] = {}
+    j_at: dict[int, int] = {}
+    cx_at: dict[int, int] = {}
+    rounds = 0
+    while p < len(gates):
+        start = p
+        while p < len(gates) and gates[p].kind == "J":
+            (i,) = gates[p].wires
+            if i in layer_of or (p > start and i < gates[p - 1].wires[0]):
+                raise off_layout(p)
+            layer_of[i], j_at[i] = rounds, p
+            p += 1
+        if p == start:
+            raise off_layout(p)
+        rounds += 1
+        for i in [g.wires[0] for g in gates[start:p]]:
+            cx = gates[p] if p < len(gates) else None
+            if cx is None or cx.kind != "CX" or cx.control != i:
+                raise off_layout(p)
+            f[i], cx_at[i] = cx.target, p
+            p += 1
+            for k in sorted(nbrs[cx.target] - {i}):
+                if p == len(gates) or gates[p].kind != "CZ" or gates[p].wires != (min(i, k), max(i, k)):
+                    raise off_layout(p)
+                p += 1
+
+    measured = sorted(j_at, key=j_at.get)
+    if tuple(measured) != tuple(order):
+        raise FlowSimplifyError(f"the J gates measure {measured}, not the order {list(order)}")
+    for w in circuit.wires:
+        if (w.terminal == "measured") != (w.id in f):
+            which = "a" if w.id in f else "no"
+            raise FlowSimplifyError(f"wire {w.id} is {w.terminal}, but {which} J measures it")
+    plus = {w.id for w in circuit.wires if w.init == "plus"}
+    for i, t in f.items():
+        # f(i) and its other neighbours come in later rounds, which also makes f injective
+        later = (nbrs[t] - {i}) | {t}
+        if i not in nbrs[t] or t not in plus or any(layer_of.get(k, rounds) <= layer_of[i] for k in later):
+            raise FlowSimplifyError(f"CX {i} {t} is not the correction of a causal flow")
+    return edges, nbrs, f, j_at, cx_at
+
+
+def simplify_flow(circuit: Circuit, view: TimeSlicedView) -> tuple[Circuit, SimplificationTrace]:
+    """Strip every measured wire of a flow-built extended circuit, without search.
+
+    Under a causal flow f the identities leave a closed form: one wire per
+    chain s, f(s), f(f(s)), ..., named by its output and started as s is;
+    the CZs of the edges between chain starts; then, for each measured i in
+    layer order, J(angle of i) on its chain followed by a CZ from f(i)'s
+    chain to the chain of each other neighbour k of f(i) that is already
+    live (a chain start, or f of a wire measured before i), k ascending.
+
+    The trace is the one the engine takes on such a circuit, whose schedule
+    is fixed: for each measured i in layer order, one cz-commute per
+    correction CZ i k, right to left, moving the edge CZ f(i) k past the CX
+    i f(i); then, in layer order, one jgate per measured wire.  Positions
+    are read off order keys by bisection, with no relabelling.  It checks
+    no step; the pipeline's final oracle check covers the result.
+    """
+    edges, nbrs, f, j_at, cx_at = _read_flow(circuit, view.order)
+    gates, order = circuit.gates, view.order
+
+    image = set(f.values())
+    starts = [w for w in circuit.wires if w.id not in image]
+    chain: dict[int, int] = {}
+    for w in starts:
+        path = [w.id]
+        while path[-1] in f:
+            path.append(f[path[-1]])
+        chain.update(dict.fromkeys(path, path[-1]))
+    live = {w.id for w in starts}
+    out = [Gate("CZ", (chain[a], chain[b])) for a, b in edges if a in live and b in live]
+    for i in order:
+        t = f[i]
+        out.append(Gate("J", (chain[i],), gates[j_at[i]].angle))
+        out.extend(Gate("CZ", (chain[t], chain[k])) for k in sorted(nbrs[t] - {i}) if k in live)
+        live.add(t)
+    compact = Circuit(tuple(Wire(chain[w.id], w.init, "output") for w in starts), tuple(out))
+
+    # Gate p starts with order key 2p.  A cz-commute consumes the edge CZ
+    # f(i) k, the CX i f(i) and the correction CZ i k.  The edge CZ comes
+    # first: it sits among the leading CZs or in the block of a wire measured
+    # before i.  So apply_cz_commute, which swaps the CX and the edge CZ,
+    # puts out (CX, CZ) where the correction CZ was: the CX takes its key c,
+    # the CZ c + 1, which no other gate ever holds.
+    keys = list(range(0, 2 * len(gates), 2))
+    edge_key = {e: 2 * p for p, e in enumerate(edges)}
+    cx_key = {i: 2 * p for i, p in cx_at.items()}
+
+    def pos(key: int) -> int:
+        return bisect_left(keys, key)
+
+    steps = []
+    for i in order:
+        t, cx = f[i], gates[cx_at[i]]
+        for q in range(cx_at[i] + len(nbrs[t]) - 1, cx_at[i], -1):  # its correction CZs, right to left
+            k = gates[q].wires[gates[q].wires[0] == i]
+            e = (min(t, k), max(t, k))
+            c, x, z = 2 * q, cx_key[i], edge_key[e]
+            site = tuple(sorted((pos(z), pos(x), pos(c))))
+            steps.append(RewriteStep("cz-commute", site, (cx, Gate("CZ", e))))
+            cx_key[i], edge_key[e] = c, c + 1
+            del keys[pos(x)]
+            del keys[pos(z)]
+            insort(keys, c + 1)
+    for i in order:
+        t, angle = f[i], gates[j_at[i]].angle
+        z, j, x = edge_key[(min(i, t), max(i, t))], 2 * j_at[i], cx_key[i]
+        steps.append(RewriteStep("jgate", (pos(z), pos(j), pos(x)), (Gate("J", (t,), angle),), i))
+        del keys[pos(j)]  # the produced J keeps the CX's key
+        del keys[pos(z)]
+    return compact, SimplificationTrace(tuple(steps), digest(circuit), digest(compact))
+
+
 # --- the engine --------------------------------------------------------------
 
 
 # Spacing of a fresh store's order keys.  Two leaves room for one nested
-# insertion, all the eliminator's re-emissions need on the strips and the flow
-# atlas; deeper nesting renumbers every key.
+# insertion, all the eliminator's re-emissions need on flow-shaped input;
+# deeper nesting renumbers every key.
 _GAP = 2
 
 
@@ -996,16 +1150,15 @@ def _check_path(circuit: Circuit, drv: _Driver) -> tuple[_Driver, str | None]:
 
 
 def _simplify(
-    circuit: Circuit, order: tuple[int, ...], candidates: list[list[int]],
-    budget: int | None, check_steps: bool,
+    circuit: Circuit, order: tuple[int, ...], candidates: list[list[int]], budget: int | None,
 ) -> tuple[Circuit, SimplificationTrace]:
-    """The one rewrite engine behind both entry points.
+    """The rewrite engine behind ``simplify_gflow``.
 
     ``candidates[k]`` lists the possible teleportation partners of wire
     ``order[k]``.  Injective designations are tried in product order, at
     most ``budget`` of them (default: all, capped at 10000); each gets one
-    plan search, whose accepted path is the result, once its steps pass the
-    oracle checks if the entry point asks for them (``check_steps``).
+    plan search, whose accepted path is the result once its steps pass the
+    oracle checks.
     """
     initial = digest(circuit)
     cap = min(math.prod(map(len, candidates)), 10_000) if budget is None else budget
@@ -1022,7 +1175,7 @@ def _simplify(
         targets = dict(zip(order, assignment))
         drv, why, spent = _plan(circuit, order, targets)
         nodes += spent
-        if why is None and check_steps:
+        if why is None:
             drv, why = _check_path(circuit, drv)
         trace = SimplificationTrace(tuple(drv.steps), initial, digest(drv.circuit))
         if why is None:
@@ -1034,28 +1187,6 @@ def _simplify(
                 f"{i}:{{{','.join(map(str, cand))}}}" for i, cand in zip(order, candidates)
             )
     raise GflowSearchExhausted(attempts, partial, why, nodes)
-
-
-def simplify_flow(circuit: Circuit, view: TimeSlicedView) -> tuple[Circuit, SimplificationTrace]:
-    """Strip every measured wire of a flow-built extended circuit.
-
-    A flow corrects each measured wire through its one CX, whose target is
-    the only designation the engine is given: no CX needs cancelling, so the
-    engine goes straight to its tail, clearing correction CZs (migrating
-    entangler CZs forward in the same stroke) and collapsing each measured
-    wire onto its corrector in layer order.  It checks no step; the
-    pipeline's final oracle check covers the result.
-    """
-    candidates = []
-    for i in view.order:
-        cxs = _cx_controlled_by(circuit, i)
-        if len(cxs) != 1:
-            raise FlowSimplifyError(f"wire {i} has {len(cxs)} correction CXs; flow needs 1")
-        candidates.append([circuit.gates[cxs[0]].target])
-    try:
-        return _simplify(circuit, view.order, candidates, None, check_steps=False)
-    except GflowSearchExhausted as exc:
-        raise FlowSimplifyError(exc.reason) from exc
 
 
 def simplify_gflow(
@@ -1085,4 +1216,4 @@ def simplify_gflow(
                 f"wire {i} has no graph neighbour in its correcting set",
             )
         candidates.append(cand)
-    return _simplify(circuit, view.order, candidates, budget, check_steps=True)
+    return _simplify(circuit, view.order, candidates, budget)

@@ -112,6 +112,19 @@ def test_parse_reports_line_numbers():
             parse_graph(ok.replace(good, bad))
 
 
+@pytest.mark.parametrize("good, bad, message", [
+    ("angles: 1=1/4pi", "angles: 1=1/4pi 1=1/2pi", "^line 5: angles: duplicate vertex 1$"),
+    ("angles: 1=1/4pi", "angles: 1=1/4pi\ncorrecting_sets: 1={2} 1={}",
+     "^line 6: correcting_sets: duplicate vertex 1$"),
+])
+def test_parse_refuses_a_vertex_repeated_within_one_value(good, bad, message):
+    # a repeat must not silently override the earlier assignment
+    ok = "vertices: 1 2\nedges: 1-2\ninputs: 1\noutputs: 2\nangles: 1=1/4pi\n"
+    parse_graph_with_sets(ok.replace(good, good + "\ncorrecting_sets: 1={2}"))
+    with pytest.raises(ValueError, match=message):
+        parse_graph_with_sets(ok.replace(good, bad))
+
+
 def test_parse_rejects_invalid_graphs():
     bad = "vertices: 1 2\nedges: 1-2\ninputs: 1\noutputs: 2\n"  # angle for 1 missing
     with pytest.raises(ValueError, match="missing angles"):

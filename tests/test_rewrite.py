@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import oneway.pipeline
 import oneway.rewrite
 import oneway.simulate
 from oneway import (
@@ -50,6 +51,7 @@ from oneway import (
     trace_text,
     validate_gflow,
 )
+from oneway.circuits import TimeSlicedView
 from oneway.rewrite import (
     _Driver,
     _GateStore,
@@ -59,7 +61,9 @@ from oneway.rewrite import (
     _eliminate_corrections,
     _partner_moves,
     _reapply,
+    follow_jgates,
 )
+from oneway.simulate import basis_column_order
 from _oracle import cx_on, cz_on, j_of, j_on, plus_embedding
 from conftest import cluster_strip, load_fixture
 from test_acceptance import atlas_gflow_only_graphs
@@ -528,6 +532,7 @@ STRIP_DIGESTS = {
     64: "e1f7b36280317b77068879f11c10438daff5b67c3a78de9efd07fd646019d486",
     128: "6fba734b5012bba9c9d94e63f6acf9e452c35b9a2ff874b6874c518c7f8a2a9e",
     256: "3fcfeb6dee0742cb2a69d234a4ab21fb73aee09f4c71bf5845f8ff336ce6695e",
+    512: "55da1757840352fe5c339856903cc6271ce20ab91927905e542e755e8b0d15ff",
 }
 
 
@@ -540,6 +545,140 @@ def test_strip_circuits_and_traces_are_byte_identical(n):
     assert len(compact.wires) == 2
     text = emit_text(compact) + trace_text(trace)
     assert hashlib.sha256(text.encode()).hexdigest() == STRIP_DIGESTS[n]
+
+
+def test_simplify_flow_enters_no_part_of_the_engine(monkeypatch):
+    # the closed form replaces the engine on flow input: no rule, store or search runs
+    rules = [name for name in oneway.rewrite.__all__ if name.startswith("apply_")]
+    for name in ["_simplify", "_plan", "_GateStore", *rules]:
+        monkeypatch.setattr(oneway.rewrite, name, None)
+    structure, ext, view = fixture_pipeline("strip2x3")
+    compact, trace = simplify_flow(ext, view)
+    text = emit_text(compact) + trace_text(trace)
+    assert hashlib.sha256(text.encode()).hexdigest() == FIXTURE_DIGESTS["strip2x3"]
+
+
+def atlas_flows_with_inputs():
+    """Every connected graph of 2 to 5 vertices, every output subset short of
+    all vertices and every non-empty input subset that has a flow."""
+    for graph in all_small_open_graphs():
+        for r in range(1, len(graph.vertices) + 1):
+            for ins in itertools.combinations(graph.vertices, r):
+                opened = OpenGraph(graph.vertices, graph.edges, frozenset(ins), graph.outputs, graph.angles)
+                structure = find_flow(opened)
+                if structure is not None:
+                    yield structure, build_extended(opened, structure)
+
+
+def test_flow_atlas_with_inputs_is_byte_identical():
+    # pinned on the rewrite engine before flow compiles left it
+    count = 0
+    texts = hashlib.sha256()
+    for structure, ext in atlas_flows_with_inputs():
+        compact, trace = simplify_flow(ext, slice_circuit(ext, structure))
+        texts.update((emit_text(compact) + trace_text(trace)).encode())
+        count += 1
+    assert count == 5377
+    assert texts.hexdigest() == "5ddc95c958248a5c475655572df2d2ac622d80320fd2835a9ac85bff8a78ed58"
+
+
+@st.composite
+def flow_patterns(draw):
+    """A graph on 2 to 9 vertices and a causal flow f of it, measured in vertex
+    order.  Each vertex starts a chain or extends one; each other edge u-v
+    (u < v) is drawn only where v starts a chain, u is an output, or v's
+    predecessor on its chain comes before u."""
+    n = draw(st.integers(2, 9))
+    f: dict[int, int] = {}
+    ends: list[int] = []
+    for v in range(1, n + 1):
+        if ends and draw(st.booleans()):
+            i = draw(st.sampled_from(ends))
+            ends.remove(i)
+            f[i] = v
+        ends.append(v)
+    pred = {t: i for i, t in f.items()}
+    allowed = [
+        (u, v) for u, v in itertools.combinations(range(1, n + 1), 2)
+        if f.get(u) != v and (v not in pred or pred[v] < u or u in ends)
+    ]
+    extra = draw(st.sets(st.sampled_from(allowed))) if allowed else set()
+    starts = [v for v in range(1, n + 1) if v not in pred]
+    inputs = draw(st.sets(st.sampled_from(starts)))
+    angles = {i: Angle.exact(2 * k + 1, 8) for k, i in enumerate(sorted(f))}
+    graph = OpenGraph(tuple(range(1, n + 1)), frozenset(f.items()) | extra, inputs, frozenset(ends), angles)
+    return graph, {i: frozenset({t}) for i, t in f.items()}
+
+
+@settings(deadline=None, max_examples=200)
+@given(flow_patterns())
+def test_simplify_flow_is_the_engine_given_the_flow(pattern):
+    # the engine, handed the flow as correcting sets, takes the same steps
+    graph, sets = pattern
+    structure = validate_gflow(graph, sets)
+    ext = build_extended(graph, structure)
+    view = slice_circuit(ext, structure)
+    compact, trace = simplify_flow(ext, view)
+    assert (compact, trace) == simplify_gflow(ext, view, structure)
+    assert replay(ext, trace.steps) == compact
+
+
+def layout_mutants(ext: Circuit):
+    """``ext`` with one fault: a correction CZ dropped, two leading CZs
+    swapped, a CX retargeted, or a J moved past its round's corrections."""
+    gates = list(ext.gates)
+    lead = next(p for p, g in enumerate(gates) if g.kind != "CZ")
+    for p in range(lead - 1):
+        yield gates[:p] + [gates[p + 1], gates[p]] + gates[p + 2:]
+    for p, g in enumerate(gates):
+        if g.kind == "CZ" and p > lead:
+            yield gates[:p] + gates[p + 1:]
+        elif g.kind == "CX":
+            for w in ext.wires:
+                if w.id not in g.wires:
+                    yield gates[:p] + [Gate("CX", (g.control, w.id))] + gates[p + 1:]
+        elif g.kind == "J":
+            end = next(
+                (q for q in range(p + 1, len(gates)) if gates[q].kind == "J" != gates[q - 1].kind), len(gates)
+            )
+            yield gates[:p] + gates[p + 1:end] + [g] + gates[end:]
+
+
+@pytest.mark.parametrize("name", ["path3", "strip2x3"])
+def test_flow_layout_mutants_are_refused_or_compile_faithfully(name):
+    structure, ext, view = fixture_pipeline(name)
+    refused = 0
+    for gates in layout_mutants(ext):
+        mutant = Circuit(ext.wires, tuple(gates))
+        try:
+            compact, trace = simplify_flow(mutant, view)
+        except FlowSimplifyError:
+            refused += 1
+            continue
+        a, b = circuit_isometry(mutant), circuit_isometry(compact)
+        chained = follow_jgates(trace.steps, list(a.input_wires))
+        assert max_deviation(a.matrix, b.matrix[:, basis_column_order(b.input_wires, chained)]) <= 1e-9
+    assert refused > 0
+
+
+def test_simplify_flow_refuses_a_circuit_off_the_flow_layout():
+    structure, ext, view = fixture_pipeline("path3")
+    # the rounds swapped: CX 1 2 then corrects wire 1 after wire 2 is measured
+    swapped = CorrectionStructure("flow", structure.correcting_sets, structure.layers[::-1])
+    early = build_extended(load_fixture("path3")[0], swapped)
+    with pytest.raises(FlowSimplifyError, match=r"^CX 1 2 is not the correction of a causal flow$"):
+        simplify_flow(early, slice_circuit(early, swapped))
+    with pytest.raises(FlowSimplifyError, match=r"^the J gates measure \[1, 2\], not the order \[2, 1\]$"):
+        simplify_flow(ext, TimeSlicedView((2, 1), view.neighbors))
+    for w2, message in [
+        (Wire(2, "plus", "output"), r"^wire 2 is output, but a J measures it$"),
+        (Wire(2, "input", "measured"), r"^CX 1 2 is not the correction of a causal flow$"),
+    ]:
+        with pytest.raises(FlowSimplifyError, match=message):
+            simplify_flow(Circuit(tuple(w2 if w.id == 2 else w for w in ext.wires), ext.gates), view)
+    dropped = Circuit(ext.wires, ext.gates[:4] + ext.gates[5:])  # the correction CZ 1 3
+    with pytest.raises(FlowSimplifyError, match=r"^gate J\(1/2pi\) 2 at 4 is off the flow layout"):
+        simplify_flow(dropped, view)
 
 
 def test_eliminator_names_a_correction_cz_it_cannot_move():
@@ -604,7 +743,18 @@ def test_step_checks_catch_a_drifting_step(monkeypatch):
     assert partial.steps and partial.steps[-1].rule != "jgate"
     assert digest(replay(ext, partial.steps)) == partial.final_digest
 
-    # flow compiles check no step: the pipeline's final oracle check catches it
+
+def test_final_oracle_check_catches_a_drifting_flow_compile(monkeypatch):
+    # flow compiles check no step: the pipeline's final oracle check catches
+    # a compact circuit whose every J is bent to J(1/3pi)
+    good = oneway.pipeline.simplify_flow
+
+    def bent(circuit, view):
+        compact, trace = good(circuit, view)
+        gates = tuple(Gate("J", g.wires, Angle.exact(1, 3)) if g.kind == "J" else g for g in compact.gates)
+        return Circuit(compact.wires, gates), trace
+
+    monkeypatch.setattr(oneway.pipeline, "simplify_flow", bent)
     graph, sets = load_fixture("path3")
     with pytest.raises(CompileError, match="^verification failed: deviation 2.588e-01 > 1.0e-09$") as info:
         compile_pattern(graph, sets)
