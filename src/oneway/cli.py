@@ -11,6 +11,7 @@ Exit codes are part of the contract:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .circuits import Circuit, emit_text, parse_text
@@ -52,7 +53,7 @@ def _bounded(kind, ok, want: str):
 
 
 _AT_LEAST_ONE = _bounded(int, lambda v: v >= 1, "at least 1")
-_NON_NEGATIVE = _bounded(float, lambda v: v >= 0, "non-negative")
+_NON_NEGATIVE = _bounded(_bounded(float, lambda v: v >= 0, "non-negative"), math.isfinite, "finite")
 
 
 def _load_graph(path: str) -> tuple[OpenGraph, dict[int, frozenset[int]] | None]:

@@ -3,6 +3,7 @@ then the dense-oracle check that `oneway compile` reports on."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,8 @@ def compile_pattern(
         raise ValueError(f"budget must be at least 1, got {budget}")
     if not tol >= 0:  # also refuses NaN
         raise ValueError(f"tol must be non-negative, got {tol}")
+    if tol == math.inf:
+        raise ValueError(f"tol must be finite, got {tol}")
     if not max_wires >= 1:
         raise ValueError(f"max_wires must be at least 1, got {max_wires}")
     if not seed >= 0:

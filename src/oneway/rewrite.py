@@ -34,12 +34,9 @@ is applied once and oracle-checked on circuits of at most
 engine reproduces ``simplify_flow``'s output byte for byte.
 
 A Circuit never changes: each rule applied to one returns a new Circuit.
-The engine hands the rules stand-ins on which a rule returns its edit
-instead.  The plan search reads each node through a read-only view and
-builds a child's Circuit only when the child's gates are new.  The tail
-splices an engine-private gate store in place, a mutable copy of the circuit
-that offers the same reads, and builds one Circuit when it ends.  The step
-checks replay their unchecked prefix through a store the same way.
+The plan search reads each node through a read-only view, on which a rule
+returns its edit instead, and builds a child's Circuit only when the child's
+gates are new.  The tail and the step checks fire the rules on Circuits.
 """
 
 from __future__ import annotations
@@ -236,9 +233,9 @@ def _spliced(gates: tuple[Gate, ...], edit: _Edit) -> tuple[Gate, ...]:
     return tuple(out)
 
 
-def _splice(circuit: Circuit | _Node | _GateStore, edit: _Edit) -> Circuit | _Edit:
-    """The circuit after ``edit``; a plan node or a gate store gets the edit back."""
-    if isinstance(circuit, (_Node, _GateStore)):
+def _splice(circuit: Circuit | _Node, edit: _Edit) -> Circuit | _Edit:
+    """The circuit after ``edit``; a plan node gets the edit back."""
+    if type(circuit) is _Node:
         return edit
     wires = circuit.wires if edit.moved is None else _moved_wires(circuit.wires, *edit.moved)
     return Circuit(wires, _spliced(circuit.gates, edit))
@@ -644,85 +641,6 @@ def simplify_flow(circuit: Circuit, view: TimeSlicedView) -> tuple[Circuit, Simp
 # --- the engine --------------------------------------------------------------
 
 
-# Spacing of a fresh store's order keys.  Two leaves room for one nested
-# insertion, all the eliminator's re-emissions need on flow-shaped input;
-# deeper nesting renumbers every key.
-_GAP = 2
-
-
-class _GateStore:
-    """The tail's mutable circuit: each fired step splices it in place.
-
-    It offers the reads the rules make of a Circuit (``wires``, ``gates``,
-    ``wire``, ``gates_on``), so each identity keeps one implementation.
-    Every gate also carries an order key; keys ascend in program order and
-    survive splices elsewhere, so the per-wire index holds keys and reads
-    positions off them once per wire between splices.  When a splice finds no
-    room between two neighbouring keys, all keys are renumbered
-    (``renumbered`` counts how often).
-    """
-
-    def __init__(self, circuit: Circuit):
-        self.wires = circuit.wires
-        self.gates = list(circuit.gates)
-        self.renumbered = 0
-        self._renumber()
-
-    def _renumber(self) -> None:
-        self.keys = list(range(0, len(self.gates) * _GAP, _GAP))
-        # gates_on per wire, kept until the next splice
-        self._pos: dict[int, list[int]] = {w.id: [] for w in self.wires}
-        for p, g in enumerate(self.gates):
-            for w in g.wires:
-                self._pos[w].append(p)
-        self._on = {w: [p * _GAP for p in ps] for w, ps in self._pos.items()}
-
-    wire = Circuit.wire
-
-    def gates_on(self, wire_id: int) -> list[int]:
-        """Positions of the gates on a wire, in program order; shared until the next splice."""
-        pos = self._pos.get(wire_id)
-        if pos is None:
-            keys = self.keys
-            pos = self._pos[wire_id] = [bisect_left(keys, k) for k in self._on.get(wire_id, ())]
-        return pos
-
-    def apply(self, edit: _Edit) -> None:
-        gates, keys, on = self.gates, self.keys, self._on
-        for p in reversed(edit.drop):
-            k = keys.pop(p)
-            for w in gates.pop(p).wires:
-                ks = on[w]
-                del ks[bisect_left(ks, k)]
-        at, new = edit.at, edit.produced
-        room = _GAP * (len(new) + 1)  # past either end there is always room
-        lo = keys[at - 1] if at else (keys[0] if keys else 0) - room
-        hi = keys[at] if at < len(keys) else lo + room
-        step = (hi - lo) // (len(new) + 1)
-        gates[at:at] = new
-        if step:
-            fresh = range(lo + step, hi, step)[: len(new)]
-            keys[at:at] = fresh
-            for k, g in zip(fresh, new):
-                for w in g.wires:
-                    insort(on[w], k)
-        else:
-            self.renumbered += 1
-            self._renumber()
-        if edit.moved is not None:
-            i, j = edit.moved
-            keys, on = self.keys, self._on
-            for k in on[i]:
-                p = bisect_left(keys, k)
-                gates[p] = _relabel(gates[p], i, j)
-            on[j] = sorted(on[j] + on.pop(i))
-            self.wires = _moved_wires(self.wires, i, j)
-        self._pos = {}
-
-    def circuit(self) -> Circuit:
-        return Circuit(self.wires, tuple(self.gates))
-
-
 class _Node:
     """A plan-search node as the rules read it: a read-only view of a Circuit
     whose ``gates_on`` lists are the circuit's own, uncopied, and whose
@@ -740,19 +658,17 @@ class _Node:
 class _Driver:
     """A circuit and the steps that led to it from the engine's input.
 
-    During the plan search ``circuit`` is an immutable Circuit, which
-    ``fork`` shares.  The tail swaps in a _GateStore that each fired step
-    splices in place, and builds one Circuit from it when it succeeds.
+    ``circuit`` is an immutable Circuit, which ``fork`` shares; each fired
+    step replaces it with the Circuit its rule returned.
     """
 
-    def __init__(self, circuit: Circuit | _GateStore, steps=()):
+    def __init__(self, circuit: Circuit, steps=()):
         self.circuit = circuit
         self.steps = list(steps)
 
-    def fire(self, result: _Result) -> None:
-        """Splice a step's edit into the gate store and record the step."""
-        edit, step = result
-        self.circuit.apply(edit)
+    def fire(self, result: tuple[Circuit, RewriteStep]) -> None:
+        """Take a step's Circuit and record the step."""
+        self.circuit, step = result
         self.steps.append(step)
 
     def fork(self) -> "_Driver":
@@ -779,11 +695,6 @@ def _peephole_pass(drv: _Driver) -> None:
                 break
 
 
-def _controllers(g: Gate, q: int, measured: set[int], first_j: dict[int, int]) -> list[int]:
-    """The measured wires of the CZ g at q whose first J comes before it."""
-    return [m for m in g.wires if m in measured and first_j.get(m, q) < q]
-
-
 def _correction_czs(circuit: Circuit):
     """Each CZ sitting after the J of a measured wire it touches, with those wires.
 
@@ -797,7 +708,7 @@ def _correction_czs(circuit: Circuit):
         if g.kind == "J":
             j_at.setdefault(g.wires[0], q)
         elif g.kind == "CZ":
-            controllers = _controllers(g, q, measured, j_at)
+            controllers = [m for m in g.wires if m in measured and j_at.get(m, q) < q]
             if controllers:
                 yield q, controllers
 
@@ -833,78 +744,6 @@ def _fits(rule, circuit: Circuit, gates: tuple[int, ...], **kw):
         pass
 
 
-class _Corrections:
-    """The eliminator's worklist: a gate store's correction-shaped CZs, in firing order.
-
-    ``order`` holds one (rank, -key, controllers) entry per shaped CZ, sorted:
-    ``key`` is the CZ's order key and ``rank`` the order key of the first CX
-    that one of its controllers controls (inf if none).  Order keys sort as
-    positions do and survive splices elsewhere, so a fire only re-tests the
-    gates it moved.
-    """
-
-    def __init__(self, store: _GateStore):
-        self.store = store
-        self.measured = _measured_ids(store)
-        self._seed()
-
-    def _seed(self) -> None:
-        store = self.store
-        self.renumbered = store.renumbered
-        self.first_j: dict[int, int] = {}
-        self.first_cx: dict[int, int] = {}
-        for k, g in zip(store.keys, store.gates):
-            if g.kind == "J":
-                self.first_j.setdefault(g.wires[0], k)
-            elif g.kind == "CX":
-                self.first_cx.setdefault(g.control, k)
-        self.entry: dict[int, tuple] = {}
-        for q, controllers in _correction_czs(store):
-            key = store.keys[q]
-            self.entry[key] = self._entry(key, tuple(controllers))
-        self.order = sorted(self.entry.values())
-
-    def _entry(self, key: int, controllers: tuple[int, ...]) -> tuple:
-        return (min(self.first_cx.get(m, math.inf) for m in controllers), -key, controllers)
-
-    def _add(self, key: int, controllers: tuple[int, ...]) -> None:
-        self.entry[key] = entry = self._entry(key, controllers)
-        insort(self.order, entry)
-
-    def _drop(self, key: int) -> None:
-        entry = self.entry.pop(key, None)
-        if entry is not None:
-            del self.order[bisect_left(self.order, entry)]
-
-    def fire(self, drv: _Driver, result: _Result) -> None:
-        """Fire ``result`` on the store and update from the gates it moved."""
-        store, edit = self.store, result[0]
-        dropped = [(store.keys[p], store.gates[p]) for p in edit.drop]
-        drv.fire(result)
-        if store.renumbered != self.renumbered:
-            self._seed()
-            return
-        controls = {g.control for _, g in dropped if g.kind == "CX"}
-        controls.update(g.control for g in edit.produced if g.kind == "CX")
-        for k, _ in dropped:
-            self._drop(k)
-        for c in controls:
-            cxs = _cx_controlled_by(store, c)
-            self.first_cx[c] = store.keys[cxs[0]] if cxs else math.inf
-        for t, g in enumerate(edit.produced):
-            if g.kind == "CZ":
-                k = store.keys[edit.at + t]
-                controllers = _controllers(g, k, self.measured, self.first_j)
-                if controllers:
-                    self._add(k, tuple(controllers))
-        for c in controls:  # re-rank the CZs c controls
-            for p in store.gates_on(c):
-                entry = self.entry.get(store.keys[p])
-                if entry is not None and c in entry[2]:
-                    self._drop(-entry[1])
-                    self._add(-entry[1], entry[2])
-
-
 def _eliminate_corrections(drv: _Driver) -> None:
     """Strip every correction-shaped CZ, measured wires first as movers.
 
@@ -913,23 +752,32 @@ def _eliminate_corrections(drv: _Driver) -> None:
     first (a re-emission lands between the mover and anything left of the
     consumed gate), and across movers the leftmost block must go first (two
     blocks can share a partner, and only the earlier block can reach it
-    before it is relocated).  Each pass walks the worklist in that order and
-    fires the first CZ that moves; a blocked CZ is retried on a later pass
-    once others have moved.
+    before it is relocated).  Each pass sorts the shaped CZs afresh, by the
+    first CX of any of their controllers and then rightmost first, and fires
+    the first CZ that moves; a blocked CZ is retried on a later pass once
+    others have moved.
     """
-    store = drv.circuit
-    work = _Corrections(store)
-    while work.order:
-        for _, key, controllers in work.order:
-            q = bisect_left(store.keys, -key)
-            movers = list(controllers) + [w for w in store.gates[q].wires if w not in controllers]
-            result = next(_partner_moves(store, q, movers), None)
+    while True:
+        circuit = drv.circuit
+        far = len(circuit.gates)
+        first_cx: dict[int, int] = {}
+        for k, g in enumerate(circuit.gates):
+            if g.kind == "CX":
+                first_cx.setdefault(g.control, k)
+        shaped = sorted(
+            _correction_czs(circuit), key=lambda e: (min(first_cx.get(m, far) for m in e[1]), -e[0])
+        )
+        if not shaped:
+            return
+        for q, controllers in shaped:
+            movers = controllers + [w for w in circuit.gates[q].wires if w not in controllers]
+            result = next(_partner_moves(circuit, q, movers), None)
             if result is not None:
                 break
         else:
-            q = bisect_left(store.keys, -work.order[0][1])
-            raise RewriteError(f"no commutation partner eliminates {store.gates[q].text()} at {q}")
-        work.fire(drv, result)
+            q = shaped[0][0]
+            raise RewriteError(f"no commutation partner eliminates {circuit.gates[q].text()} at {q}")
+        drv.fire(result)
 
 
 @_per_node
@@ -1030,24 +878,18 @@ def _shift_candidates(circuit: Circuit, work: list[tuple[int, int, int]]):
 
 
 def _tail(drv: _Driver, order: tuple[int, ...], targets: dict[int, int]) -> str | None:
-    """Cancel pairs, clear correction CZs, collapse wires; why it failed, or None.
-
-    The steps splice a gate store in place; on success ``drv.circuit`` is
-    the one Circuit built from it.
-    """
-    drv.circuit = store = _GateStore(drv.circuit)
+    """Cancel pairs, clear correction CZs, collapse wires; why it failed, or None."""
     try:
         _peephole_pass(drv)
         _eliminate_corrections(drv)
         _peephole_pass(drv)
         for i in order:
-            drv.fire(apply_jgate(store, i, targets[i]))
+            drv.fire(apply_jgate(drv.circuit, i, targets[i]))
     except RewriteError as exc:
         return str(exc)
-    left = _measured_ids(store)
+    left = _measured_ids(drv.circuit)
     if left:
         return f"wires {sorted(left)} were not removed"
-    drv.circuit = store.circuit()
     return None
 
 
@@ -1114,24 +956,21 @@ def _plan(
 def _check_path(circuit: Circuit, drv: _Driver) -> tuple[_Driver, str | None]:
     """Oracle-check each accepted step on circuits of at most ``_CHECKED_WIDTH`` wires.
 
-    The steps are replayed from the engine's input ``circuit``: through a
-    gate store, unchecked, while it is wider than that, then on Circuits,
-    each step comparing the isometries of the circuits on either side of it,
-    with input columns lined up through the jgate relabelings.  Returns the
-    driver and None, or the steps before the first drifting one and why.
+    The steps are replayed from the engine's input ``circuit``: unchecked
+    while it is wider than that, then each step comparing the isometries of
+    the circuits on either side of it, with input columns lined up through
+    the jgate relabelings.  Returns the driver and None, or the steps before
+    the first drifting one and why.
     """
     from .simulate import basis_column_order, circuit_isometry, max_deviation
 
     steps = drv.steps
     order = [w.id for w in circuit.wires if w.init == "input"]
     start = 0
-    if len(circuit.wires) > _CHECKED_WIDTH:
-        store = _GateStore(circuit)
-        while start < len(steps) and len(store.wires) > _CHECKED_WIDTH:
-            store.apply(_reapply(store, steps[start])[0])
-            start += 1
-        circuit = store.circuit()
-        order = follow_jgates(steps[:start], order)
+    while start < len(steps) and len(circuit.wires) > _CHECKED_WIDTH:
+        circuit, _ = _reapply(circuit, steps[start])
+        start += 1
+    order = follow_jgates(steps[:start], order)
     before = None
     for k, step in enumerate(steps[start:], start):
         following, _ = _reapply(circuit, step)

@@ -175,6 +175,18 @@ def test_verify_detects_a_changed_angle(tmp_path, capsys):
     assert "max deviation:" in capsys.readouterr().out
 
 
+def test_verify_refuses_an_infinite_tolerance(tmp_path, capsys):
+    # these circuits differ by deviation 1.0, which an infinite tolerance would pass
+    a = tmp_path / "a.circuit"
+    b = tmp_path / "b.circuit"
+    a.write_text("wire 1 input output\nJ(0) 1\n")
+    b.write_text("wire 1 input output\nJ(1/2pi) 1\n")
+    with pytest.raises(SystemExit) as info:
+        main(["verify", str(a), str(b), "--tol", "inf"])
+    assert info.value.code == 2
+    assert "argument --tol: must be finite, got inf" in capsys.readouterr().err
+
+
 def test_verify_shape_and_cap_failures(tmp_path, capsys):
     a = tmp_path / "a.circuit"
     b = tmp_path / "b.circuit"
@@ -217,6 +229,8 @@ def test_verify_parse_error_exits_2(tmp_path, capsys):
         ("--search-budget", "0", "must be at least 1, got 0"),
         ("--max-wires", "0", "must be at least 1, got 0"),
         ("--tol", "-1", "must be non-negative, got -1"),
+        ("--tol", "inf", "must be finite, got inf"),
+        ("--tol", "1e400", "must be finite, got 1e400"),
         ("--seed", "-1", "must be non-negative, got -1"),
     ],
 )

@@ -6,10 +6,10 @@ machinery, so a regression in the rules cannot hide behind the oracle that
 the drivers themselves use.
 """
 
-import contextlib
 import functools
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -54,13 +54,10 @@ from oneway import (
 from oneway.circuits import TimeSlicedView
 from oneway.rewrite import (
     _Driver,
-    _GateStore,
     _blocker,
     _commutes,
     _correction_czs,
     _eliminate_corrections,
-    _partner_moves,
-    _reapply,
     follow_jgates,
 )
 from oneway.simulate import basis_column_order
@@ -548,9 +545,9 @@ def test_strip_circuits_and_traces_are_byte_identical(n):
 
 
 def test_simplify_flow_enters_no_part_of_the_engine(monkeypatch):
-    # the closed form replaces the engine on flow input: no rule, store or search runs
+    # the closed form replaces the engine on flow input: no rule, search or tail runs
     rules = [name for name in oneway.rewrite.__all__ if name.startswith("apply_")]
-    for name in ["_simplify", "_plan", "_GateStore", *rules]:
+    for name in ["_simplify", "_plan", "_tail", *rules]:
         monkeypatch.setattr(oneway.rewrite, name, None)
     structure, ext, view = fixture_pipeline("strip2x3")
     compact, trace = simplify_flow(ext, view)
@@ -688,7 +685,7 @@ def test_eliminator_names_a_correction_cz_it_cannot_move():
         (Wire(1, "input", "measured"), Wire(2, "plus", "output")),
         (Gate("J", (1,), Angle.exact(1, 4)), Gate("CZ", (1, 2)), Gate("CX", (1, 2))),
     )
-    drv = _Driver(_GateStore(circuit))
+    drv = _Driver(circuit)
     with pytest.raises(RewriteError, match=r"^no commutation partner eliminates CZ 1 2 at 1$"):
         _eliminate_corrections(drv)
     assert drv.steps == []
@@ -730,10 +727,7 @@ def test_step_checks_catch_a_drifting_step(monkeypatch):
     def bent_jgate(circuit, i, j):
         out, step = good_jgate(circuit, i, j)
         bent = Gate("J", (j,), Angle.exact(1, 3))
-        if isinstance(out, Circuit):
-            out = Circuit(out.wires, tuple(bent if g == step.produced[0] else g for g in out.gates))
-        else:  # on the tail's gate store: the edit, whose first produced gate is the J
-            out = out._replace(produced=(bent,) + out.produced[1:])
+        out = Circuit(out.wires, tuple(bent if g == step.produced[0] else g for g in out.gates))
         return out, RewriteStep(step.rule, step.consumed, (bent,), i)
 
     monkeypatch.setattr(oneway.rewrite, "apply_jgate", bent_jgate)
@@ -762,8 +756,8 @@ def test_final_oracle_check_catches_a_drifting_flow_compile(monkeypatch):
 
 
 def test_step_checks_pass_on_a_strip_wider_than_the_checked_width(monkeypatch):
-    # 16 wires: the steps taken above 12 wires replay unchecked through a
-    # gate store, the rest are each checked against the dense oracle; the
+    # 16 wires: the steps taken above 12 wires replay unchecked, the rest
+    # are each checked against the dense oracle; the
     # flow, supplied as correcting sets, gives simplify_gflow one designation
     calls = []
     isometry = oneway.simulate.circuit_isometry
@@ -778,22 +772,19 @@ def test_step_checks_pass_on_a_strip_wider_than_the_checked_width(monkeypatch):
     assert all(len(c.wires) <= 12 for c in calls)
 
 
-def assert_store_tracks_replay(ext: Circuit, steps) -> _GateStore:
-    """Fire ``steps`` on a gate store; after each, it must match ``replay`` on Circuits."""
-    store = _GateStore(ext)
-    circuit = ext
-    for step in steps:
-        circuit = replay(circuit, [step])
-        edit, redo = _reapply(store, step)
-        assert redo == step
-        store.apply(edit)
-        assert tuple(store.gates) == circuit.gates
-        assert store.wires == circuit.wires
-        for w in ext.wires:
-            assert store.gates_on(w.id) == circuit.gates_on(w.id), (step.text(), w.id)
-        assert all(a < b for a, b in zip(store.keys, store.keys[1:]))
-    assert store.circuit() == circuit
-    return store
+def assert_trace_replays(structure, ext: Circuit, view) -> None:
+    """Simplify ``ext``; replaying the trace, or an exhausted search's partial
+    trace, must rebuild the compact circuit or reach the partial digest."""
+    try:
+        if structure.kind == "flow":
+            compact, trace = simplify_flow(ext, view)
+        else:
+            compact, trace = simplify_gflow(ext, view, structure)
+    except GflowSearchExhausted as exc:
+        compact, trace = None, exc.partial
+    replayed = replay(ext, trace.steps)
+    assert digest(replayed) == trace.final_digest
+    assert compact is None or replayed == compact
 
 
 def spelled(terminals: str, *gates: str) -> Circuit:
@@ -805,33 +796,16 @@ def spelled(terminals: str, *gates: str) -> Circuit:
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_DIGESTS))
-def test_gate_store_tracks_replay_on_the_fixtures(name):
-    structure, ext, view = fixture_pipeline(name)
-    if structure.kind == "flow":
-        _, trace = simplify_flow(ext, view)
-    else:
-        _, trace = simplify_gflow(ext, view, structure)
-    assert_store_tracks_replay(ext, trace.steps)
+def test_traces_replay_on_the_fixtures(name):
+    assert_trace_replays(*fixture_pipeline(name))
 
 
 @pytest.mark.parametrize("n", [8, 64])
-def test_gate_store_tracks_replay_on_the_strips(n):
+def test_traces_replay_on_the_strips(n):
     graph = cluster_strip(n)
     structure = find_flow(graph)
     ext = build_extended(graph, structure)
-    _, trace = simplify_flow(ext, slice_circuit(ext, structure))
-    assert_store_tracks_replay(ext, trace.steps)
-
-
-def test_gate_store_renumbers_when_splices_nest():
-    # each cz-commute re-emits its CX where the consumed CZ was; the second
-    # lands between the first one's re-emission and the J before it, where a
-    # fresh store's order keys leave no room
-    circ = spelled("ooooo", "CZ 2 4", "CZ 1 4", "CZ 2 3", "CX 1 2", "J 5", "CZ 1 3", "J 5")
-    first, step1 = apply_cz_commute(circ, (2, 3, 5))
-    _, step2 = apply_cz_commute(first, (0, 1, 3))
-    store = assert_store_tracks_replay(circ, [step1, step2])
-    assert store.renumbered == 1
+    assert_trace_replays(structure, ext, slice_circuit(ext, structure))
 
 
 ATLAS = list(all_small_open_graphs())
@@ -839,49 +813,11 @@ ATLAS = list(all_small_open_graphs())
 
 @settings(deadline=None, max_examples=60)
 @given(st.sampled_from(ATLAS))
-def test_gate_store_tracks_replay_on_the_atlas(graph):
+def test_traces_replay_on_the_atlas(graph):
     structure = find_flow(graph) or find_gflow(graph)
     assume(structure is not None)
     ext = build_extended(graph, structure)
-    view = slice_circuit(ext, structure)
-    try:
-        if structure.kind == "flow":
-            _, trace = simplify_flow(ext, view)
-        else:
-            _, trace = simplify_gflow(ext, view, structure)
-    except GflowSearchExhausted as exc:
-        trace = exc.partial
-    assert_store_tracks_replay(ext, trace.steps)
-
-
-def resorted_corrections(circuit: Circuit) -> list[tuple[int, tuple[int, ...]]]:
-    """The eliminator's order computed from scratch: every correction-shaped
-    CZ by the first CX of its controllers, then rightmost first."""
-    far = len(circuit.gates)
-    first_cx: dict[int, int] = {}
-    for k, g in enumerate(circuit.gates):
-        if g.kind == "CX":
-            first_cx.setdefault(g.control, k)
-    shaped = [(q, tuple(c)) for q, c in _correction_czs(circuit)]
-    return sorted(shaped, key=lambda e: (min(first_cx.get(m, far) for m in e[1]), -e[0]))
-
-
-def eliminate_by_resorting(circuit: Circuit) -> tuple[list[RewriteStep], str | None]:
-    """The eliminator with its order sorted from scratch on every pass, on
-    immutable circuits: the reference its worklist must reproduce."""
-    steps = []
-    while shaped := resorted_corrections(circuit):
-        for q, controllers in shaped:
-            movers = list(controllers) + [w for w in circuit.gates[q].wires if w not in controllers]
-            result = next(_partner_moves(circuit, q, movers), None)
-            if result is not None:
-                circuit, step = result
-                steps.append(step)
-                break
-        else:
-            q = shaped[0][0]
-            return steps, f"no commutation partner eliminates {circuit.gates[q].text()} at {q}"
-    return steps, None
+    assert_trace_replays(structure, ext, slice_circuit(ext, structure))
 
 
 @st.composite
@@ -898,9 +834,10 @@ def eliminator_inputs(draw) -> Circuit:
     return Circuit(wires, tuple(draw(st.lists(gate, min_size=4, max_size=20))))
 
 
-# In the first two circuits a stale first-CX rank after a fire changes the
-# outcome: the first names a different blocked CZ, the second fires a
-# different third step.  In the third the second fire renumbers the keys.
+# Circuits whose outcome hangs on the eliminator's order: re-sorting the CZs
+# by a controller's first CX after each fire changes which CZ the first names
+# as blocked and which third step the second fires; in the third the second
+# fire splices right beside the first one's re-emission.
 @example(spelled("mmm", "CX 3 2", "CX 1 2", "J 1", "CZ 1 3", "CZ 2 1", "J 3", "CZ 1 3", "CZ 3 2"))
 @example(spelled(
     "omom", "J 4", "CZ 4 3", "CX 4 1", "CZ 4 2", "CZ 3 4", "CZ 3 1", "CX 4 3", "CZ 1 3", "CX 2 3",
@@ -912,17 +849,23 @@ def eliminator_inputs(draw) -> Circuit:
 ))
 @settings(deadline=None, max_examples=150)
 @given(eliminator_inputs())
-def test_correction_worklist_fires_as_a_fresh_sort_per_pass(circuit):
-    expected, why = eliminate_by_resorting(circuit)
-    drv = _Driver(_GateStore(circuit))
+def test_correction_eliminator_steps_replay_and_keep_the_isometry(circuit):
+    drv = _Driver(circuit)
     try:
         _eliminate_corrections(drv)
-        failed = None
     except RewriteError as exc:
-        failed = str(exc)
-    assert drv.steps == expected
-    assert failed == why
+        assert re.fullmatch(r"no commutation partner eliminates CZ \d+ \d+ at \d+", str(exc))
+    else:
+        assert not list(_correction_czs(drv.circuit))
+    assert all(step.rule == "cz-commute" for step in drv.steps)
+    assert replay(circuit, drv.steps) == drv.circuit
 
+    # every wire an output, so no measured-wire projection can collapse
+    def unprojected(c: Circuit):
+        wires = tuple(Wire(w.id, w.init, "output") for w in c.wires)
+        return circuit_isometry(Circuit(wires, c.gates)).matrix
+
+    assert max_deviation(unprojected(circuit), unprojected(drv.circuit)) <= 1e-9
 
 
 @functools.cache
@@ -934,7 +877,7 @@ def recorded_plan_search() -> tuple[list[int], list[tuple[tuple[Wire, ...], list
     nodes: list[int] = []
     plans: list[tuple[tuple[Wire, ...], list]] = []
     running: list[list] = []  # the children of the _plan call under way
-    plan, spliced = oneway.rewrite._plan, oneway.rewrite._spliced
+    plan, spliced, tail = oneway.rewrite._plan, oneway.rewrite._spliced, oneway.rewrite._tail
 
     def recording_plan(circuit, order, targets):
         plans.append((circuit.wires, [circuit.gates]))
@@ -952,6 +895,13 @@ def recorded_plan_search() -> tuple[list[int], list[tuple[tuple[Wire, ...], list
             running[-1].append(out)
         return out
 
+    def unrecorded_tail(*args):
+        running.append([])  # the tail's circuits are no plan children
+        try:
+            return tail(*args)
+        finally:
+            running.pop()
+
     inputs = []
     for graph in atlas_gflow_only_graphs():
         structure = find_gflow(graph)
@@ -962,6 +912,7 @@ def recorded_plan_search() -> tuple[list[int], list[tuple[tuple[Wire, ...], list
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oneway.rewrite, "_plan", recording_plan)
         mp.setattr(oneway.rewrite, "_spliced", recording_spliced)
+        mp.setattr(oneway.rewrite, "_tail", unrecorded_tail)
         for structure, ext, view in inputs:
             nodes.append(0)
             try:
