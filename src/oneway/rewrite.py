@@ -7,6 +7,15 @@ replacement block is spliced in.  Positions therefore shift by exactly
 len(site) - 1 to the left of the insertion point, which keeps traces
 replayable.
 
+Gathering commutes by roles.  A gate acts on each of its wires in one role:
+"Z" where it is diagonal (a CZ on either wire, a CX on its control), "X" (a
+CX on its target) or "J".  Two gates commute when they act in the same role,
+Z or X, on every wire they share; a J commutes with no gate on its wire.
+Each wire keeps an index of its gates' roles that jumps from a gate straight
+to the next one whose role conflicts with it, so the gather check visits
+only conflicting gates: the nearest one that is not itself in the site
+blocks.
+
 Identity catalogue, written in program order (left gate acts first):
 
   cz-commute   [CZ jk; CX ij; CZ ik] == [CX ij; CZ jk]   (and mirrored
@@ -43,7 +52,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -124,19 +133,18 @@ def trace_text(trace: SimplificationTrace) -> str:
     return "".join(step.text() + "\n" for step in trace.steps)
 
 
+def _role(g: Gate, w: int) -> str:
+    """How gate g acts on its wire w: "Z" when diagonal there (a CZ, or a CX
+    on its control), "X" for a CX on its target, and "J" for a J."""
+    if g.kind == "J":
+        return "J"
+    return "X" if g.kind == "CX" and g.wires[1] == w else "Z"
+
+
 def _commutes(a: Gate, b: Gate) -> bool:
-    """Sound syntactic test; False only means "do not reorder"."""
-    if not set(a.wires) & set(b.wires):
-        return True
-    if a.kind == "J" or b.kind == "J":
-        return False
-    if a.kind == "CZ" and b.kind == "CZ":
-        return True
-    if a.kind == "CZ":
-        return b.wires[1] not in a.wires
-    if b.kind == "CZ":
-        return a.wires[1] not in b.wires
-    return a.wires[1] != b.wires[0] and b.wires[1] != a.wires[0]
+    """Two gates commute when they act in the same role, "Z" or "X", on every
+    wire they share.  The test is sound; False only means "do not reorder"."""
+    return all(_role(a, w) == _role(b, w) != "J" for w in a.wires if w in b.wires)
 
 
 def _check_site(circuit: Circuit, site: tuple[int, ...]) -> None:
@@ -144,15 +152,6 @@ def _check_site(circuit: Circuit, site: tuple[int, ...]) -> None:
         raise RewriteError(f"site indices must be strictly ascending, got {site}")
     if site and not (0 <= site[0] and site[-1] < len(circuit.gates)):
         raise RewriteError(f"site {site} out of range")
-
-
-def _crossed(circuit: Circuit, p: int, stop: int) -> list[int]:
-    """The gates after p and before stop that share a wire with gate p (the rest commute with it)."""
-    spans = set()
-    for w in circuit.gates[p].wires:
-        on = circuit.gates_on(w)
-        spans.update(on[bisect_right(on, p):bisect_left(on, stop)])
-    return sorted(spans)
 
 
 def _per_node(table):
@@ -180,14 +179,46 @@ def _czs_on(circuit: Circuit, w: int) -> dict[int, list[int]]:
     return out
 
 
+@_per_node
+def _roles_on(circuit: Circuit, w: int):
+    """Wire w's gate positions, closed by len(gates); each gate's role on w;
+    and per role r a jump list: ``jump[r][i]`` is the first index from i on
+    whose gate does not commute on w with a gate of role r (a J commutes with
+    none), or the closing index."""
+    on = circuit.gates_on(w)
+    roles = [_role(circuit.gates[k], w) for k in on]
+    n = len(on)
+    jump = {"Z": [n] * (n + 1), "X": [n] * (n + 1), "J": list(range(n + 1))}
+    for i in reversed(range(n)):
+        for r in "ZX":
+            jump[r][i] = jump[r][i + 1] if roles[i] == r else i
+    return on + [len(circuit.gates)], roles, jump
+
+
+def _next_conflict(circuit: Circuit, p: int, stop: int, skip=()) -> int:
+    """The first gate after p and before stop, not in ``skip``, that gate p
+    does not commute with, else stop."""
+    for w in circuit.gates[p].wires:
+        on, roles, jump = _roles_on(circuit, w)
+        i = bisect_left(on, p)
+        nxt = jump[roles[i]]
+        i = nxt[i + 1]
+        while on[i] < stop and on[i] in skip:
+            i = nxt[i + 1]
+        if on[i] < stop:
+            stop = on[i]
+    return stop
+
+
 def _blocker(circuit: Circuit, site: tuple[int, ...]) -> tuple[int, int] | None:
-    """The first site position p and non-site gate q past which gate p cannot be gathered, or None."""
-    in_site = set(site)
-    gates = circuit.gates
+    """The first site position p and non-site gate q past which gate p cannot
+    be gathered to ``site[-1]``, or None.  On each of p's wires the role index
+    jumps to the next gate whose role conflicts with p's, on past site
+    members; q is the nearest such gate over p's wires."""
     for p in site[:-1]:
-        for q in _crossed(circuit, p, site[-1]):
-            if q not in in_site and not _commutes(gates[p], gates[q]):
-                return p, q
+        q = _next_conflict(circuit, p, site[-1], site)
+        if q < site[-1]:
+            return p, q
     return None
 
 
@@ -430,10 +461,7 @@ def apply_jgate(circuit: Circuit, i: int, j: int) -> tuple[Circuit, RewriteStep]
         g = gates[q]
         if not cz_pos < q < cx_pos or i in g.wires:
             continue
-        movable = all(
-            r in sliders or _commutes(g, gates[r]) for r in _crossed(circuit, q, cx_pos + 1)
-        )
-        if movable:
+        if _next_conflict(circuit, q, cx_pos + 1, sliders) > cx_pos:
             sliders.append(q)
     slid = set(sliders)
     for q in on_j:
@@ -680,18 +708,16 @@ def _peephole_pass(drv: _Driver) -> None:
     while changed:
         changed = False
         gates = drv.circuit.gates
-        for q1 in range(len(gates)):
-            g = gates[q1]
+        for q1, g in enumerate(gates):
             if g.kind == "J":
                 continue
-            for q2 in _crossed(drv.circuit, q1, len(gates)):
-                if gates[q2] == g:
-                    drv.fire(apply_peephole(drv.circuit, (q1, q2)))
-                    changed = True
-                    break
-                if not _commutes(g, gates[q2]):
-                    break
-            if changed:
+            # an equal gate commutes with g, so it cancels if it comes first
+            stop = _next_conflict(drv.circuit, q1, len(gates))
+            on = drv.circuit.gates_on(g.wires[0])
+            q2 = next((q for q in on if q1 < q < stop and gates[q] == g), None)
+            if q2 is not None:
+                drv.fire(apply_peephole(drv.circuit, (q1, q2)))
+                changed = True
                 break
 
 
@@ -851,16 +877,14 @@ def _hop_candidates(circuit: Circuit, work: list[tuple[int, int, int]]):
                 if h in seen_helpers:
                     continue
                 seen_helpers.add(h)
-                helper = gates[h]
-                for q in _crossed(circuit, h, len(gates)):
-                    g = gates[q]
-                    if _commutes(helper, g):
-                        continue
-                    if g.kind == "CZ" and t in g.wires and m not in g.wires:
-                        (y,) = set(g.wires) - {t}
-                        for p in _czs_on(circuit, m).get(y, ()):
-                            yield from _fits(apply_cz_commute, circuit, (h, q, p))
-                    break  # only the first blocker can move this helper
+                q = _next_conflict(circuit, h, len(gates))  # only the first blocker can move this helper
+                if q == len(gates):
+                    continue
+                g = gates[q]
+                if g.kind == "CZ" and t in g.wires and m not in g.wires:
+                    (y,) = set(g.wires) - {t}
+                    for p in _czs_on(circuit, m).get(y, ()):
+                        yield from _fits(apply_cz_commute, circuit, (h, q, p))
 
 
 def _shift_candidates(circuit: Circuit, work: list[tuple[int, int, int]]):

@@ -6,6 +6,7 @@ machinery, so a regression in the rules cannot hide behind the oracle that
 the drivers themselves use.
 """
 
+from bisect import bisect_left, bisect_right
 import functools
 import hashlib
 import itertools
@@ -54,6 +55,7 @@ from oneway import (
 from oneway.circuits import TimeSlicedView
 from oneway.rewrite import (
     _Driver,
+    _Node,
     _blocker,
     _commutes,
     _correction_czs,
@@ -131,8 +133,50 @@ def test_commutes_is_sound(data):
         assert np.max(np.abs(ma @ mb - mb @ ma)) <= 1e-12
 
 
+def syntactic_commutes(a: Gate, b: Gate) -> bool:
+    """The commutation test written case by case, kept as the role rule's reference."""
+    if not set(a.wires) & set(b.wires):
+        return True
+    if a.kind == "J" or b.kind == "J":
+        return False
+    if a.kind == "CZ" and b.kind == "CZ":
+        return True
+    if a.kind == "CZ":
+        return b.wires[1] not in a.wires
+    if b.kind == "CZ":
+        return a.wires[1] not in b.wires
+    return a.wires[1] != b.wires[0] and b.wires[1] != a.wires[0]
+
+
+def test_role_rule_equals_the_syntactic_commutation_test():
+    order = (1, 2, 3)
+    gates = [Gate("J", (w,), Angle.exact(1, 4)) for w in order]
+    gates += [Gate(kind, pair) for kind in ("CZ", "CX") for pair in itertools.permutations(order, 2)]
+    pairs = list(itertools.product(gates, repeat=2))
+    assert len(pairs) == 225
+    assert [_commutes(a, b) for a, b in pairs] == [syntactic_commutes(a, b) for a, b in pairs]
+
+
+def spelled(terminals: str, *gates: str) -> Circuit:
+    """A circuit on |+> wires, each measured ("m") or output ("o"), from gate
+    lines such as "CZ 1 3" or "J 2" (a J of angle pi/4)."""
+    lines = [f"wire {k} plus {'measured' if t == 'm' else 'output'}" for k, t in enumerate(terminals, 1)]
+    lines += [f"J(1/4pi) {g[2:]}" if g.startswith("J") else g for g in gates]
+    return parse_text("\n".join(lines))
+
+
 def plain_wires(*ids: int) -> tuple[Wire, ...]:
     return tuple(Wire(i, "input", "output") for i in ids)
+
+
+def gates_on_wires(n: int):
+    """A J, CZ or CX gate on wires 1..n."""
+    pair = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True).map(tuple)
+    return st.one_of(
+        pair.map(lambda p: Gate("CZ", p)),
+        pair.map(lambda p: Gate("CX", p)),
+        st.integers(1, n).map(lambda w: Gate("J", (w,), Angle.exact(1, 4))),
+    )
 
 
 def assert_same_action(before: Circuit, after: Circuit) -> None:
@@ -294,6 +338,42 @@ def test_cz_commute_names_the_gate_that_blocks_gathering():
         apply_cz_commute(circ, (0, 2, 3))
     unblocked = Circuit(plain_wires(1, 2, 3), gates[:1] + gates[2:])
     assert _blocker(unblocked, (0, 1, 2)) is None
+
+
+def crossed_walk_blocker(circuit: Circuit, site: tuple[int, ...]) -> tuple[int, int] | None:
+    """The gather check as a walk over every gate each site gate crosses, in
+    program order, against the syntactic test: ``_blocker``'s reference."""
+    in_site, gates = set(site), circuit.gates
+    for p in site[:-1]:
+        spans = set()
+        for w in gates[p].wires:
+            on = circuit.gates_on(w)
+            spans.update(on[bisect_right(on, p):bisect_left(on, site[-1])])
+        for q in sorted(spans):
+            if q not in in_site and not syntactic_commutes(gates[p], gates[q]):
+                return p, q
+    return None
+
+
+@st.composite
+def gather_sites(draw) -> tuple[Circuit, tuple[int, ...]]:
+    n = draw(st.integers(2, 5))
+    gates = draw(st.lists(gates_on_wires(n), min_size=2, max_size=14))
+    site = draw(st.lists(st.integers(0, len(gates) - 1), min_size=2, max_size=3, unique=True))
+    return Circuit(plain_wires(*range(1, n + 1)), tuple(gates)), tuple(sorted(site))
+
+
+# the site's CX 1 2 lies on wire 2 between the CZ 2 3 and the site's end
+@example((spelled("ooo", "CZ 2 3", "CX 1 2", "CZ 1 3"), (0, 1, 2)))
+# a J commutes with nothing: past the site's CZ 1 2, the CX 2 1 blocks it
+@example((spelled("oo", "J 1", "CZ 1 2", "CX 2 1", "J 1"), (0, 1, 3)))
+@settings(max_examples=300)
+@given(gather_sites())
+def test_blocker_equals_the_crossed_gate_walk(case):
+    circuit, site = case
+    want = crossed_walk_blocker(circuit, site)
+    assert _blocker(circuit, site) == want
+    assert _blocker(_Node(circuit), site) == want
 
 
 def teleport_wires() -> tuple[Wire, ...]:
@@ -787,14 +867,6 @@ def assert_trace_replays(structure, ext: Circuit, view) -> None:
     assert compact is None or replayed == compact
 
 
-def spelled(terminals: str, *gates: str) -> Circuit:
-    """A circuit on |+> wires, each measured ("m") or output ("o"), from gate
-    lines such as "CZ 1 3" or "J 2" (a J of angle pi/4)."""
-    lines = [f"wire {k} plus {'measured' if t == 'm' else 'output'}" for k, t in enumerate(terminals, 1)]
-    lines += [f"J(1/4pi) {g[2:]}" if g.startswith("J") else g for g in gates]
-    return parse_text("\n".join(lines))
-
-
 @pytest.mark.parametrize("name", sorted(FIXTURE_DIGESTS))
 def test_traces_replay_on_the_fixtures(name):
     assert_trace_replays(*fixture_pipeline(name))
@@ -824,14 +896,8 @@ def test_traces_replay_on_the_atlas(graph):
 def eliminator_inputs(draw) -> Circuit:
     n = draw(st.integers(3, 6))
     terminals = draw(st.lists(st.sampled_from(["measured", "output"]), min_size=n, max_size=n))
-    pair = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True).map(tuple)
-    gate = st.one_of(
-        pair.map(lambda p: Gate("CZ", p)),
-        pair.map(lambda p: Gate("CX", p)),
-        st.integers(1, n).map(lambda w: Gate("J", (w,), Angle.exact(1, 4))),
-    )
     wires = tuple(Wire(k + 1, "plus", t) for k, t in enumerate(terminals))
-    return Circuit(wires, tuple(draw(st.lists(gate, min_size=4, max_size=20))))
+    return Circuit(wires, tuple(draw(st.lists(gates_on_wires(n), min_size=4, max_size=20))))
 
 
 # Circuits whose outcome hangs on the eliminator's order: re-sorting the CZs
