@@ -2,7 +2,8 @@
 
 Exit codes are part of the contract:
   0 success
-  2 unreadable or unparsable input, or an option value out of range
+  2 unreadable or unparsable input, an option value out of range, or an
+    output file that cannot be written
   3 no determinism structure (no flow, no gflow, or supplied sets invalid)
   4 verification failure or shape/cap mismatch
   5 special-CX designation search exhausted
@@ -108,15 +109,20 @@ def _write_outputs(
     extended: Circuit | None,
     trace: SimplificationTrace | None,
     partial: bool = False,
-) -> None:
+) -> str | None:
     """--emit-extended and --trace; an exhausted search's partial trace
-    goes to stderr when no --trace is given."""
-    if args.emit_extended and extended is not None:
-        _write(args.emit_extended, emit_text(extended))
-    if args.trace and trace is not None:
-        _write(args.trace, trace_text(trace))
-    elif partial:
-        sys.stderr.write(trace_text(trace))
+    goes to stderr when no --trace is given.  Returns why a file could not
+    be written, or None."""
+    try:
+        if args.emit_extended and extended is not None:
+            _write(args.emit_extended, emit_text(extended))
+        if args.trace and trace is not None:
+            _write(args.trace, trace_text(trace))
+        elif partial:
+            sys.stderr.write(trace_text(trace))
+    except OSError as exc:
+        return f"cannot write {exc.filename}: {exc.strerror}"
+    return None
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
@@ -131,9 +137,12 @@ def cmd_compile(args: argparse.Namespace) -> int:
             tol=args.tol, max_wires=args.max_wires, seed=args.seed,
         )
     except CompileError as exc:
-        _write_outputs(args, exc.extended, exc.trace, partial=exc.code == 5)
-        return _fail(exc.code, str(exc))
-    _write_outputs(args, done.extended, done.trace)
+        unwritten = _write_outputs(args, exc.extended, exc.trace, partial=exc.code == 5)
+        code = _fail(exc.code, str(exc))
+        return code if unwritten is None else _fail(2, unwritten)
+    unwritten = _write_outputs(args, done.extended, done.trace)
+    if unwritten is not None:
+        return _fail(2, unwritten)
     sys.stdout.write(emit_text(done.compact))
     return 0
 

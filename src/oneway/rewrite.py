@@ -43,9 +43,11 @@ is applied once and oracle-checked on circuits of at most
 engine reproduces ``simplify_flow``'s output byte for byte.
 
 A Circuit never changes: each rule applied to one returns a new Circuit.
-The plan search reads each node through a read-only view, on which a rule
-returns its edit instead, and builds a child's Circuit only when the child's
-gates are new.  The tail and the step checks fire the rules on Circuits.
+Inside the engine every circuit sits in a ``_Node`` with the step that made
+it and its parent, and a rule applied to a node returns its edit instead.
+The plan search builds a child only when the child's gates are new, the tail
+extends the accepted node one step at a time, and the step checks walk that
+one path back from its end, comparing the circuits already built.
 """
 
 from __future__ import annotations
@@ -155,9 +157,10 @@ def _check_site(circuit: Circuit, site: tuple[int, ...]) -> None:
 
 
 def _per_node(table):
-    """A per-wire table that a plan node fills once; other circuits compute it on every call."""
+    """A table keyed by wire or by site that an engine node fills once; a
+    plain Circuit computes it on every call."""
 
-    def lookup(circuit, w: int):
+    def lookup(circuit, w):
         if type(circuit) is not _Node:
             return table(circuit, w)
         key, tables = (table, w), circuit.tables
@@ -210,6 +213,7 @@ def _next_conflict(circuit: Circuit, p: int, stop: int, skip=()) -> int:
     return stop
 
 
+@_per_node
 def _blocker(circuit: Circuit, site: tuple[int, ...]) -> tuple[int, int] | None:
     """The first site position p and non-site gate q past which gate p cannot
     be gathered to ``site[-1]``, or None.  On each of p's wires the role index
@@ -265,7 +269,7 @@ def _spliced(gates: tuple[Gate, ...], edit: _Edit) -> tuple[Gate, ...]:
 
 
 def _splice(circuit: Circuit | _Node, edit: _Edit) -> Circuit | _Edit:
-    """The circuit after ``edit``; a plan node gets the edit back."""
+    """The circuit after ``edit``; an engine node gets the edit back."""
     if type(circuit) is _Node:
         return edit
     wires = circuit.wires if edit.moved is None else _moved_wires(circuit.wires, *edit.moved)
@@ -482,27 +486,22 @@ def apply_jgate(circuit: Circuit, i: int, j: int) -> tuple[Circuit, RewriteStep]
     return _splice(circuit, edit), step
 
 
-def _reapply(circuit: Circuit, st: RewriteStep) -> tuple[Circuit, RewriteStep]:
-    """Run one recorded step against a circuit it may not have come from."""
-    if st.rule == "jgate":
-        assert st.wire_removed is not None
-        return apply_jgate(circuit, st.wire_removed, st.produced[0].wires[0])
-    if st.rule == "peephole-cancel":
-        return apply_peephole(circuit, st.consumed)
-    if st.rule == "cz-commute":
-        return apply_cz_commute(circuit, st.consumed)
-    if st.rule == "cx-commute":
-        return apply_cx_commute(circuit, st.consumed)
-    if st.rule == "cz-to-cx":
-        return apply_cz_to_cx(circuit, st.consumed, fresh=st.produced[1].target)
-    raise RewriteError(f"unknown rule {st.rule!r}")
-
-
 def replay(circuit: Circuit, steps: tuple[RewriteStep, ...] | list[RewriteStep]) -> Circuit:
     """Re-run recorded steps; raises if any step no longer matches."""
     c = circuit
     for st in steps:
-        c, redo = _reapply(c, st)
+        if st.rule == "jgate":
+            c, redo = apply_jgate(c, st.wire_removed, st.produced[0].wires[0])
+        elif st.rule == "peephole-cancel":
+            c, redo = apply_peephole(c, st.consumed)
+        elif st.rule == "cz-commute":
+            c, redo = apply_cz_commute(c, st.consumed)
+        elif st.rule == "cx-commute":
+            c, redo = apply_cx_commute(c, st.consumed)
+        elif st.rule == "cz-to-cx":
+            c, redo = apply_cz_to_cx(c, st.consumed, fresh=st.produced[1].target)
+        else:
+            raise RewriteError(f"unknown rule {st.rule!r}")
         if redo.produced != st.produced:
             raise RewriteError(f"replay diverged at step {st.text()}")
     return c
@@ -670,55 +669,56 @@ def simplify_flow(circuit: Circuit, view: TimeSlicedView) -> tuple[Circuit, Simp
 
 
 class _Node:
-    """A plan-search node as the rules read it: a read-only view of a Circuit
-    whose ``gates_on`` lists are the circuit's own, uncopied, and whose
-    ``_per_node`` tables fill on first use; callers only read either."""
+    """A circuit inside the engine, the step that made it and its parent.
 
-    def __init__(self, circuit: Circuit):
+    The rules read a node as they read a Circuit, but ``gates_on`` returns
+    the circuit's own lists, uncopied, ``_per_node`` tables fill on first
+    use, and a rule returns its edit, which ``then`` turns into the child.
+    Nothing on a node changes once it is built; callers only read.
+    """
+
+    __slots__ = ("circuit", "wires", "gates", "_on", "tables", "step", "parent", "depth")
+
+    def __init__(self, circuit: Circuit, step: RewriteStep | None = None, parent: _Node | None = None):
+        self.circuit, self.step, self.parent = circuit, step, parent
         self.wires, self.gates, self._on, self.tables = circuit.wires, circuit.gates, circuit._on, {}
+        self.depth = 0 if parent is None else parent.depth + 1
 
     wire = Circuit.wire
 
     def gates_on(self, wire_id: int) -> list[int]:
         return self._on.get(wire_id, [])
 
+    def then(self, edit: _Edit, step: RewriteStep) -> _Node:
+        return _Node(_splice(self.circuit, edit), step, self)
 
-class _Driver:
-    """A circuit and the steps that led to it from the engine's input.
+    def path(self) -> list[_Node]:
+        """The nodes from the engine's input to this one."""
+        out, node = [], self
+        while node is not None:
+            out.append(node)
+            node = node.parent
+        return out[::-1]
 
-    ``circuit`` is an immutable Circuit, which ``fork`` shares; each fired
-    step replaces it with the Circuit its rule returned.
-    """
-
-    def __init__(self, circuit: Circuit, steps=()):
-        self.circuit = circuit
-        self.steps = list(steps)
-
-    def fire(self, result: tuple[Circuit, RewriteStep]) -> None:
-        """Take a step's Circuit and record the step."""
-        self.circuit, step = result
-        self.steps.append(step)
-
-    def fork(self) -> "_Driver":
-        return _Driver(self.circuit, self.steps)
+    @property
+    def steps(self) -> list[RewriteStep]:
+        return [node.step for node in self.path()[1:]]
 
 
-def _peephole_pass(drv: _Driver) -> None:
-    changed = True
-    while changed:
-        changed = False
-        gates = drv.circuit.gates
+def _peephole_pass(node: _Node) -> _Node:
+    while True:
+        gates = node.gates
         for q1, g in enumerate(gates):
             if g.kind == "J":
                 continue
             # an equal gate commutes with g, so it cancels if it comes first
-            stop = _next_conflict(drv.circuit, q1, len(gates))
-            on = drv.circuit.gates_on(g.wires[0])
-            q2 = next((q for q in on if q1 < q < stop and gates[q] == g), None)
+            stop = _next_conflict(node, q1, len(gates))
+            q2 = next((q for q in node.gates_on(g.wires[0]) if q1 < q < stop and gates[q] == g), None)
             if q2 is not None:
-                drv.fire(apply_peephole(drv.circuit, (q1, q2)))
-                changed = True
+                node = node.then(*apply_peephole(node, (q1, q2)))
                 break
+        else:
+            return node
 
 
 def _correction_czs(circuit: Circuit):
@@ -757,20 +757,20 @@ def _partner_moves(circuit: Circuit, q: int, movers: list[int]):
                 yield from _fits(apply_cz_commute, circuit, (p, cx_idx, q))
 
 
-def _fits(rule, circuit: Circuit, gates: tuple[int, ...], **kw):
-    """Yield ``rule`` at the site of ``gates`` if it matches.  On a plan node a
-    blocked site is skipped before the rule sees it; in the tail nearly every
-    site tried fires, so the rule checks alone."""
+def _fits(rule, node: _Node, gates: tuple[int, ...], **kw):
+    """Yield ``rule`` at the site of ``gates`` if it matches.  A blocked site
+    is skipped before the rule sees it; the rule's own gather check then
+    reads the node's stored blocker."""
     site = tuple(sorted(gates))
-    if type(circuit) is _Node and _blocker(circuit, site) is not None:
+    if _blocker(node, site) is not None:
         return
     try:
-        yield rule(circuit, site, **kw)
+        yield rule(node, site, **kw)
     except RewriteError:
         pass
 
 
-def _eliminate_corrections(drv: _Driver) -> None:
+def _eliminate_corrections(node: _Node) -> _Node:
     """Strip every correction-shaped CZ, measured wires first as movers.
 
     A fire re-emits its partner CZ just past the mover CX, so ordering
@@ -781,29 +781,28 @@ def _eliminate_corrections(drv: _Driver) -> None:
     before it is relocated).  Each pass sorts the shaped CZs afresh, by the
     first CX of any of their controllers and then rightmost first, and fires
     the first CZ that moves; a blocked CZ is retried on a later pass once
-    others have moved.
+    others have moved.  Returns the node with no shaped CZ left.
     """
     while True:
-        circuit = drv.circuit
-        far = len(circuit.gates)
+        far = len(node.gates)
         first_cx: dict[int, int] = {}
-        for k, g in enumerate(circuit.gates):
+        for k, g in enumerate(node.gates):
             if g.kind == "CX":
                 first_cx.setdefault(g.control, k)
         shaped = sorted(
-            _correction_czs(circuit), key=lambda e: (min(first_cx.get(m, far) for m in e[1]), -e[0])
+            _correction_czs(node), key=lambda e: (min(first_cx.get(m, far) for m in e[1]), -e[0])
         )
         if not shaped:
-            return
+            return node
         for q, controllers in shaped:
-            movers = controllers + [w for w in circuit.gates[q].wires if w not in controllers]
-            result = next(_partner_moves(circuit, q, movers), None)
+            movers = controllers + [w for w in node.gates[q].wires if w not in controllers]
+            result = next(_partner_moves(node, q, movers), None)
             if result is not None:
                 break
         else:
             q = shaped[0][0]
-            raise RewriteError(f"no commutation partner eliminates {circuit.gates[q].text()} at {q}")
-        drv.fire(result)
+            raise RewriteError(f"no commutation partner eliminates {node.gates[q].text()} at {q}")
+        node = node.then(*result)
 
 
 @_per_node
@@ -835,9 +834,6 @@ def _middles(circuit: Circuit, i: int, t: int) -> list[tuple[int, int]]:
 
 def _helper_indices(circuit: Circuit, m: int, t: int) -> list[int]:
     return [k for k in _cx_controlled_by(circuit, m) if circuit.gates[k].target == t]
-
-
-_Result = tuple[Circuit | _Edit, RewriteStep]
 
 
 def _direct_candidates(circuit: Circuit, work: list[tuple[int, int, int]]):
@@ -901,20 +897,19 @@ def _shift_candidates(circuit: Circuit, work: list[tuple[int, int, int]]):
                 yield from _fits(apply_cz_commute, circuit, (q, u, e))
 
 
-def _tail(drv: _Driver, order: tuple[int, ...], targets: dict[int, int]) -> str | None:
-    """Cancel pairs, clear correction CZs, collapse wires; why it failed, or None."""
-    try:
-        _peephole_pass(drv)
-        _eliminate_corrections(drv)
-        _peephole_pass(drv)
-        for i in order:
-            drv.fire(apply_jgate(drv.circuit, i, targets[i]))
-    except RewriteError as exc:
-        return str(exc)
-    left = _measured_ids(drv.circuit)
+def _tail(node: _Node, order: tuple[int, ...], targets: dict[int, int]) -> _Node:
+    """Cancel pairs, clear correction CZs, cancel pairs again and collapse
+    each wire onto its partner; the node that strips every measured wire,
+    else RewriteError says why not."""
+    node = _peephole_pass(node)
+    node = _eliminate_corrections(node)
+    node = _peephole_pass(node)
+    for i in order:
+        node = node.then(*apply_jgate(node, i, targets[i]))
+    left = _measured_ids(node)
     if left:
-        return f"wires {sorted(left)} were not removed"
-    return None
+        raise RewriteError(f"wires {sorted(left)} were not removed")
+    return node
 
 
 class _PlanBudgetExceeded(Exception):
@@ -923,33 +918,33 @@ class _PlanBudgetExceeded(Exception):
 
 def _plan(
     circuit: Circuit, order: tuple[int, ...], targets: dict[int, int]
-) -> tuple[_Driver, str | None, int]:
+) -> tuple[_Node, str | None, int]:
     """Depth-first search for a step sequence that strips every measured wire.
 
     A CX is unwanted when its target is not its control's designated
-    partner.  Moves are tried most-direct-first on a read-only ``_Node``
-    view, where each rule returns its edit.  The plan moves no wire (jgate
-    fires only in the tail), so a child is keyed on its gate tuple: a seen
-    one is pruned, only a new one becomes a Circuit.  Once no unwanted CX
-    remains, the tail is the goal test.  Returns the driver of the accepted
-    path and None, or the deepest explored prefix and why the search failed;
-    then the nodes spent.
+    partner.  Moves are tried most-direct-first on each node, where a rule
+    returns its edit.  The plan moves no wire (jgate fires only in the
+    tail), so a child is keyed on its gate tuple: a seen one is pruned, only
+    a new one becomes a node.  Once no unwanted CX remains, the tail is the
+    goal test.  Returns the end node of the accepted path and None, or the
+    deepest node explored and why the search failed; then the nodes spent.
     """
     nodes = 0
-    best = root = _Driver(circuit)
+    best = root = _Node(circuit)
     seen = {circuit.gates}
     why = "no sequence of moves cancels every unwanted CX"
 
-    def rec(drv: _Driver) -> _Driver | None:
+    def rec(c: _Node) -> _Node | None:
         nonlocal nodes, best, why
-        c = _Node(drv.circuit)
         work = _unwanted_cxs(c, order, targets)
         if not work:
-            done = drv.fork()
-            why = _tail(done, order, targets)
-            return done if why is None else None
-        if len(drv.steps) > len(best.steps):
-            best = drv
+            try:
+                return _tail(c, order, targets)
+            except RewriteError as exc:
+                why = str(exc)
+                return None
+        if c.depth > best.depth:
+            best = c
         candidates = itertools.chain(
             _direct_candidates(c, work),
             _mint_candidates(c, work),
@@ -965,7 +960,7 @@ def _plan(
             nodes += 1
             if nodes > _PLAN_BUDGET:
                 raise _PlanBudgetExceeded
-            found = rec(_Driver(Circuit(c.wires, gates), [*drv.steps, step]))
+            found = rec(_Node(Circuit(c.wires, gates), step, c))
             if found is not None:
                 return found
         return None
@@ -977,79 +972,35 @@ def _plan(
     return (found, None, nodes) if found is not None else (best, why, nodes)
 
 
-def _check_path(circuit: Circuit, drv: _Driver) -> tuple[_Driver, str | None]:
-    """Oracle-check each accepted step on circuits of at most ``_CHECKED_WIDTH`` wires.
+def _check_path(end: _Node) -> tuple[_Node, str | None]:
+    """Oracle-check each step on the path to ``end`` taken on a circuit of
+    at most ``_CHECKED_WIDTH`` wires.
 
-    The steps are replayed from the engine's input ``circuit``: unchecked
-    while it is wider than that, then each step comparing the isometries of
-    the circuits on either side of it, with input columns lined up through
-    the jgate relabelings.  Returns the driver and None, or the steps before
-    the first drifting one and why.
+    Each such step compares the isometries of the stored circuits on either
+    side of it, with input columns lined up through the jgate relabelings;
+    no rule runs again.  Returns ``end`` and None, or the node before the
+    first drifting step and why.
     """
     from .simulate import basis_column_order, circuit_isometry, max_deviation
 
-    steps = drv.steps
-    order = [w.id for w in circuit.wires if w.init == "input"]
-    start = 0
-    while start < len(steps) and len(circuit.wires) > _CHECKED_WIDTH:
-        circuit, _ = _reapply(circuit, steps[start])
-        start += 1
-    order = follow_jgates(steps[:start], order)
+    path = end.path()
+    order = [w.id for w in path[0].wires if w.init == "input"]
     before = None
-    for k, step in enumerate(steps[start:], start):
-        following, _ = _reapply(circuit, step)
+    for node, following in zip(path, path[1:]):
+        step = following.step
         order_after = follow_jgates([step], order)
-        if before is None:
-            before = circuit_isometry(circuit)
-        after = circuit_isometry(following)
-        mb = before.matrix[:, basis_column_order(before.input_wires, order)]
-        ma = after.matrix[:, basis_column_order(after.input_wires, order_after)]
-        dev = max_deviation(mb, ma)
-        if dev > _TOL:
-            why = f"step {step.text()} drifted by {dev:.3g}"
-            return _Driver(circuit, steps[:k]), why
-        circuit, order, before = following, order_after, after
-    return drv, None
-
-
-def _simplify(
-    circuit: Circuit, order: tuple[int, ...], candidates: list[list[int]], budget: int | None,
-) -> tuple[Circuit, SimplificationTrace]:
-    """The rewrite engine behind ``simplify_gflow``.
-
-    ``candidates[k]`` lists the possible teleportation partners of wire
-    ``order[k]``.  Injective designations are tried in product order, at
-    most ``budget`` of them (default: all, capped at 10000); each gets one
-    plan search, whose accepted path is the result once its steps pass the
-    oracle checks.
-    """
-    initial = digest(circuit)
-    cap = min(math.prod(map(len, candidates)), 10_000) if budget is None else budget
-
-    attempts = nodes = 0
-    partial = SimplificationTrace((), initial, initial)
-    why: str | None = f"the attempt budget is {cap}"
-    for assignment in itertools.product(*candidates):
-        if len(set(assignment)) != len(assignment):
-            continue
-        if attempts >= cap:
-            break
-        attempts += 1
-        targets = dict(zip(order, assignment))
-        drv, why, spent = _plan(circuit, order, targets)
-        nodes += spent
-        if why is None:
-            drv, why = _check_path(circuit, drv)
-        trace = SimplificationTrace(tuple(drv.steps), initial, digest(drv.circuit))
-        if why is None:
-            return drv.circuit, trace
-        partial = trace
-    else:
-        if not attempts:
-            why = "no injective designation exists among the candidate partners " + " ".join(
-                f"{i}:{{{','.join(map(str, cand))}}}" for i, cand in zip(order, candidates)
-            )
-    raise GflowSearchExhausted(attempts, partial, why, nodes)
+        if len(node.wires) <= _CHECKED_WIDTH:
+            if before is None:
+                before = circuit_isometry(node.circuit)
+            after = circuit_isometry(following.circuit)
+            mb = before.matrix[:, basis_column_order(before.input_wires, order)]
+            ma = after.matrix[:, basis_column_order(after.input_wires, order_after)]
+            dev = max_deviation(mb, ma)
+            if dev > _TOL:
+                return node, f"step {step.text()} drifted by {dev:.3g}"
+            before = after
+        order = order_after
+    return end, None
 
 
 def simplify_gflow(
@@ -1064,19 +1015,44 @@ def simplify_gflow(
     Each measured wire i keeps one special CX (its eventual teleportation
     partner, a graph neighbour in g(i)); the engine cancels the others with
     the CX-triangle identity, minting helpers from CZ pairs where needed.
-    Designations are tried in ascending-target order, injectively, within
-    the attempt budget.  Each accepted step on at most ``_CHECKED_WIDTH``
-    wires is oracle-checked; a drifting step fails the designation.
+    Designations, one partner per wire in layer order, are tried
+    injectively in product order of the ascending candidate lists, at most
+    ``budget`` of them (default: all, capped at 10000).  Each gets one plan
+    search; its accepted path is the result once every step on at most
+    ``_CHECKED_WIDTH`` wires passes the oracle check, and a drifting step
+    fails the designation.
     """
+    order = view.order
+    initial = digest(circuit)
+    partial = SimplificationTrace((), initial, initial)
     candidates: list[list[int]] = []
-    for i in view.order:
+    for i in order:
         cand = sorted(structure.correcting_sets[i] & view.neighbors[i])
         if not cand:
-            initial = digest(circuit)
-            raise GflowSearchExhausted(
-                0,
-                SimplificationTrace((), initial, initial),
-                f"wire {i} has no graph neighbour in its correcting set",
-            )
+            raise GflowSearchExhausted(0, partial, f"wire {i} has no graph neighbour in its correcting set")
         candidates.append(cand)
-    return _simplify(circuit, view.order, candidates, budget)
+    cap = min(math.prod(map(len, candidates)), 10_000) if budget is None else budget
+
+    attempts = nodes = 0
+    why: str | None = f"the attempt budget is {cap}"
+    for assignment in itertools.product(*candidates):
+        if len(set(assignment)) != len(assignment):
+            continue
+        if attempts >= cap:
+            break
+        attempts += 1
+        targets = dict(zip(order, assignment))
+        end, why, spent = _plan(circuit, order, targets)
+        nodes += spent
+        if why is None:
+            end, why = _check_path(end)
+        trace = SimplificationTrace(tuple(end.steps), initial, digest(end.circuit))
+        if why is None:
+            return end.circuit, trace
+        partial = trace
+    else:
+        if not attempts:
+            why = "no injective designation exists among the candidate partners " + " ".join(
+                f"{i}:{{{','.join(map(str, cand))}}}" for i, cand in zip(order, candidates)
+            )
+    raise GflowSearchExhausted(attempts, partial, why, nodes)

@@ -79,6 +79,23 @@ def test_compile_path3(fixtures_dir, tmp_path, capsys):
     assert len(extended.wires) == 3
 
 
+@pytest.mark.parametrize("option", ["--trace", "--emit-extended"])
+def test_compile_to_an_unwritable_path_exits_2(fixtures_dir, tmp_path, option, capsys):
+    missing = str(tmp_path / "missing" / "out.txt")
+    assert main(["compile", fx(fixtures_dir, "path3"), option, missing]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {missing}: No such file or directory\n"
+
+    # a failed compile names its own failure first, then the path
+    assert main(["compile", fx(fixtures_dir, "budget"), "--search-budget", "1", option, missing]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    failed, unwritten = [line for line in captured.err.splitlines() if line.startswith("error: ")]
+    assert "exhausted after 1 attempts" in failed
+    assert unwritten == f"error: cannot write {missing}: No such file or directory"
+
+
 def test_compile_fixture_wire_counts(fixtures_dir, capsys):
     for name, wires in (("example1", 3), ("example2", 3), ("strip2x3", 2)):
         assert main(["compile", fx(fixtures_dir, name)]) == 0, name

@@ -54,7 +54,6 @@ from oneway import (
 )
 from oneway.circuits import TimeSlicedView
 from oneway.rewrite import (
-    _Driver,
     _Node,
     _blocker,
     _commutes,
@@ -373,7 +372,9 @@ def test_blocker_equals_the_crossed_gate_walk(case):
     circuit, site = case
     want = crossed_walk_blocker(circuit, site)
     assert _blocker(circuit, site) == want
-    assert _blocker(_Node(circuit), site) == want
+    node = _Node(circuit)
+    assert _blocker(node, site) == want
+    assert _blocker(node, site) == want  # the node's stored answer
 
 
 def teleport_wires() -> tuple[Wire, ...]:
@@ -627,7 +628,7 @@ def test_strip_circuits_and_traces_are_byte_identical(n):
 def test_simplify_flow_enters_no_part_of_the_engine(monkeypatch):
     # the closed form replaces the engine on flow input: no rule, search or tail runs
     rules = [name for name in oneway.rewrite.__all__ if name.startswith("apply_")]
-    for name in ["_simplify", "_plan", "_tail", *rules]:
+    for name in ["simplify_gflow", "_plan", "_tail", *rules]:
         monkeypatch.setattr(oneway.rewrite, name, None)
     structure, ext, view = fixture_pipeline("strip2x3")
     compact, trace = simplify_flow(ext, view)
@@ -765,10 +766,10 @@ def test_eliminator_names_a_correction_cz_it_cannot_move():
         (Wire(1, "input", "measured"), Wire(2, "plus", "output")),
         (Gate("J", (1,), Angle.exact(1, 4)), Gate("CZ", (1, 2)), Gate("CX", (1, 2))),
     )
-    drv = _Driver(circuit)
+    node = _Node(circuit)
     with pytest.raises(RewriteError, match=r"^no commutation partner eliminates CZ 1 2 at 1$"):
-        _eliminate_corrections(drv)
-    assert drv.steps == []
+        _eliminate_corrections(node)
+    assert node.steps == []
 
 
 def test_gflow_without_an_injective_designation_says_so():
@@ -804,11 +805,12 @@ def test_step_checks_catch_a_drifting_step(monkeypatch):
     structure, ext, view = fixture_pipeline("example1")
     good_jgate = oneway.rewrite.apply_jgate
 
-    def bent_jgate(circuit, i, j):
-        out, step = good_jgate(circuit, i, j)
+    def bent_jgate(node, i, j):
+        # the tail fires jgate on an engine node, which gets the rule's edit
+        edit, step = good_jgate(node, i, j)
         bent = Gate("J", (j,), Angle.exact(1, 3))
-        out = Circuit(out.wires, tuple(bent if g == step.produced[0] else g for g in out.gates))
-        return out, RewriteStep(step.rule, step.consumed, (bent,), i)
+        edit = edit._replace(produced=(bent, *edit.produced[1:]))
+        return edit, RewriteStep(step.rule, step.consumed, (bent,), i)
 
     monkeypatch.setattr(oneway.rewrite, "apply_jgate", bent_jgate)
     with pytest.raises(GflowSearchExhausted, match="drifted") as info:
@@ -850,6 +852,37 @@ def test_step_checks_pass_on_a_strip_wider_than_the_checked_width(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == STRIP_DIGESTS[8]
     assert 0 < len(calls) < len(trace.steps) + 1
     assert all(len(c.wires) <= 12 for c in calls)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "budget", "strip2x8"])
+def test_step_checks_read_the_search_path(name, monkeypatch):
+    # the step checks compare the circuits the search built, and run no rule
+    if name == "strip2x8":
+        graph = cluster_strip(8)
+        structure = validate_gflow(graph, find_flow(graph).correcting_sets)
+        ext = build_extended(graph, structure)
+        view = slice_circuit(ext, structure)
+    else:
+        structure, ext, view = fixture_pipeline(name)
+    paths = []
+    check_path = oneway.rewrite._check_path
+
+    def watched(end):
+        paths.append(end.path())
+        with pytest.MonkeyPatch.context() as mp:
+            for rule in [n for n in oneway.rewrite.__all__ if n.startswith("apply_")]:
+                mp.setattr(oneway.rewrite, rule, None)
+            return check_path(end)
+
+    monkeypatch.setattr(oneway.rewrite, "_check_path", watched)
+    compact, trace = simplify_gflow(ext, view, structure)
+    (path,) = paths
+    assert tuple(node.step for node in path[1:]) == trace.steps
+    # by induction, the k-th node holds replay(ext, trace.steps[:k])
+    assert path[0].circuit == ext
+    for before, node in zip(path, path[1:]):
+        assert node.circuit == replay(before.circuit, [node.step])
+    assert path[-1].circuit == compact
 
 
 def assert_trace_replays(structure, ext: Circuit, view) -> None:
@@ -916,22 +949,22 @@ def eliminator_inputs(draw) -> Circuit:
 @settings(deadline=None, max_examples=150)
 @given(eliminator_inputs())
 def test_correction_eliminator_steps_replay_and_keep_the_isometry(circuit):
-    drv = _Driver(circuit)
     try:
-        _eliminate_corrections(drv)
+        end = _eliminate_corrections(_Node(circuit))
     except RewriteError as exc:
+        # a node never changes, so a failed pass leaves no partial path to check
         assert re.fullmatch(r"no commutation partner eliminates CZ \d+ \d+ at \d+", str(exc))
-    else:
-        assert not list(_correction_czs(drv.circuit))
-    assert all(step.rule == "cz-commute" for step in drv.steps)
-    assert replay(circuit, drv.steps) == drv.circuit
+        return
+    assert not list(_correction_czs(end.circuit))
+    assert all(step.rule == "cz-commute" for step in end.steps)
+    assert replay(circuit, end.steps) == end.circuit
 
     # every wire an output, so no measured-wire projection can collapse
     def unprojected(c: Circuit):
         wires = tuple(Wire(w.id, w.init, "output") for w in c.wires)
         return circuit_isometry(Circuit(wires, c.gates)).matrix
 
-    assert max_deviation(unprojected(circuit), unprojected(drv.circuit)) <= 1e-9
+    assert max_deviation(unprojected(circuit), unprojected(end.circuit)) <= 1e-9
 
 
 @functools.cache
