@@ -838,9 +838,9 @@ def test_final_oracle_check_catches_a_drifting_flow_compile(monkeypatch):
 
 
 def test_step_checks_pass_on_a_strip_wider_than_the_checked_width(monkeypatch):
-    # 16 wires: the steps taken above 12 wires replay unchecked, the rest
-    # are each checked against the dense oracle; the
-    # flow, supplied as correcting sets, gives simplify_gflow one designation
+    # 16 wires: the steps taken above 12 wires go unchecked, the rest are
+    # each checked against the dense oracle; the flow, supplied as
+    # correcting sets, gives simplify_gflow one designation
     calls = []
     isometry = oneway.simulate.circuit_isometry
     monkeypatch.setattr(oneway.simulate, "circuit_isometry", lambda c: calls.append(c) or isometry(c))
