@@ -2,8 +2,10 @@
 
 A correction structure assigns each measured vertex i a correcting set g(i)
 with i in Odd(g(i)), every other member of g(i) and of Odd(g(i)) measured
-strictly later (or an output).  Flow is the special case g(i) = {f(i)} with
-f(i) a neighbor.  Layers come from longest paths in the induced precedence
+strictly later (or an output).  Flow is the special case g(i) = {f(i)}: a
+single member, which i in Odd(g(i)) makes a neighbor.  That case defines a
+structure's ``kind``, read off its sets whether a search found them or a
+graph file supplied them.  Layers come from longest paths in the induced precedence
 DAG, so they are as coarse as the structure allows.
 """
 
@@ -23,9 +25,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CorrectionStructure:
-    kind: str  # "flow" or "gflow"
     correcting_sets: dict[int, frozenset[int]]
     layers: tuple[frozenset[int], ...]
+
+    @property
+    def kind(self) -> str:
+        """Flow when every correcting set is a single vertex, g(i) = {f(i)}; else gflow."""
+        return "flow" if all(len(gset) == 1 for gset in self.correcting_sets.values()) else "gflow"
 
     def layer_of(self, vertex: int) -> int:
         for depth, layer in enumerate(self.layers):
@@ -73,6 +79,12 @@ def _layering(graph: OpenGraph, sets: dict[int, frozenset[int]]) -> tuple[frozen
     return tuple(frozenset(layer) for layer in layers)
 
 
+def _structure(graph: OpenGraph, sets: dict[int, frozenset[int]]) -> CorrectionStructure | None:
+    """``sets`` with their layering; None if they induce a cyclic order."""
+    layers = _layering(graph, sets)
+    return None if layers is None else CorrectionStructure(sets, layers)
+
+
 def find_flow(graph: OpenGraph) -> CorrectionStructure | None:
     """Greedy maximally-delayed search for a causal flow.
 
@@ -104,11 +116,7 @@ def find_flow(graph: OpenGraph) -> CorrectionStructure | None:
         if not progress:
             return None
 
-    sets = {i: frozenset({j}) for i, j in f.items()}
-    layers = _layering(graph, sets)
-    if layers is None:
-        return None
-    return CorrectionStructure("flow", sets, layers)
+    return _structure(graph, {i: frozenset({j}) for i, j in f.items()})
 
 
 def validate_gflow(
@@ -139,10 +147,8 @@ def validate_gflow(
             problems.append(f"vertex {i} is not in the odd neighborhood of g({i})")
     if problems:
         return problems
-    layers = _layering(graph, sets)
-    if layers is None:
-        return ["correcting sets induce a cyclic measurement order"]
-    return CorrectionStructure("gflow", dict(sets), layers)
+    structure = _structure(graph, dict(sets))
+    return ["correcting sets induce a cyclic measurement order"] if structure is None else structure
 
 
 def find_gflow(graph: OpenGraph) -> CorrectionStructure | None:
@@ -173,10 +179,7 @@ def find_gflow(graph: OpenGraph) -> CorrectionStructure | None:
                 pending.discard(i)
                 done.add(i)
 
-    layers = _layering(graph, sets)
-    if layers is None:
-        return None
-    return CorrectionStructure("gflow", sets, layers)
+    return _structure(graph, sets)
 
 
 def _solve_correcting_set(

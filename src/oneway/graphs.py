@@ -99,10 +99,14 @@ def parse_graph(text: str) -> OpenGraph:
 
     Keys: vertices, edges (``a-b`` pairs), inputs, outputs,
     angles (``v=expr`` pairs), correcting_sets (``v={a,b}`` pairs, optional;
-    use parse_graph_with_sets to receive them).  ``#`` starts a comment.
+    use parse_graph_with_sets to receive them); any other key is refused.
+    ``#`` starts a comment.
     """
     graph, _ = parse_graph_with_sets(text)
     return graph
+
+
+_KEYS = ("vertices", "edges", "inputs", "outputs", "angles", "correcting_sets")
 
 
 def parse_graph_with_sets(text: str) -> tuple[OpenGraph, dict[int, frozenset[int]] | None]:
@@ -115,6 +119,8 @@ def parse_graph_with_sets(text: str) -> tuple[OpenGraph, dict[int, frozenset[int
             raise ValueError(f"line {lineno}: expected 'key: value', got {line!r}")
         key, value = line.split(":", 1)
         key = key.strip()
+        if key not in _KEYS:
+            raise ValueError(f"line {lineno}: unknown key {key!r}")
         if key in fields:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         fields[key] = lineno, value.strip()

@@ -67,6 +67,10 @@ def compile_pattern(
 ) -> Compiled:
     """Compile under the supplied ``sets`` once validated, else a flow, else a gflow.
 
+    The structure's ``kind``, read off its sets, picks the simplifier: sets
+    that are all single vertices (a flow, found or supplied) compile in closed
+    form by ``simplify_flow``, any other sets by the ``simplify_gflow`` search.
+
     ``budget`` caps the designation attempts; ``tol``, ``max_wires`` and ``seed``
     set the verification.  An out-of-range ``budget``, ``tol``, ``max_wires`` or
     ``seed`` raises ``ValueError``, worded as the CLI refuses it; every failure

@@ -1020,7 +1020,9 @@ def simplify_gflow(
     ``budget`` of them (default: all, capped at 10000).  Each gets one plan
     search; its accepted path is the result once every step on at most
     ``_CHECKED_WIDTH`` wires passes the oracle check, and a drifting step
-    fails the designation.
+    fails the designation.  `compile_pattern` calls it only for a gflow
+    (some g(i) of two or more vertices); given a flow's single-vertex sets it
+    takes ``simplify_flow``'s steps, which the tests hold it to.
     """
     order = view.order
     initial = digest(circuit)

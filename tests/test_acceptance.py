@@ -239,7 +239,7 @@ def test_broken_correcting_sets_are_flagged():
     graph, sets = load_fixture("broken")
     assert isinstance(validate_gflow(graph, sets), list)
     # forcing the structure through anyway must expose outcome dependence
-    structure = CorrectionStructure("gflow", sets, (frozenset({1}), frozenset({3})))
+    structure = CorrectionStructure(sets, (frozenset({1}), frozenset({3})))
     state = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     states = [
         run_pattern(graph, structure, state, dict(zip((1, 3), bits))).amplitudes

@@ -1,9 +1,13 @@
 """CLI behavior: output text and the exit-code contract."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import oneway.pipeline
 from oneway import parse_text
 from oneway.cli import main
 
@@ -14,6 +18,9 @@ inputs:
 outputs: 1
 angles: 2=1/4pi 3=1/4pi
 """
+
+# README's `oneway compile fixtures/path3.graph`
+PATH3_COMPACT = "wire 3 input output\nJ(1/4pi) 3\nJ(1/2pi) 3\n"
 
 
 @pytest.fixture()
@@ -63,6 +70,16 @@ def test_unreadable_or_malformed_input_exits_2(tmp_path, capsys):
     bad.write_text("vertices: 1 2\nedges: 1-2\ninputs: 1\noutputs: 2\nangles: 1=nan\n")
     assert main(["compile", str(bad)]) == 2
     assert "line 5: angles: angle must be finite, got nan radians" in capsys.readouterr().err
+    # path3 with invalid sets: spelt right they exit 3; misspelt, they must
+    # not be skipped in favour of the found flow
+    path3 = "vertices: 1 2 3\nedges: 1-2 2-3\ninputs: 1\noutputs: 3\nangles: 1=1/4pi 2=1/2pi\n"
+    bad.write_text(path3 + "correcting_sets: 1={3} 2={3}\n")
+    assert main(["compile", str(bad)]) == 3
+    bad.write_text(path3 + "correcting_set: 1={3} 2={3}\n")
+    assert main(["compile", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: line 6: unknown key 'correcting_set'\n")
 
 
 def test_compile_path3(fixtures_dir, tmp_path, capsys):
@@ -73,10 +90,33 @@ def test_compile_path3(fixtures_dir, tmp_path, capsys):
     )
     assert code == 0
     out = capsys.readouterr().out
-    assert out == "wire 3 input output\nJ(1/4pi) 3\nJ(1/2pi) 3\n"
+    assert out == PATH3_COMPACT
     assert len(trace.read_text().splitlines()) == 3
     extended = parse_text(ext.read_text())
     assert len(extended.wires) == 3
+
+
+def test_compile_a_supplied_flow_without_the_search_engine(fixtures_dir, tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a flow reached simplify_gflow")
+
+    monkeypatch.setattr(oneway.pipeline, "simplify_gflow", refuse)
+    supplied = tmp_path / "path3.graph"
+    supplied.write_text((fixtures_dir / "path3.graph").read_text() + "correcting_sets: 1={2} 2={3}\n")
+    assert main(["compile", str(supplied)]) == 0
+    assert capsys.readouterr().out == PATH3_COMPACT
+
+
+@pytest.mark.parametrize("name, code", [("path3", 0), ("broken", 3), ("absent", 2)])
+def test_python_m_oneway_runs_the_cli(fixtures_dir, name, code):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "oneway", "compile", fx(fixtures_dir, name)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (code, PATH3_COMPACT if code == 0 else "")
+    assert done.stderr.startswith("error: ") == (code != 0)
 
 
 @pytest.mark.parametrize("option", ["--trace", "--emit-extended"])

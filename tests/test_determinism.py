@@ -6,6 +6,7 @@ look for an acyclic precedence relation.  It shares no code with the search
 under test, so agreement over all small graphs is meaningful evidence.
 """
 
+import dataclasses
 import itertools
 
 import networkx as nx
@@ -15,12 +16,14 @@ from hypothesis import strategies as st
 
 from oneway import (
     Angle,
+    CorrectionStructure,
     OpenGraph,
     find_flow,
     find_gflow,
     odd_neighborhood,
     validate_gflow,
 )
+from conftest import load_fixture
 
 
 def brute_force_has_flow(graph: OpenGraph) -> bool:
@@ -112,6 +115,21 @@ def test_fixture_correcting_sets_validate(example1, example2):
         assert not isinstance(structure, list), structure
         assert structure.kind == "gflow"
         assert structure.correcting_sets == sets
+
+
+def test_kind_is_read_off_the_correcting_sets(path3, example1, example2):
+    assert [f.name for f in dataclasses.fields(CorrectionStructure)] == ["correcting_sets", "layers"]
+    assert find_flow(path3).kind == "flow"
+    for graph, sets in (example1, example2, load_fixture("budget")):
+        assert validate_gflow(graph, sets).kind == "gflow"
+    # the same single-vertex sets, supplied rather than found
+    supplied = validate_gflow(path3, {1: frozenset({2}), 2: frozenset({3})})
+    assert supplied == find_flow(path3)
+    assert supplied.kind == "flow"
+    # with nothing measured every set is trivially a single vertex
+    bare = OpenGraph((1, 2), frozenset({(1, 2)}), frozenset({1}), frozenset({1, 2}), {})
+    assert find_flow(bare) == validate_gflow(bare, {}) == CorrectionStructure({}, ())
+    assert CorrectionStructure({}, ()).kind == "flow"
 
 
 def test_example2_needs_gflow(example2):

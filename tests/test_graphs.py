@@ -110,6 +110,9 @@ def test_parse_reports_line_numbers():
     ]:
         with pytest.raises(ValueError, match=f"^{where}invalid literal for int"):
             parse_graph(ok.replace(good, bad))
+    # a misspelt key is refused, not skipped
+    with pytest.raises(ValueError, match="^line 6: unknown key 'correcting_set'$"):
+        parse_graph_with_sets(ok + "correcting_set: 1={2}\n")
 
 
 @pytest.mark.parametrize("good, bad, message", [

@@ -2,8 +2,13 @@
 
 import pytest
 
-from oneway import CompileError, build_extended, compile_pattern, emit_text, parse_graph, trace_text
+import oneway.pipeline
+from oneway import (
+    Angle, CompileError, OpenGraph, build_extended, compile_pattern, emit_text, find_flow, parse_graph,
+    trace_text,
+)
 from conftest import load_fixture
+from test_determinism import all_small_open_graphs
 
 TRIANGLE = parse_graph(
     "vertices: 1 2 3\nedges: 1-2 1-3 2-3\ninputs:\noutputs: 1\nangles: 2=1/4pi 3=1/4pi\n"
@@ -88,3 +93,52 @@ def test_out_of_range_arguments_are_refused_up_front(kwargs, message):
     graph, sets = load_fixture("budget")
     with pytest.raises(ValueError, match=message):
         compile_pattern(graph, sets, **kwargs)
+
+
+def path(n: int) -> OpenGraph:
+    """The n-vertex path 1-2-...-n, first vertex in, last vertex out."""
+    vertices = tuple(range(1, n + 1))
+    angles = {v: Angle.exact(2 * v - 1, 8) for v in vertices[:-1]}
+    edges = frozenset((v, v + 1) for v in vertices[:-1])
+    return OpenGraph(vertices, edges, frozenset({1}), frozenset({n}), angles)
+
+
+@pytest.fixture()
+def no_search_engine(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a flow reached simplify_gflow")
+
+    monkeypatch.setattr(oneway.pipeline, "simplify_gflow", refuse)
+
+
+def assert_supplied_flow_compiles_as_found(graph: OpenGraph, verify: bool = True) -> None:
+    found = compile_pattern(graph, verify=verify)
+    supplied = compile_pattern(graph, find_flow(graph).correcting_sets, verify=verify)
+    assert supplied.structure.kind == found.structure.kind == "flow"
+    assert (emit_text(supplied.compact) + trace_text(supplied.trace)
+            == emit_text(found.compact) + trace_text(found.trace))
+    assert supplied.deviation == found.deviation
+
+
+@pytest.mark.parametrize("name", ["path3", "strip2x3"])
+def test_a_supplied_flow_compiles_in_closed_form(name, no_search_engine):
+    graph, sets = load_fixture(name)
+    assert sets is None
+    assert_supplied_flow_compiles_as_found(graph)
+
+
+def test_every_supplied_atlas_flow_compiles_in_closed_form(no_search_engine):
+    count = 0
+    for graph in all_small_open_graphs():
+        if find_flow(graph) is not None:
+            assert_supplied_flow_compiles_as_found(graph)
+            count += 1
+    assert count == 389
+
+
+def test_a_long_supplied_flow_compiles_in_closed_form(no_search_engine):
+    # long enough that the search engine, which keeps a whole circuit per
+    # tail step, would take seconds and hundreds of MiB
+    graph = path(1000)
+    assert find_flow(graph).correcting_sets == {i: frozenset({i + 1}) for i in range(1, 1000)}
+    assert_supplied_flow_compiles_as_found(graph, verify=False)

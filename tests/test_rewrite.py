@@ -742,7 +742,7 @@ def test_flow_layout_mutants_are_refused_or_compile_faithfully(name):
 def test_simplify_flow_refuses_a_circuit_off_the_flow_layout():
     structure, ext, view = fixture_pipeline("path3")
     # the rounds swapped: CX 1 2 then corrects wire 1 after wire 2 is measured
-    swapped = CorrectionStructure("flow", structure.correcting_sets, structure.layers[::-1])
+    swapped = CorrectionStructure(structure.correcting_sets, structure.layers[::-1])
     early = build_extended(load_fixture("path3")[0], swapped)
     with pytest.raises(FlowSimplifyError, match=r"^CX 1 2 is not the correction of a causal flow$"):
         simplify_flow(early, slice_circuit(early, swapped))
@@ -794,9 +794,7 @@ def test_gflow_without_an_injective_designation_says_so():
 def test_gflow_wire_without_a_neighbour_in_its_set_is_named():
     _, ext, view = fixture_pipeline("path3")
     # correcting sets that miss every neighbour of wire 1
-    foreign = CorrectionStructure(
-        "gflow", {1: frozenset({3}), 2: frozenset({3})}, (frozenset({1}), frozenset({2}))
-    )
+    foreign = CorrectionStructure({1: frozenset({3}), 2: frozenset({3})}, (frozenset({1}), frozenset({2})))
     with pytest.raises(GflowSearchExhausted, match="0 attempts: wire 1 has no graph neighbour"):
         simplify_gflow(ext, view, foreign)
 

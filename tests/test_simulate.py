@@ -149,7 +149,7 @@ def test_run_pattern_flags_broken_sets():
     from conftest import load_fixture
 
     graph, sets = load_fixture("broken")
-    structure = CorrectionStructure("gflow", sets, (frozenset({1}), frozenset({3})))
+    structure = CorrectionStructure(sets, (frozenset({1}), frozenset({3})))
     state = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     base = run_pattern(graph, structure, state, {1: 0, 3: 0}).amplitudes
     flipped = run_pattern(graph, structure, state, {1: 1, 3: 0}).amplitudes
