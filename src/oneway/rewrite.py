@@ -11,10 +11,10 @@ Gathering commutes by roles.  A gate acts on each of its wires in one role:
 "Z" where it is diagonal (a CZ on either wire, a CX on its control), "X" (a
 CX on its target) or "J".  Two gates commute when they act in the same role,
 Z or X, on every wire they share; a J commutes with no gate on its wire.
-Each wire keeps an index of its gates' roles that jumps from a gate straight
-to the next one whose role conflicts with it, so the gather check visits
-only conflicting gates: the nearest one that is not itself in the site
-blocks.
+Each wire has one bitmask per role, of the gates there that conflict with
+a gate in that role; ORed over its wires they give a gate's conflicts as one
+integer.  The gather check ANDs it with the window up to the site's end,
+clears the site's own bits, and the lowest bit left blocks.
 
 Identity catalogue, written in program order (left gate acts first):
 
@@ -156,82 +156,66 @@ def _check_site(circuit: Circuit, site: tuple[int, ...]) -> None:
         raise RewriteError(f"site {site} out of range")
 
 
-def _per_node(table):
-    """A table keyed by wire or by site that an engine node fills once; a
-    plain Circuit computes it on every call."""
-
-    def lookup(circuit, w):
-        if type(circuit) is not _Node:
-            return table(circuit, w)
-        key, tables = (table, w), circuit.tables
-        if key not in tables:
-            tables[key] = table(circuit, w)
-        return tables[key]
-
-    return lookup
-
-
-@_per_node
-def _czs_on(circuit: Circuit, w: int) -> dict[int, list[int]]:
-    """The CZs on wire w, keyed by their other wire, each list in program order."""
-    out: dict[int, list[int]] = {}
-    for k in circuit.gates_on(w):
-        g = circuit.gates[k]
+def _wire_tables(circuit: Circuit) -> tuple[dict[int, dict[int, list[int]]], dict[int, list[int]]]:
+    """Per wire, its CZs keyed by their other wire, and the CXs it controls,
+    each list in program order."""
+    czs: dict[int, dict[int, list[int]]] = {w.id: {} for w in circuit.wires}
+    cxs: dict[int, list[int]] = {w.id: [] for w in circuit.wires}
+    for k, g in enumerate(circuit.gates):
         if g.kind == "CZ":
-            out.setdefault(g.wires[g.wires[0] == w], []).append(k)
+            a, b = g.wires
+            czs[a].setdefault(b, []).append(k)
+            czs[b].setdefault(a, []).append(k)
+        elif g.kind == "CX":
+            cxs[g.wires[0]].append(k)
+    return czs, cxs
+
+
+def _conflict_index(circuit: Circuit) -> list[int]:
+    """Per gate, the bitmask (bit k for position k) of the gates it does not
+    commute with: the OR, over its wires, of the wire's mask for its role,
+    which holds every gate there but those in the same role, Z or X."""
+    gates, out = circuit.gates, [0] * len(circuit.gates)
+    for w in circuit.wires:
+        on = circuit.gates_on(w.id)
+        every = z = x = 0
+        for k in on:  # _role, inline: it runs once per gate and wire on every node
+            g = gates[k]
+            every |= 1 << k
+            if g.kind == "CX" and g.wires[1] == w.id:
+                x |= 1 << k
+            elif g.kind != "J":
+                z |= 1 << k
+        for k in on:
+            out[k] |= every if gates[k].kind == "J" else every ^ (x if x >> k & 1 else z)
     return out
 
 
-@_per_node
-def _roles_on(circuit: Circuit, w: int):
-    """Wire w's gate positions, closed by len(gates); each gate's role on w;
-    and per role r a jump list: ``jump[r][i]`` is the first index from i on
-    whose gate does not commute on w with a gate of role r (a J commutes with
-    none), or the closing index."""
-    on = circuit.gates_on(w)
-    roles = [_role(circuit.gates[k], w) for k in on]
-    n = len(on)
-    jump = {"Z": [n] * (n + 1), "X": [n] * (n + 1), "J": list(range(n + 1))}
-    for i in reversed(range(n)):
-        for r in "ZX":
-            jump[r][i] = jump[r][i + 1] if roles[i] == r else i
-    return on + [len(circuit.gates)], roles, jump
+def _conflicts(circuit: Circuit, p: int, stop: int) -> int:
+    """The gates after p and before stop that gate p does not commute with,
+    as a bitmask; empty when stop <= p."""
+    index = circuit.conflicts if type(circuit) is _Node else _conflict_index(circuit)
+    return index[p] & ((1 << stop) - 1) >> (p + 1) << (p + 1)
 
 
 def _next_conflict(circuit: Circuit, p: int, stop: int, skip=()) -> int:
     """The first gate after p and before stop, not in ``skip``, that gate p
     does not commute with, else stop."""
-    for w in circuit.gates[p].wires:
-        on, roles, jump = _roles_on(circuit, w)
-        i = bisect_left(on, p)
-        nxt = jump[roles[i]]
-        i = nxt[i + 1]
-        while on[i] < stop and on[i] in skip:
-            i = nxt[i + 1]
-        if on[i] < stop:
-            stop = on[i]
-    return stop
+    mask = _conflicts(circuit, p, stop)
+    for k in skip:
+        mask &= ~(1 << k)
+    return (mask & -mask).bit_length() - 1 if mask else stop
 
 
-@_per_node
 def _blocker(circuit: Circuit, site: tuple[int, ...]) -> tuple[int, int] | None:
     """The first site position p and non-site gate q past which gate p cannot
-    be gathered to ``site[-1]``, or None.  On each of p's wires the role index
-    jumps to the next gate whose role conflicts with p's, on past site
-    members; q is the nearest such gate over p's wires."""
+    be gathered to ``site[-1]``, or None: q is the lowest conflict of p
+    before ``site[-1]`` once the site's own bits are cleared."""
     for p in site[:-1]:
         q = _next_conflict(circuit, p, site[-1], site)
         if q < site[-1]:
             return p, q
     return None
-
-
-def _check_gather(circuit: Circuit, site: tuple[int, ...]) -> None:
-    """Each site gate must commute past the non-site gates it crosses."""
-    blocked = _blocker(circuit, site)
-    if blocked is not None:
-        (p, q), gates = blocked, circuit.gates
-        raise RewriteError(f"gate {gates[q].text()} at {q} blocks gathering {gates[p].text()} from {p}")
 
 
 class _Edit(NamedTuple):
@@ -276,8 +260,16 @@ def _splice(circuit: Circuit | _Node, edit: _Edit) -> Circuit | _Edit:
     return Circuit(wires, _spliced(circuit.gates, edit))
 
 
-def _site_edit(site: tuple[int, ...], produced: tuple[Gate, ...]) -> _Edit:
-    return _Edit(site, site[-1] - (len(site) - 1), produced)
+def _gathered(circuit: Circuit, rule: str, site: tuple[int, ...], produced: tuple[Gate, ...]):
+    """Gather ``site`` at its last gate and put ``produced`` there: the
+    circuit after (a node's edit) and the step.  Each site gate must commute
+    past the non-site gates it crosses."""
+    blocked = _blocker(circuit, site)
+    if blocked is not None:
+        (p, q), gates = blocked, circuit.gates
+        raise RewriteError(f"gate {gates[q].text()} at {q} blocks gathering {gates[p].text()} from {p}")
+    edit = _Edit(site, site[-1] - (len(site) - 1), produced)
+    return _splice(circuit, edit), RewriteStep(rule, site, produced)
 
 
 def apply_cz_commute(circuit: Circuit, site: tuple[int, ...]) -> tuple[Circuit, RewriteStep]:
@@ -301,11 +293,8 @@ def apply_cz_commute(circuit: Circuit, site: tuple[int, ...]) -> tuple[Circuit, 
         (k,) = set(partner[0].wires) - {j}
         if set(eaten[0].wires) != {i, k}:
             raise RewriteError("CZ pair does not share the third wire")
-        _check_gather(circuit, site)
-        first, second = (partner[0], cx) if gates.index(cx) < gates.index(partner[0]) else (cx, partner[0])
-        produced = (first, second)
-        step = RewriteStep("cz-commute", site, produced)
-        return _splice(circuit, _site_edit(site, produced)), step
+        produced = (partner[0], cx) if gates.index(cx) < gates.index(partner[0]) else (cx, partner[0])
+        return _gathered(circuit, "cz-commute", site, produced)
     raise RewriteError("site must have three gates")
 
 
@@ -342,10 +331,7 @@ def apply_cz_to_cx(
             raise RewriteError(f"wire {fresh} is not part of the site")
         (i,) = others - {fresh}
         _require_fresh(circuit, fresh, site[-1], set(site))
-        _check_gather(circuit, site)
-        produced = (Gate("CZ", (fresh, k)), Gate("CX", (i, fresh)))
-        step = RewriteStep("cz-to-cx", site, produced)
-        return _splice(circuit, _site_edit(site, produced)), step
+        return _gathered(circuit, "cz-to-cx", site, (Gate("CZ", (fresh, k)), Gate("CX", (i, fresh))))
 
     raise RewriteError("site must be a CZ pair")
 
@@ -387,10 +373,7 @@ def apply_cx_commute(circuit: Circuit, site: tuple[int, ...]) -> tuple[Circuit, 
             continue
         for candidate in ((a, b), (b, a)):
             if _cx_word(list(candidate), wires) == want:
-                _check_gather(circuit, site)
-                produced = candidate
-                step = RewriteStep("cx-commute", site, produced)
-                return _splice(circuit, _site_edit(site, produced)), step
+                return _gathered(circuit, "cx-commute", site, candidate)
     raise RewriteError("CX triple does not reduce to a two-gate word")
 
 
@@ -402,9 +385,7 @@ def apply_peephole(circuit: Circuit, site: tuple[int, ...]) -> tuple[Circuit, Re
     g0, g1 = (circuit.gates[k] for k in site)
     if g0 != g1 or g0.kind == "J":
         raise RewriteError("site gates must be an equal CZ or CX pair")
-    _check_gather(circuit, site)
-    step = RewriteStep("peephole-cancel", site, ())
-    return _splice(circuit, _site_edit(site, ())), step
+    return _gathered(circuit, "peephole-cancel", site, ())
 
 
 def apply_jgate(circuit: Circuit, i: int, j: int) -> tuple[Circuit, RewriteStep]:
@@ -672,16 +653,19 @@ class _Node:
     """A circuit inside the engine, the step that made it and its parent.
 
     The rules read a node as they read a Circuit, but ``gates_on`` returns
-    the circuit's own lists, uncopied, ``_per_node`` tables fill on first
-    use, and a rule returns its edit, which ``then`` turns into the child.
+    the circuit's own lists, uncopied, the conflict index and the per-wire
+    CZ and CX tables are built with the node, and a rule returns its edit,
+    which ``then`` turns into the child.
     Nothing on a node changes once it is built; callers only read.
     """
 
-    __slots__ = ("circuit", "wires", "gates", "_on", "tables", "step", "parent", "depth")
+    __slots__ = ("circuit", "wires", "gates", "_on", "conflicts", "czs", "cxs", "step", "parent", "depth")
 
     def __init__(self, circuit: Circuit, step: RewriteStep | None = None, parent: _Node | None = None):
         self.circuit, self.step, self.parent = circuit, step, parent
-        self.wires, self.gates, self._on, self.tables = circuit.wires, circuit.gates, circuit._on, {}
+        self.wires, self.gates, self._on = circuit.wires, circuit.gates, circuit._on
+        self.conflicts = _conflict_index(self)
+        self.czs, self.cxs = _wire_tables(circuit)
         self.depth = 0 if parent is None else parent.depth + 1
 
     wire = Circuit.wire
@@ -749,18 +733,49 @@ def _partner_moves(circuit: Circuit, q: int, movers: list[int]):
     gates = circuit.gates
     for m in movers:
         (k,) = set(gates[q].wires) - {m}
-        partners = _czs_on(circuit, k)
-        for cx_idx in _cx_controlled_by(circuit, m):
+        partners = circuit.czs[k]
+        for cx_idx in circuit.cxs[m]:
             # the partner CZ pairs k with the CX target (never the CZ at q,
             # which pairs k with the CX control)
-            for p in partners.get(gates[cx_idx].target, ()):
-                yield from _fits(apply_cz_commute, circuit, (p, cx_idx, q))
+            at_target = partners.get(gates[cx_idx].target)
+            if at_target:
+                yield from _partner_sites(apply_cz_commute, circuit, cx_idx, q, at_target)
+
+
+def _partner_sites(rule, circuit: Circuit, a: int, b: int, partners):
+    """``rule`` at each site (partner, a, b) that ``_fits``, partners in order.
+
+    Let lo and hi be the earlier and the later of a and b.  Gathering a site
+    carries lo past every gate before hi but the partner, a partner before
+    hi past every gate up to hi but lo, and lo and hi past every gate up to
+    a partner after hi.  The partners are all one gate, so two bounds leave
+    only the unblocked sites, and no other is built: a partner before hi
+    must follow the last conflict of its kind there, and one after hi must
+    come no later than the first conflict of lo or hi past hi."""
+    lo, hi = sorted((a, b))
+    between = _conflicts(circuit, lo, hi)
+    last = first = None  # each bound is found when a partner first needs it
+    for p in partners:
+        if between & ~(1 << p):
+            continue
+        if p < hi:
+            if last is None:
+                last = (_conflicts(circuit, partners[0], hi) & ~(1 << lo)).bit_length() - 1
+            if p < last:
+                continue
+        else:
+            if first is None:
+                end = len(circuit.gates)
+                first = min(_next_conflict(circuit, lo, end, (hi,)), _next_conflict(circuit, hi, end))
+            if p > first:
+                break
+        yield from _fits(rule, circuit, (p, a, b))
 
 
 def _fits(rule, node: _Node, gates: tuple[int, ...], **kw):
     """Yield ``rule`` at the site of ``gates`` if it matches.  A blocked site
-    is skipped before the rule sees it; the rule's own gather check then
-    reads the node's stored blocker."""
+    is skipped before the rule sees it; the rule then runs its own gather
+    check, a few integer operations on the node's conflict index."""
     site = tuple(sorted(gates))
     if _blocker(node, site) is not None:
         return
@@ -784,14 +799,8 @@ def _eliminate_corrections(node: _Node) -> _Node:
     others have moved.  Returns the node with no shaped CZ left.
     """
     while True:
-        far = len(node.gates)
-        first_cx: dict[int, int] = {}
-        for k, g in enumerate(node.gates):
-            if g.kind == "CX":
-                first_cx.setdefault(g.control, k)
-        shaped = sorted(
-            _correction_czs(node), key=lambda e: (min(first_cx.get(m, far) for m in e[1]), -e[0])
-        )
+        first_cx = {m: cxs[0] if cxs else len(node.gates) for m, cxs in node.cxs.items()}
+        shaped = sorted(_correction_czs(node), key=lambda e: (min(first_cx[m] for m in e[1]), -e[0]))
         if not shaped:
             return node
         for q, controllers in shaped:
@@ -805,56 +814,48 @@ def _eliminate_corrections(node: _Node) -> _Node:
         node = node.then(*result)
 
 
-@_per_node
-def _cx_controlled_by(circuit: Circuit, control: int) -> list[int]:
-    gates = circuit.gates
-    return [k for k in circuit.gates_on(control) if gates[k].kind == "CX" and gates[k].control == control]
-
-
 def _measured_ids(circuit: Circuit) -> set[int]:
     return {w.id for w in circuit.wires if w.terminal == "measured"}
 
 
 def _unwanted_cxs(circuit: Circuit, order: tuple[int, ...], targets: dict[int, int]) -> list[tuple[int, int, int]]:
-    out = []
-    for i in order:
-        for k in _cx_controlled_by(circuit, i):
-            if circuit.gates[k].target != targets[i]:
-                out.append((k, i, circuit.gates[k].target))
-    out.sort()
-    return out
+    gates = circuit.gates
+    unwanted = (k for i in order for k in circuit.cxs[i] if gates[k].target != targets[i])
+    return sorted((k, gates[k].control, gates[k].target) for k in unwanted)
 
 
 def _middles(circuit: Circuit, i: int, t: int) -> list[tuple[int, int]]:
     gates = circuit.gates
-    return sorted(
-        (gates[k].target, k) for k in _cx_controlled_by(circuit, i) if gates[k].target != t
-    )
+    return sorted((gates[k].target, k) for k in circuit.cxs[i] if gates[k].target != t)
 
 
 def _helper_indices(circuit: Circuit, m: int, t: int) -> list[int]:
-    return [k for k in _cx_controlled_by(circuit, m) if circuit.gates[k].target == t]
+    return [k for k in circuit.cxs[m] if circuit.gates[k].target == t]
 
 
 def _direct_candidates(circuit: Circuit, work: list[tuple[int, int, int]]):
     """CX triangles that erase an unwanted CX outright."""
     for u, i, t in work:
         for m, m_idx in _middles(circuit, i, t):
-            for h in _helper_indices(circuit, m, t):
-                yield from _fits(apply_cx_commute, circuit, (h, m_idx, u))
+            yield from _partner_sites(apply_cx_commute, circuit, m_idx, u, _helper_indices(circuit, m, t))
 
 
 def _mint_candidates(circuit: Circuit, work: list[tuple[int, int, int]]):
-    """CZ pairs that mint a missing helper CX onto a still-fresh wire."""
+    """CZ pairs that mint a missing helper CX onto a still-fresh wire.  Wire
+    t is fresh to the site's end only if the site's CZ on t is its first
+    gate and the CZ on m comes before its second: no other site is built."""
+    gates = circuit.gates
     for u, i, t in work:
+        kt, second, *_ = circuit.gates_on(t) + [len(gates)] * 2
+        if kt == len(gates) or gates[kt].kind != "CZ":
+            continue
+        (c,) = set(gates[kt].wires) - {t}
         for m, _ in _middles(circuit, i, t):
             if _helper_indices(circuit, m, t):
                 continue
-            t_czs, m_czs = _czs_on(circuit, t), _czs_on(circuit, m)
-            for c in sorted(set(t_czs) & set(m_czs)):
-                for kt in t_czs[c]:
-                    for km in m_czs[c]:
-                        yield from _fits(apply_cz_to_cx, circuit, (kt, km), fresh=t)
+            for km in circuit.czs[m].get(c, ()):
+                if km < second:
+                    yield from _fits(apply_cz_to_cx, circuit, (kt, km), fresh=t)
 
 
 def _fire_candidates(circuit: Circuit):
@@ -879,22 +880,20 @@ def _hop_candidates(circuit: Circuit, work: list[tuple[int, int, int]]):
                 g = gates[q]
                 if g.kind == "CZ" and t in g.wires and m not in g.wires:
                     (y,) = set(g.wires) - {t}
-                    for p in _czs_on(circuit, m).get(y, ()):
-                        yield from _fits(apply_cz_commute, circuit, (h, q, p))
+                    yield from _partner_sites(apply_cz_commute, circuit, h, q, circuit.czs[m].get(y, ()))
 
 
 def _shift_candidates(circuit: Circuit, work: list[tuple[int, int, int]]):
     """Commutations that swap a CZ on the target past the unwanted CX itself."""
     gates = circuit.gates
     for u, i, t in work:
-        eaten_by_y = _czs_on(circuit, i)
+        eaten_by_y = circuit.czs[i]
         for q in circuit.gates_on(t):
             g = gates[q]
             if g.kind != "CZ" or i in g.wires:
                 continue
             (y,) = set(g.wires) - {t}
-            for e in eaten_by_y.get(y, ()):
-                yield from _fits(apply_cz_commute, circuit, (q, u, e))
+            yield from _partner_sites(apply_cz_commute, circuit, q, u, eaten_by_y.get(y, ()))
 
 
 def _tail(node: _Node, order: tuple[int, ...], targets: dict[int, int]) -> _Node:

@@ -58,7 +58,16 @@ from oneway.rewrite import (
     _blocker,
     _commutes,
     _correction_czs,
+    _direct_candidates,
     _eliminate_corrections,
+    _fire_candidates,
+    _fits,
+    _helper_indices,
+    _hop_candidates,
+    _middles,
+    _mint_candidates,
+    _next_conflict,
+    _shift_candidates,
     follow_jgates,
 )
 from oneway.simulate import basis_column_order
@@ -374,7 +383,40 @@ def test_blocker_equals_the_crossed_gate_walk(case):
     assert _blocker(circuit, site) == want
     node = _Node(circuit)
     assert _blocker(node, site) == want
-    assert _blocker(node, site) == want  # the node's stored answer
+
+
+def scanned_next_conflict(circuit: Circuit, p: int, stop: int, skip) -> int:
+    """The first gate after p and before stop, not in ``skip``, that gate p
+    does not commute with, by a scan in program order against the syntactic
+    test, else stop: ``_next_conflict``'s reference."""
+    for q in range(p + 1, stop):
+        if q not in skip and not syntactic_commutes(circuit.gates[p], circuit.gates[q]):
+            return q
+    return stop
+
+
+@st.composite
+def conflict_queries(draw) -> tuple[Circuit, int, int, tuple[int, ...]]:
+    n = draw(st.integers(2, 5))
+    gates = draw(st.lists(gates_on_wires(n), min_size=1, max_size=14))
+    p = draw(st.integers(0, len(gates) - 1))
+    stop = draw(st.integers(0, len(gates)))  # stop <= p is an empty window
+    skip = draw(st.lists(st.integers(0, len(gates) - 1), max_size=4, unique=True))
+    return Circuit(plain_wires(*range(1, n + 1)), tuple(gates)), p, stop, tuple(skip)
+
+
+# an empty window returns stop, before p as at p
+@example((spelled("oo", "CZ 1 2", "J 1", "CX 2 1"), 2, 0, ()))
+@example((spelled("oo", "CZ 1 2", "J 1", "CX 2 1"), 1, 1, ()))
+# the first conflict is skipped, the second one answers
+@example((spelled("oo", "CZ 1 2", "J 1", "CX 2 1"), 0, 3, (1,)))
+@settings(max_examples=300)
+@given(conflict_queries())
+def test_next_conflict_equals_a_program_order_scan(case):
+    circuit, p, stop, skip = case
+    want = scanned_next_conflict(circuit, p, stop, skip)
+    assert _next_conflict(circuit, p, stop, skip) == want
+    assert _next_conflict(_Node(circuit), p, stop, set(skip)) == want
 
 
 def teleport_wires() -> tuple[Wire, ...]:
@@ -963,6 +1005,107 @@ def test_correction_eliminator_steps_replay_and_keep_the_isometry(circuit):
         return circuit_isometry(Circuit(wires, c.gates)).matrix
 
     assert max_deviation(unprojected(circuit), unprojected(end.circuit)) <= 1e-9
+
+
+@st.composite
+def measured_first_inputs(draw) -> Circuit:
+    """Three or four |+> wires, wire 1 measured, opening with a J on wire 1:
+    every later CZ on wire 1 is correction-shaped."""
+    n = draw(st.integers(3, 4))
+    rest = draw(st.lists(st.sampled_from(["measured", "output"]), min_size=n - 1, max_size=n - 1))
+    terminals = ["measured", *rest]
+    wires = tuple(Wire(k + 1, "plus", t) for k, t in enumerate(terminals))
+    gates = draw(st.lists(gates_on_wires(n), min_size=3, max_size=10))
+    return Circuit(wires, (Gate("J", (1,), Angle.exact(1, 4)), *gates))
+
+
+# The plan's candidate generators as written before they were pruned: every
+# site is built and handed to ``_fits``.
+
+
+def unpruned_direct_candidates(circuit, work):
+    for u, i, t in work:
+        for m, m_idx in _middles(circuit, i, t):
+            for h in _helper_indices(circuit, m, t):
+                yield from _fits(apply_cx_commute, circuit, (h, m_idx, u))
+
+
+def unpruned_mint_candidates(circuit, work):
+    for u, i, t in work:
+        for m, _ in _middles(circuit, i, t):
+            if _helper_indices(circuit, m, t):
+                continue
+            t_czs, m_czs = circuit.czs[t], circuit.czs[m]
+            for c in sorted(set(t_czs) & set(m_czs)):
+                for kt in t_czs[c]:
+                    for km in m_czs[c]:
+                        yield from _fits(apply_cz_to_cx, circuit, (kt, km), fresh=t)
+
+
+def unpruned_fire_candidates(circuit):
+    gates = circuit.gates
+    for q, _ in _correction_czs(circuit):
+        for m in sorted(gates[q].wires):
+            (k,) = set(gates[q].wires) - {m}
+            partners = circuit.czs[k]
+            for cx_idx in circuit.cxs[m]:
+                for p in partners.get(gates[cx_idx].target, ()):
+                    yield from _fits(apply_cz_commute, circuit, (p, cx_idx, q))
+
+
+def unpruned_hop_candidates(circuit, work):
+    gates = circuit.gates
+    seen_helpers: set[int] = set()
+    for u, i, t in work:
+        for m, _ in _middles(circuit, i, t):
+            for h in _helper_indices(circuit, m, t):
+                if h in seen_helpers:
+                    continue
+                seen_helpers.add(h)
+                q = _next_conflict(circuit, h, len(gates))
+                if q == len(gates):
+                    continue
+                g = gates[q]
+                if g.kind == "CZ" and t in g.wires and m not in g.wires:
+                    (y,) = set(g.wires) - {t}
+                    for p in circuit.czs[m].get(y, ()):
+                        yield from _fits(apply_cz_commute, circuit, (h, q, p))
+
+
+def unpruned_shift_candidates(circuit, work):
+    gates = circuit.gates
+    for u, i, t in work:
+        eaten_by_y = circuit.czs[i]
+        for q in circuit.gates_on(t):
+            g = gates[q]
+            if g.kind != "CZ" or i in g.wires:
+                continue
+            (y,) = set(g.wires) - {t}
+            for e in eaten_by_y.get(y, ()):
+                yield from _fits(apply_cz_commute, circuit, (q, u, e))
+
+
+# the only gate between the CX and the correction CZ is the partner itself
+@example(spelled("moo", "J 1", "CX 1 2", "CZ 2 3", "CZ 1 3"))
+# the partner comes first, and the CX it does not commute with is a site gate
+@example(spelled("moo", "CZ 2 3", "J 1", "CX 1 2", "CZ 1 3"))
+# a shift that fires: the CZ on the target, the CX, then the partner
+@example(spelled("moo", "CZ 2 3", "CX 1 2", "CZ 1 3"))
+# a CX triangle whose helper is the only gate between its other two CXs
+@example(spelled("ooo", "CX 1 2", "CX 2 3", "CX 1 3"))
+# a mint: wire 2 is fresh up to the CZ 3 4, and its second gate comes after
+@example(spelled("oooo", "CZ 2 4", "CZ 3 4", "CX 1 3", "CX 1 2"))
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(measured_first_inputs(), eliminator_inputs()))
+def test_pruned_generators_yield_what_the_unpruned_ones_yield(circuit):
+    # every CX is unwanted, so the generators that take work see each one
+    work = [(k, g.control, g.target) for k, g in enumerate(circuit.gates) if g.kind == "CX"]
+    node = _Node(circuit)
+    assert list(_direct_candidates(node, work)) == list(unpruned_direct_candidates(node, work))
+    assert list(_mint_candidates(node, work)) == list(unpruned_mint_candidates(node, work))
+    assert list(_fire_candidates(node)) == list(unpruned_fire_candidates(node))
+    assert list(_hop_candidates(node, work)) == list(unpruned_hop_candidates(node, work))
+    assert list(_shift_candidates(node, work)) == list(unpruned_shift_candidates(node, work))
 
 
 @functools.cache

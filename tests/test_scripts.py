@@ -30,3 +30,15 @@ def test_flow_survey_runs(monkeypatch, capsys):
     for row in rows:
         flow, gflow_only, neither, total = map(int, row.split()[1:])
         assert flow + gflow_only + neither == total > 0
+
+
+def test_gflow_only_digest_checks_its_expectation(monkeypatch, capsys):
+    script = load_script("gflow_only_digest")
+    cheap = script.graphsets.gflow_only(range(2, 6))[:5]  # the ones whose plan search is short
+    monkeypatch.setattr(script.graphsets, "gflow_only", lambda sizes: cheap)
+    assert script.main([]) == 0
+    counts, line = capsys.readouterr().out.splitlines()
+    assert sum(int(n) for n in counts.split()[2::3]) == 5
+    assert script.main(["--expect", line.split()[1]]) == 0
+    assert script.main(["--expect", "0" * 64]) == 1
+    assert "expected sha256 " + "0" * 64 in capsys.readouterr().err
