@@ -189,22 +189,28 @@ def _solve_correcting_set(
 
     ``pending`` (including i) plus i's own row form the closed region the odd
     neighborhood must avoid, except that it must contain i itself.
-    """
-    if not candidates:
-        return None
-    rows = sorted(pending)  # constraint per still-unmeasured vertex
-    row_index = {v: k for k, v in enumerate(rows)}
-    ncols = len(candidates)
 
-    # matrix[r] is a bitmask over columns; column c contributes to row r when
-    # candidate c neighbors row vertex r.
-    matrix = [0] * len(rows)
-    for c, cand in enumerate(candidates):
+    Only the non-zero part of that system is built: a column for each
+    candidate with a pending neighbour, ascending, and a row for i and for
+    each pending vertex those candidates touch.  A zero column never becomes
+    a pivot, so its free variable stays 0, and a zero row other than i's is
+    never touched.  The rows come in the order they are met; that does not
+    matter, since the pivot columns are those independent of the columns
+    before them and the solution whose free variables are 0 is unique.  So
+    the solution is the whole system's.
+    """
+    kept = [cand for cand in candidates if not graph.neighbors[cand].isdisjoint(pending)]
+    row_of = {i: 0}
+    matrix = [0]  # matrix[r] is a bitmask over the kept candidates
+    for c, cand in enumerate(kept):
         for n in graph.neighbors[cand]:
-            r = row_index.get(n)
-            if r is not None:
-                matrix[r] |= 1 << c
-    rhs = [1 if v == i else 0 for v in rows]
+            if n in pending:
+                if n not in row_of:
+                    row_of[n] = len(matrix)
+                    matrix.append(0)
+                matrix[row_of[n]] |= 1 << c
+    nrows, ncols = len(matrix), len(kept)
+    rhs = [1] + [0] * (nrows - 1)  # i's row asks for odd parity
 
     # Gaussian elimination, ascending column order so free variables default
     # to zero and solutions stay small.
@@ -212,7 +218,7 @@ def _solve_correcting_set(
     r = 0
     for c in range(ncols):
         sel = None
-        for rr in range(r, len(rows)):
+        for rr in range(r, nrows):
             if matrix[rr] >> c & 1:
                 sel = rr
                 break
@@ -220,22 +226,18 @@ def _solve_correcting_set(
             continue
         matrix[r], matrix[sel] = matrix[sel], matrix[r]
         rhs[r], rhs[sel] = rhs[sel], rhs[r]
-        for rr in range(len(rows)):
+        for rr in range(nrows):
             if rr != r and matrix[rr] >> c & 1:
                 matrix[rr] ^= matrix[r]
                 rhs[rr] ^= rhs[r]
         pivot_row_of_col[c] = r
         r += 1
 
-    for rr in range(len(rows)):
+    for rr in range(nrows):
         if matrix[rr] == 0 and rhs[rr]:
             return None
 
-    solution = 0
-    for c, rr in pivot_row_of_col.items():
-        if rhs[rr]:
-            solution |= 1 << c
-    gset = frozenset(candidates[c] for c in range(ncols) if solution >> c & 1)
+    gset = frozenset(kept[c] for c, rr in pivot_row_of_col.items() if rhs[rr])
     if not gset:
         return None
     assert i in odd_neighborhood(graph, gset)

@@ -44,10 +44,20 @@ engine reproduces ``simplify_flow``'s output byte for byte.
 
 A Circuit never changes: each rule applied to one returns a new Circuit.
 Inside the engine every circuit sits in a ``_Node`` with the step that made
-it and its parent, and a rule applied to a node returns its edit instead.
-The plan search builds a child only when the child's gates are new, the tail
-extends the accepted node one step at a time, and the step checks walk that
-one path back from its end, comparing the circuits already built.
+it and its parent, and a rule applied to a node returns its edit and its
+step's fields instead.  The plan search builds a child, and its step, only
+when the child's gates are new, the tail extends the accepted node one step
+at a time, and the step checks walk that one path back from its end,
+comparing the circuits already built.
+
+Each node does only the work its result depends on.  Its tables come from
+one pass over its gates.  A pair of fixed site gates that no partner can
+complete is screened out before any site is built; every other site goes to
+its rule, whose gather check is the only one the site gets.  A rule's shape
+match depends only on the site's gates in site order, so one
+``simplify_gflow`` call matches each such gate sequence once per rule: its
+root node holds the memo, and every node below shares it.  The rules are
+still called by their module names, ``apply_*``, looked up at call time.
 """
 
 from __future__ import annotations
@@ -135,67 +145,11 @@ def trace_text(trace: SimplificationTrace) -> str:
     return "".join(step.text() + "\n" for step in trace.steps)
 
 
-def _role(g: Gate, w: int) -> str:
-    """How gate g acts on its wire w: "Z" when diagonal there (a CZ, or a CX
-    on its control), "X" for a CX on its target, and "J" for a J."""
-    if g.kind == "J":
-        return "J"
-    return "X" if g.kind == "CX" and g.wires[1] == w else "Z"
-
-
-def _commutes(a: Gate, b: Gate) -> bool:
-    """Two gates commute when they act in the same role, "Z" or "X", on every
-    wire they share.  The test is sound; False only means "do not reorder"."""
-    return all(_role(a, w) == _role(b, w) != "J" for w in a.wires if w in b.wires)
-
-
-def _check_site(circuit: Circuit, site: tuple[int, ...]) -> None:
-    if list(site) != sorted(set(site)):
-        raise RewriteError(f"site indices must be strictly ascending, got {site}")
-    if site and not (0 <= site[0] and site[-1] < len(circuit.gates)):
-        raise RewriteError(f"site {site} out of range")
-
-
-def _wire_tables(circuit: Circuit) -> tuple[dict[int, dict[int, list[int]]], dict[int, list[int]]]:
-    """Per wire, its CZs keyed by their other wire, and the CXs it controls,
-    each list in program order."""
-    czs: dict[int, dict[int, list[int]]] = {w.id: {} for w in circuit.wires}
-    cxs: dict[int, list[int]] = {w.id: [] for w in circuit.wires}
-    for k, g in enumerate(circuit.gates):
-        if g.kind == "CZ":
-            a, b = g.wires
-            czs[a].setdefault(b, []).append(k)
-            czs[b].setdefault(a, []).append(k)
-        elif g.kind == "CX":
-            cxs[g.wires[0]].append(k)
-    return czs, cxs
-
-
-def _conflict_index(circuit: Circuit) -> list[int]:
-    """Per gate, the bitmask (bit k for position k) of the gates it does not
-    commute with: the OR, over its wires, of the wire's mask for its role,
-    which holds every gate there but those in the same role, Z or X."""
-    gates, out = circuit.gates, [0] * len(circuit.gates)
-    for w in circuit.wires:
-        on = circuit.gates_on(w.id)
-        every = z = x = 0
-        for k in on:  # _role, inline: it runs once per gate and wire on every node
-            g = gates[k]
-            every |= 1 << k
-            if g.kind == "CX" and g.wires[1] == w.id:
-                x |= 1 << k
-            elif g.kind != "J":
-                z |= 1 << k
-        for k in on:
-            out[k] |= every if gates[k].kind == "J" else every ^ (x if x >> k & 1 else z)
-    return out
-
-
 def _conflicts(circuit: Circuit, p: int, stop: int) -> int:
     """The gates after p and before stop that gate p does not commute with,
     as a bitmask; empty when stop <= p."""
-    index = circuit.conflicts if type(circuit) is _Node else _conflict_index(circuit)
-    return index[p] & ((1 << stop) - 1) >> (p + 1) << (p + 1)
+    node = circuit if type(circuit) is _Node else _Node(circuit.wires, circuit.gates)
+    return node.conflicts[p] & ((1 << stop) - 1) >> (p + 1) << (p + 1)
 
 
 def _next_conflict(circuit: Circuit, p: int, stop: int, skip=()) -> int:
@@ -252,24 +206,68 @@ def _spliced(gates: tuple[Gate, ...], edit: _Edit) -> tuple[Gate, ...]:
     return tuple(out)
 
 
-def _splice(circuit: Circuit | _Node, edit: _Edit) -> Circuit | _Edit:
-    """The circuit after ``edit``; an engine node gets the edit back."""
+def _splice(circuit: Circuit | _Node, edit: _Edit, *step):
+    """The circuit after ``edit`` and the step made of the fields ``step``.
+    An engine node gets the edit and the fields back: the search builds a
+    step only for a child that is new."""
     if type(circuit) is _Node:
-        return edit
+        return edit, step
     wires = circuit.wires if edit.moved is None else _moved_wires(circuit.wires, *edit.moved)
-    return Circuit(wires, _spliced(circuit.gates, edit))
+    return Circuit(wires, _spliced(circuit.gates, edit)), RewriteStep(*step)
 
 
 def _gathered(circuit: Circuit, rule: str, site: tuple[int, ...], produced: tuple[Gate, ...]):
     """Gather ``site`` at its last gate and put ``produced`` there: the
-    circuit after (a node's edit) and the step.  Each site gate must commute
-    past the non-site gates it crosses."""
+    circuit after and the step, as ``_splice`` returns them.  Each site gate
+    must commute past the non-site gates it crosses."""
     blocked = _blocker(circuit, site)
     if blocked is not None:
         (p, q), gates = blocked, circuit.gates
         raise RewriteError(f"gate {gates[q].text()} at {q} blocks gathering {gates[p].text()} from {p}")
-    edit = _Edit(site, site[-1] - (len(site) - 1), produced)
-    return _splice(circuit, edit), RewriteStep(rule, site, produced)
+    return _splice(circuit, _Edit(site, site[-1] - (len(site) - 1), produced), rule, site, produced)
+
+
+def _matched(circuit: Circuit, site: tuple[int, ...], shape, *args):
+    """``shape(gates, *args)`` on the site's gates in site order, once the
+    site's positions ascend within the circuit: the gates the rule
+    produces, else RewriteError.  The answer depends on those gates alone,
+    so an engine node keeps it in the memo its search shares, and a repeat
+    returns the same gates or raises the same text."""
+    if list(site) != sorted(set(site)):
+        raise RewriteError(f"site indices must be strictly ascending, got {site}")
+    if site and not (0 <= site[0] and site[-1] < len(circuit.gates)):
+        raise RewriteError(f"site {site} out of range")
+    memo = circuit.matches if type(circuit) is _Node else {}
+    key = (shape, tuple(map(circuit.gates.__getitem__, site)), *args)
+    hit = memo.get(key)
+    if hit is None:
+        try:
+            hit = shape(*key[1:])
+        except RewriteError as exc:
+            hit = str(exc)
+        memo[key] = hit
+    if type(hit) is str:
+        raise RewriteError(hit)
+    return hit
+
+
+def _cz_commute_shape(gates):
+    if len(gates) != 3:
+        raise RewriteError("site must have three gates")
+    cxs = [g for g in gates if g.kind == "CX"]
+    czs = [g for g in gates if g.kind == "CZ"]
+    if len(cxs) != 1 or len(czs) != 2:
+        raise RewriteError("need one CX and two CZ gates")
+    cx = cxs[0]
+    i, j = cx.wires
+    partner = [g for g in czs if j in g.wires and i not in g.wires]
+    eaten = [g for g in czs if i in g.wires and j not in g.wires]
+    if len(partner) != 1 or len(eaten) != 1:
+        raise RewriteError("CZ pair does not fit the commutation pattern")
+    (k,) = set(partner[0].wires) - {j}
+    if set(eaten[0].wires) != {i, k}:
+        raise RewriteError("CZ pair does not share the third wire")
+    return (partner[0], cx) if gates.index(cx) < gates.index(partner[0]) else (cx, partner[0])
 
 
 def apply_cz_commute(circuit: Circuit, site: tuple[int, ...]) -> tuple[Circuit, RewriteStep]:
@@ -277,28 +275,10 @@ def apply_cz_commute(circuit: Circuit, site: tuple[int, ...]) -> tuple[Circuit, 
 
     The CZ sharing the control wire is consumed, the other two swap order.
     """
-    _check_site(circuit, site)
-    gates = [circuit.gates[k] for k in site]
-    cxs = [g for g in gates if g.kind == "CX"]
-    czs = [g for g in gates if g.kind == "CZ"]
-    if len(site) == 3:
-        if len(cxs) != 1 or len(czs) != 2:
-            raise RewriteError("need one CX and two CZ gates")
-        cx = cxs[0]
-        i, j = cx.control, cx.target
-        partner = [g for g in czs if j in g.wires and i not in g.wires]
-        eaten = [g for g in czs if i in g.wires and j not in g.wires]
-        if len(partner) != 1 or len(eaten) != 1:
-            raise RewriteError("CZ pair does not fit the commutation pattern")
-        (k,) = set(partner[0].wires) - {j}
-        if set(eaten[0].wires) != {i, k}:
-            raise RewriteError("CZ pair does not share the third wire")
-        produced = (partner[0], cx) if gates.index(cx) < gates.index(partner[0]) else (cx, partner[0])
-        return _gathered(circuit, "cz-commute", site, produced)
-    raise RewriteError("site must have three gates")
+    return _gathered(circuit, "cz-commute", site, _matched(circuit, site, _cz_commute_shape))
 
 
-def _require_fresh(circuit: Circuit, wire: int, before: int, site: set[int]) -> None:
+def _require_fresh(circuit: Circuit, wire: int, before: int, site: tuple[int, ...]) -> None:
     w = circuit.wire(wire)
     if w.init != "plus":
         raise RewriteError(f"wire {wire} is not |+>-initialized")
@@ -309,6 +289,23 @@ def _require_fresh(circuit: Circuit, wire: int, before: int, site: set[int]) -> 
             )
 
 
+def _cz_to_cx_shape(gates, fresh):
+    if len(gates) != 2:
+        raise RewriteError("site must have two gates")
+    g0, g1 = gates
+    if g0.kind != "CZ" or g1.kind != "CZ":
+        raise RewriteError("site must be a CZ pair")
+    shared = set(g0.wires) & set(g1.wires)
+    if len(shared) != 1:
+        raise RewriteError("CZ pair must share exactly one wire")
+    (k,) = shared
+    others = (set(g0.wires) | set(g1.wires)) - {k}
+    if fresh not in others:
+        raise RewriteError(f"wire {fresh} is not part of the site")
+    (i,) = others - {fresh}
+    return Gate("CZ", (fresh, k)), Gate("CX", (i, fresh))
+
+
 def apply_cz_to_cx(
     circuit: Circuit, site: tuple[int, ...], fresh: int
 ) -> tuple[Circuit, RewriteStep]:
@@ -316,24 +313,9 @@ def apply_cz_to_cx(
 
     [CZ jk; CZ ik] with j = ``fresh`` becomes [CZ jk; CX ij].
     """
-    _check_site(circuit, site)
-    if len(site) != 2:
-        raise RewriteError("site must have two gates")
-    g0, g1 = (circuit.gates[k] for k in site)
-
-    if g0.kind == "CZ" and g1.kind == "CZ":
-        shared = set(g0.wires) & set(g1.wires)
-        if len(shared) != 1:
-            raise RewriteError("CZ pair must share exactly one wire")
-        (k,) = shared
-        others = (set(g0.wires) | set(g1.wires)) - {k}
-        if fresh not in others:
-            raise RewriteError(f"wire {fresh} is not part of the site")
-        (i,) = others - {fresh}
-        _require_fresh(circuit, fresh, site[-1], set(site))
-        return _gathered(circuit, "cz-to-cx", site, (Gate("CZ", (fresh, k)), Gate("CX", (i, fresh))))
-
-    raise RewriteError("site must be a CZ pair")
+    produced = _matched(circuit, site, _cz_to_cx_shape, fresh)
+    _require_fresh(circuit, fresh, site[-1], site)
+    return _gathered(circuit, "cz-to-cx", site, produced)
 
 
 def _cx_word(gate_list: list[Gate], wires: list[int]) -> tuple[int, ...]:
@@ -347,18 +329,9 @@ def _cx_word(gate_list: list[Gate], wires: list[int]) -> tuple[int, ...]:
     return tuple(state)
 
 
-def apply_cx_commute(circuit: Circuit, site: tuple[int, ...]) -> tuple[Circuit, RewriteStep]:
-    """Cancel the redundant CX in a triangle of CX gates.
-
-    The site must be three CX gates on wires i, j, k shaped (i->j), (j->k),
-    (i->k); the (i->k) gate is consumed and the other two are reordered so
-    the overall linear action is unchanged (checked over GF(2), which is
-    exact for CX-only circuits).
-    """
-    _check_site(circuit, site)
-    if len(site) != 3:
+def _cx_commute_shape(gates):
+    if len(gates) != 3:
         raise RewriteError("site must have three gates")
-    gates = [circuit.gates[k] for k in site]
     if any(g.kind != "CX" for g in gates):
         raise RewriteError("all site gates must be CX")
     wires = sorted({w for g in gates for w in g.wires})
@@ -367,25 +340,38 @@ def apply_cx_commute(circuit: Circuit, site: tuple[int, ...]) -> tuple[Circuit, 
 
     want = _cx_word(gates, wires)
     for drop in range(3):
-        rest = [g for k, g in enumerate(gates) if k != drop]
-        a, b = rest
+        a, b = gates[:drop] + gates[drop + 1:]
         if not (a.target == b.control or b.target == a.control):
             continue
         for candidate in ((a, b), (b, a)):
             if _cx_word(list(candidate), wires) == want:
-                return _gathered(circuit, "cx-commute", site, candidate)
+                return candidate
     raise RewriteError("CX triple does not reduce to a two-gate word")
+
+
+def apply_cx_commute(circuit: Circuit, site: tuple[int, ...]) -> tuple[Circuit, RewriteStep]:
+    """Cancel the redundant CX in a triangle of CX gates.
+
+    The site must be three CX gates on wires i, j, k shaped (i->j), (j->k),
+    (i->k); the (i->k) gate is consumed and the other two are reordered so
+    the overall linear action is unchanged (checked over GF(2), which is
+    exact for CX-only circuits).
+    """
+    return _gathered(circuit, "cx-commute", site, _matched(circuit, site, _cx_commute_shape))
+
+
+def _peephole_shape(gates):
+    if len(gates) != 2:
+        raise RewriteError("site must have two gates")
+    g0, g1 = gates
+    if g0 != g1 or g0.kind == "J":
+        raise RewriteError("site gates must be an equal CZ or CX pair")
+    return ()
 
 
 def apply_peephole(circuit: Circuit, site: tuple[int, ...]) -> tuple[Circuit, RewriteStep]:
     """Cancel an equal CZ or CX pair separated only by commuting gates."""
-    _check_site(circuit, site)
-    if len(site) != 2:
-        raise RewriteError("site must have two gates")
-    g0, g1 = (circuit.gates[k] for k in site)
-    if g0 != g1 or g0.kind == "J":
-        raise RewriteError("site gates must be an equal CZ or CX pair")
-    return _gathered(circuit, "peephole-cancel", site, ())
+    return _gathered(circuit, "peephole-cancel", site, _matched(circuit, site, _peephole_shape))
 
 
 def apply_jgate(circuit: Circuit, i: int, j: int) -> tuple[Circuit, RewriteStep]:
@@ -426,13 +412,14 @@ def apply_jgate(circuit: Circuit, i: int, j: int) -> tuple[Circuit, RewriteStep]
         raise RewriteError(f"no CZ {min(i, j)} {max(i, j)} precedes the J on wire {i}")
     cz_pos = cz_candidates[-1]
 
+    crossed = _conflicts(circuit, cz_pos, jg_pos)  # what cannot slide before the CZ
     for k in on_i:
         if k in (cz_pos, jg_pos, cx_pos):
             continue
         g = gates[k]
         if j in g.wires:
             raise RewriteError(f"gate {g.text()} touches both {i} and {j}; cannot relabel")
-        if cz_pos < k < jg_pos and not _commutes(g, gates[cz_pos]):
+        if crossed >> k & 1:
             raise RewriteError(f"gate {g.text()} at {k} cannot slide before the CZ {i} {j}")
 
     site = {cz_pos, jg_pos, cx_pos}
@@ -463,8 +450,7 @@ def apply_jgate(circuit: Circuit, i: int, j: int) -> tuple[Circuit, RewriteStep]
         (produced,) + tuple(gates[q] for q in sorted(sliders)),
         (i, j),
     )
-    step = RewriteStep("jgate", (cz_pos, jg_pos, cx_pos), (produced,), wire_removed=i)
-    return _splice(circuit, edit), step
+    return _splice(circuit, edit, "jgate", (cz_pos, jg_pos, cx_pos), (produced,), i)
 
 
 def replay(circuit: Circuit, steps: tuple[RewriteStep, ...] | list[RewriteStep]) -> Circuit:
@@ -652,29 +638,75 @@ def simplify_flow(circuit: Circuit, view: TimeSlicedView) -> tuple[Circuit, Simp
 class _Node:
     """A circuit inside the engine, the step that made it and its parent.
 
-    The rules read a node as they read a Circuit, but ``gates_on`` returns
-    the circuit's own lists, uncopied, the conflict index and the per-wire
-    CZ and CX tables are built with the node, and a rule returns its edit,
-    which ``then`` turns into the child.
-    Nothing on a node changes once it is built; callers only read.
+    The rules read a node as they read a Circuit.  One pass over the gates,
+    when the node is built, makes all that the search reads off it: each
+    wire's gate positions (``gates_on`` returns them uncopied), the conflict
+    index (one mask per wire and role, ORed per gate), the per-wire CZ
+    table, each wire's CXs with their targets, and the correction-shaped
+    CZs.  Its Circuit is made only when something asks for it.  A rule
+    applied to a node returns its edit and the fields of its step, which
+    ``then`` turns into the child.  The root holds the memo of shape matches
+    that every node below it shares.  Nothing on a node changes once it is
+    built; callers only read.
     """
 
-    __slots__ = ("circuit", "wires", "gates", "_on", "conflicts", "czs", "cxs", "step", "parent", "depth")
+    __slots__ = ("wires", "gates", "_on", "conflicts", "czs", "cxs", "shaped", "matches", "step", "parent",
+                 "depth", "_circuit")
 
-    def __init__(self, circuit: Circuit, step: RewriteStep | None = None, parent: _Node | None = None):
-        self.circuit, self.step, self.parent = circuit, step, parent
-        self.wires, self.gates, self._on = circuit.wires, circuit.gates, circuit._on
-        self.conflicts = _conflict_index(self)
-        self.czs, self.cxs = _wire_tables(circuit)
-        self.depth = 0 if parent is None else parent.depth + 1
+    def __init__(self, wires: tuple[Wire, ...], gates: tuple[Gate, ...], step=None, parent=None):
+        self.wires, self.gates, self.step, self.parent, self._circuit = wires, gates, step, parent, None
+        self.depth, self.matches = (0, {}) if parent is None else (parent.depth + 1, parent.matches)
+        self._on = on = {w.id: [] for w in wires}
+        self.czs = czs = {w: {} for w in on}
+        self.cxs = cxs = {w: [] for w in on}  # each CX a wire controls, with its target
+        self.shaped = shaped = []  # each correction-shaped CZ, with the measured wires it rides on
+        z, x, j = (dict.fromkeys(on, 0) for _ in range(3))  # per wire, its gates in each role
+        measured = {w.id for w in wires if w.terminal == "measured"}
+        past_j = set()  # the measured wires whose J has come
+        for k, g in enumerate(gates):
+            bit, a, b = 1 << k, g.wires[0], g.wires[-1]
+            on[a].append(k)
+            if g.kind == "J":
+                j[a] |= bit
+                if a in measured:
+                    past_j.add(a)
+                continue
+            on[b].append(k)
+            z[a] |= bit
+            if g.kind == "CX":
+                x[b] |= bit
+                cxs[a].append((k, b))
+                continue
+            z[b] |= bit
+            czs[a].setdefault(b, []).append(k)
+            czs[b].setdefault(a, []).append(k)
+            if a in past_j or b in past_j:
+                shaped.append((k, [m for m in (a, b) if m in past_j]))
+        # a gate conflicts with every gate on its wires but those in its own
+        # role there, Z or X (not_z or not_x); a J, with every gate on its
+        # wire (not_z | z)
+        not_z = {w: x[w] | j[w] for w in on}
+        not_x = {w: z[w] | j[w] for w in on}
+        self.conflicts = [
+            not_z[g.wires[0]] | (z if g.kind == "J" else not_x if g.kind == "CX" else not_z)[g.wires[-1]]
+            for g in gates
+        ]
 
     wire = Circuit.wire
+
+    @property
+    def circuit(self) -> Circuit:
+        if self._circuit is None:
+            self._circuit = Circuit(self.wires, self.gates)
+        return self._circuit
 
     def gates_on(self, wire_id: int) -> list[int]:
         return self._on.get(wire_id, [])
 
-    def then(self, edit: _Edit, step: RewriteStep) -> _Node:
-        return _Node(_splice(self.circuit, edit), step, self)
+    def then(self, edit: _Edit, step) -> _Node:
+        """The child that ``edit`` makes, with the step of the fields ``step``."""
+        wires = self.wires if edit.moved is None else _moved_wires(self.wires, *edit.moved)
+        return _Node(wires, _spliced(self.gates, edit), RewriteStep(*step), self)
 
     def path(self) -> list[_Node]:
         """The nodes from the engine's input to this one."""
@@ -705,84 +737,72 @@ def _peephole_pass(node: _Node) -> _Node:
             return node
 
 
-def _correction_czs(circuit: Circuit):
-    """Each CZ sitting after the J of a measured wire it touches, with those wires.
-
-    Such a CZ is correction-shaped: it rides on the measured wire past its
-    measurement unitary.  The commutation identity trades it for a forward
-    move of a CZ on the corrector, exactly the slice-migration step.
-    """
-    measured = _measured_ids(circuit)
-    j_at: dict[int, int] = {}  # first J of each wire among the gates before q
-    for q, g in enumerate(circuit.gates):
-        if g.kind == "J":
-            j_at.setdefault(g.wires[0], q)
-        elif g.kind == "CZ":
-            controllers = [m for m in g.wires if m in measured and j_at.get(m, q) < q]
-            if controllers:
-                yield q, controllers
-
-
-def _partner_moves(circuit: Circuit, q: int, movers: list[int]):
+def _partner_moves(node: _Node, q: int, movers):
     """Commutations that carry the CZ at q away through a mover's CX.
 
     The mover CX may be controlled by either wire of the CZ; the measured
     side is the common case, but when the CZ pairs a measured wire with its
     own corrector only the other side has a usable partner.
     """
-    gates = circuit.gates
+    a, b = node.gates[q].wires
     for m in movers:
-        (k,) = set(gates[q].wires) - {m}
-        partners = circuit.czs[k]
-        for cx_idx in circuit.cxs[m]:
-            # the partner CZ pairs k with the CX target (never the CZ at q,
-            # which pairs k with the CX control)
-            at_target = partners.get(gates[cx_idx].target)
-            if at_target:
-                yield from _partner_sites(apply_cz_commute, circuit, cx_idx, q, at_target)
+        partners = node.czs[b if m == a else a]
+        for cx_idx, t in node.cxs[m]:
+            # the partner CZ pairs the CZ's other wire with the CX target
+            # (never the CZ at q, which pairs it with the CX control)
+            yield from _partner_sites(apply_cz_commute, node, cx_idx, q, partners.get(t, ()))
 
 
-def _partner_sites(rule, circuit: Circuit, a: int, b: int, partners):
+def _partner_sites(rule, node, a, b, partners):
     """``rule`` at each site (partner, a, b) that ``_fits``, partners in order.
 
     Let lo and hi be the earlier and the later of a and b.  Gathering a site
     carries lo past every gate before hi but the partner, a partner before
     hi past every gate up to hi but lo, and lo and hi past every gate up to
-    a partner after hi.  The partners are all one gate, so two bounds leave
-    only the unblocked sites, and no other is built: a partner before hi
-    must follow the last conflict of its kind there, and one after hi must
-    come no later than the first conflict of lo or hi past hi."""
-    lo, hi = sorted((a, b))
-    between = _conflicts(circuit, lo, hi)
+    a partner after hi.  So a pair with no partners, or whose lo conflicts
+    before hi with two gates or with one that is no partner, is screened
+    out before any generator is made.  Otherwise the partners are all one
+    gate, so two bounds leave only the unblocked sites, and no other is
+    built: a partner before hi must follow the last conflict of its kind
+    there, and one after hi must come no later than the first conflict of
+    lo or hi past hi."""
+    if not partners:
+        return ()
+    lo, hi = (a, b) if a < b else (b, a)
+    between = _conflicts(node, lo, hi)
+    if between & (between - 1) or between and between.bit_length() - 1 not in partners:
+        return ()
+    return _unblocked_sites(rule, node, a, b, partners, lo, hi, between)
+
+
+def _unblocked_sites(rule, node, a, b, partners, lo, hi, between):
+    """The sites of a pair that ``_partner_sites`` did not screen out."""
     last = first = None  # each bound is found when a partner first needs it
     for p in partners:
         if between & ~(1 << p):
             continue
         if p < hi:
             if last is None:
-                last = (_conflicts(circuit, partners[0], hi) & ~(1 << lo)).bit_length() - 1
+                last = (_conflicts(node, partners[0], hi) & ~(1 << lo)).bit_length() - 1
             if p < last:
                 continue
         else:
             if first is None:
-                end = len(circuit.gates)
-                first = min(_next_conflict(circuit, lo, end, (hi,)), _next_conflict(circuit, hi, end))
+                end = len(node.gates)
+                first = min(_next_conflict(node, lo, end, (hi,)), _next_conflict(node, hi, end))
             if p > first:
                 break
-        yield from _fits(rule, circuit, (p, a, b))
+        yield from _fits(rule, node, (p, a, b))
 
 
 def _fits(rule, node: _Node, gates: tuple[int, ...], **kw):
-    """Yield ``rule`` at the site of ``gates`` if it matches.  A blocked site
-    is skipped before the rule sees it; the rule then runs its own gather
-    check, a few integer operations on the node's conflict index."""
-    site = tuple(sorted(gates))
-    if _blocker(node, site) is not None:
-        return
+    """``rule`` at the site of ``gates`` as a one-item tuple, or () if the
+    rule refuses it.  The rule's own gather check, a few integer operations
+    on the node's conflict index, is the only one a site gets."""
     try:
-        yield rule(node, site, **kw)
+        return (rule(node, tuple(sorted(gates)), **kw),)
     except RewriteError:
-        pass
+        return ()
 
 
 def _eliminate_corrections(node: _Node) -> _Node:
@@ -799,8 +819,8 @@ def _eliminate_corrections(node: _Node) -> _Node:
     others have moved.  Returns the node with no shaped CZ left.
     """
     while True:
-        first_cx = {m: cxs[0] if cxs else len(node.gates) for m, cxs in node.cxs.items()}
-        shaped = sorted(_correction_czs(node), key=lambda e: (min(first_cx[m] for m in e[1]), -e[0]))
+        first_cx = {m: cxs[0][0] if cxs else len(node.gates) for m, cxs in node.cxs.items()}
+        shaped = sorted(node.shaped, key=lambda e: (min(first_cx[m] for m in e[1]), -e[0]))
         if not shaped:
             return node
         for q, controllers in shaped:
@@ -814,86 +834,85 @@ def _eliminate_corrections(node: _Node) -> _Node:
         node = node.then(*result)
 
 
-def _measured_ids(circuit: Circuit) -> set[int]:
-    return {w.id for w in circuit.wires if w.terminal == "measured"}
+def _unwanted_cxs(node: _Node, order: tuple[int, ...], targets: dict[int, int]) -> list[tuple[int, int, int]]:
+    return sorted((k, i, t) for i in order for k, t in node.cxs[i] if t != targets[i])
 
 
-def _unwanted_cxs(circuit: Circuit, order: tuple[int, ...], targets: dict[int, int]) -> list[tuple[int, int, int]]:
-    gates = circuit.gates
-    unwanted = (k for i in order for k in circuit.cxs[i] if gates[k].target != targets[i])
-    return sorted((k, gates[k].control, gates[k].target) for k in unwanted)
+def _middles(node: _Node, i: int, t: int) -> list[tuple[int, int]]:
+    return sorted((target, k) for k, target in node.cxs[i] if target != t)
 
 
-def _middles(circuit: Circuit, i: int, t: int) -> list[tuple[int, int]]:
-    gates = circuit.gates
-    return sorted((gates[k].target, k) for k in circuit.cxs[i] if gates[k].target != t)
+def _helper_indices(node: _Node, m: int, t: int) -> list[int]:
+    return [k for k, target in node.cxs[m] if target == t]
 
 
-def _helper_indices(circuit: Circuit, m: int, t: int) -> list[int]:
-    return [k for k in circuit.cxs[m] if circuit.gates[k].target == t]
-
-
-def _direct_candidates(circuit: Circuit, work: list[tuple[int, int, int]]):
+def _direct_candidates(node: _Node, work: list[tuple[int, int, int]]):
     """CX triangles that erase an unwanted CX outright."""
     for u, i, t in work:
-        for m, m_idx in _middles(circuit, i, t):
-            yield from _partner_sites(apply_cx_commute, circuit, m_idx, u, _helper_indices(circuit, m, t))
+        for m, m_idx in _middles(node, i, t):
+            yield from _partner_sites(apply_cx_commute, node, m_idx, u, _helper_indices(node, m, t))
 
 
-def _mint_candidates(circuit: Circuit, work: list[tuple[int, int, int]]):
+def _mint_candidates(node: _Node, work: list[tuple[int, int, int]]):
     """CZ pairs that mint a missing helper CX onto a still-fresh wire.  Wire
     t is fresh to the site's end only if the site's CZ on t is its first
     gate and the CZ on m comes before its second: no other site is built."""
-    gates = circuit.gates
+    gates = node.gates
     for u, i, t in work:
-        kt, second, *_ = circuit.gates_on(t) + [len(gates)] * 2
+        kt, second, *_ = node.gates_on(t) + [len(gates)] * 2
         if kt == len(gates) or gates[kt].kind != "CZ":
             continue
         (c,) = set(gates[kt].wires) - {t}
-        for m, _ in _middles(circuit, i, t):
-            if _helper_indices(circuit, m, t):
+        for m, _ in _middles(node, i, t):
+            if _helper_indices(node, m, t):
                 continue
-            for km in circuit.czs[m].get(c, ()):
+            for km in node.czs[m].get(c, ()):
                 if km < second:
-                    yield from _fits(apply_cz_to_cx, circuit, (kt, km), fresh=t)
+                    yield from _fits(apply_cz_to_cx, node, (kt, km), fresh=t)
 
 
-def _fire_candidates(circuit: Circuit):
-    """Commutations that carry a correction-shaped CZ off a measured wire."""
-    for q, _ in _correction_czs(circuit):
-        yield from _partner_moves(circuit, q, sorted(circuit.gates[q].wires))
+def _fire_candidates(node: _Node):
+    """Commutations that carry a correction-shaped CZ off a measured wire.
+
+    Such a CZ sits after the J of a measured wire it touches: it rides on
+    that wire past its measurement unitary.  The commutation identity trades
+    it for a forward move of a CZ on the corrector, exactly the
+    slice-migration step.
+    """
+    for q, _ in node.shaped:
+        yield from _partner_moves(node, q, node.gates[q].wires)  # a CZ's wires ascend
 
 
-def _hop_candidates(circuit: Circuit, work: list[tuple[int, int, int]]):
+def _hop_candidates(node: _Node, work: list[tuple[int, int, int]]):
     """Commutations that walk a helper CX right past the CZ blocking it."""
-    gates = circuit.gates
+    gates = node.gates
     seen_helpers: set[int] = set()
     for u, i, t in work:
-        for m, _ in _middles(circuit, i, t):
-            for h in _helper_indices(circuit, m, t):
+        for m, _ in _middles(node, i, t):
+            for h in _helper_indices(node, m, t):
                 if h in seen_helpers:
                     continue
                 seen_helpers.add(h)
-                q = _next_conflict(circuit, h, len(gates))  # only the first blocker can move this helper
+                q = _next_conflict(node, h, len(gates))  # only the first blocker can move this helper
                 if q == len(gates):
                     continue
                 g = gates[q]
                 if g.kind == "CZ" and t in g.wires and m not in g.wires:
-                    (y,) = set(g.wires) - {t}
-                    yield from _partner_sites(apply_cz_commute, circuit, h, q, circuit.czs[m].get(y, ()))
+                    y = g.wires[g.wires[0] == t]
+                    yield from _partner_sites(apply_cz_commute, node, h, q, node.czs[m].get(y, ()))
 
 
-def _shift_candidates(circuit: Circuit, work: list[tuple[int, int, int]]):
+def _shift_candidates(node: _Node, work: list[tuple[int, int, int]]):
     """Commutations that swap a CZ on the target past the unwanted CX itself."""
-    gates = circuit.gates
+    gates = node.gates
     for u, i, t in work:
-        eaten_by_y = circuit.czs[i]
-        for q in circuit.gates_on(t):
+        eaten_by_y = node.czs[i]
+        for q in node.gates_on(t):
             g = gates[q]
             if g.kind != "CZ" or i in g.wires:
                 continue
-            (y,) = set(g.wires) - {t}
-            yield from _partner_sites(apply_cz_commute, circuit, q, u, eaten_by_y.get(y, ()))
+            y = g.wires[g.wires[0] == t]
+            yield from _partner_sites(apply_cz_commute, node, q, u, eaten_by_y.get(y, ()))
 
 
 def _tail(node: _Node, order: tuple[int, ...], targets: dict[int, int]) -> _Node:
@@ -905,9 +924,9 @@ def _tail(node: _Node, order: tuple[int, ...], targets: dict[int, int]) -> _Node
     node = _peephole_pass(node)
     for i in order:
         node = node.then(*apply_jgate(node, i, targets[i]))
-    left = _measured_ids(node)
+    left = [w.id for w in node.wires if w.terminal == "measured"]  # the wires ascend
     if left:
-        raise RewriteError(f"wires {sorted(left)} were not removed")
+        raise RewriteError(f"wires {left} were not removed")
     return node
 
 
@@ -916,21 +935,23 @@ class _PlanBudgetExceeded(Exception):
 
 
 def _plan(
-    circuit: Circuit, order: tuple[int, ...], targets: dict[int, int]
+    root: _Node, order: tuple[int, ...], targets: dict[int, int]
 ) -> tuple[_Node, str | None, int]:
-    """Depth-first search for a step sequence that strips every measured wire.
+    """Depth-first search from ``root`` for a step sequence that strips
+    every measured wire.
 
     A CX is unwanted when its target is not its control's designated
     partner.  Moves are tried most-direct-first on each node, where a rule
     returns its edit.  The plan moves no wire (jgate fires only in the
     tail), so a child is keyed on its gate tuple: a seen one is pruned, only
-    a new one becomes a node.  Once no unwanted CX remains, the tail is the
-    goal test.  Returns the end node of the accepted path and None, or the
-    deepest node explored and why the search failed; then the nodes spent.
+    a new one becomes a node, with its step.  Once no unwanted CX remains,
+    the tail is the goal test.  Returns the end node of the accepted path
+    and None, or the deepest node explored and why the search failed; then
+    the nodes spent.
     """
     nodes = 0
-    best = root = _Node(circuit)
-    seen = {circuit.gates}
+    best = root
+    seen = {root.gates}
     why = "no sequence of moves cancels every unwanted CX"
 
     def rec(c: _Node) -> _Node | None:
@@ -953,13 +974,14 @@ def _plan(
         )
         for edit, step in candidates:
             gates = _spliced(c.gates, edit)
-            if gates in seen:
+            known = len(seen)
+            seen.add(gates)  # the one hash of the child's gate tuple
+            if len(seen) == known:
                 continue
-            seen.add(gates)
             nodes += 1
             if nodes > _PLAN_BUDGET:
                 raise _PlanBudgetExceeded
-            found = rec(_Node(Circuit(c.wires, gates), step, c))
+            found = rec(_Node(c.wires, gates, RewriteStep(*step), c))
             if found is not None:
                 return found
         return None
@@ -1034,6 +1056,7 @@ def simplify_gflow(
         candidates.append(cand)
     cap = min(math.prod(map(len, candidates)), 10_000) if budget is None else budget
 
+    root = _Node(circuit.wires, circuit.gates)  # every designation's search starts here
     attempts = nodes = 0
     why: str | None = f"the attempt budget is {cap}"
     for assignment in itertools.product(*candidates):
@@ -1043,7 +1066,7 @@ def simplify_gflow(
             break
         attempts += 1
         targets = dict(zip(order, assignment))
-        end, why, spent = _plan(circuit, order, targets)
+        end, why, spent = _plan(root, order, targets)
         nodes += spent
         if why is None:
             end, why = _check_path(end)

@@ -11,7 +11,7 @@ import itertools
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from oneway import (
@@ -23,6 +23,7 @@ from oneway import (
     odd_neighborhood,
     validate_gflow,
 )
+from oneway.determinism import _structure
 from conftest import load_fixture
 
 
@@ -214,3 +215,78 @@ def test_found_gflow_always_validates(data):
     checked = validate_gflow(graph, structure.correcting_sets)
     assert not isinstance(checked, list), checked
     assert checked.layers == structure.layers
+
+
+# The correcting-set solver as it was before each solve was cut down to its
+# non-zero part: every candidate is a column and every pending vertex a row.
+def full_system_correcting_set(graph, i, candidates, pending):
+    if not candidates:
+        return None
+    rows = sorted(pending)
+    row_index = {v: k for k, v in enumerate(rows)}
+    matrix = [0] * len(rows)
+    for c, cand in enumerate(candidates):
+        for n in graph.neighbors[cand]:
+            r = row_index.get(n)
+            if r is not None:
+                matrix[r] |= 1 << c
+    rhs = [1 if v == i else 0 for v in rows]
+    pivot_row_of_col = {}
+    r = 0
+    for c in range(len(candidates)):
+        sel = next((rr for rr in range(r, len(rows)) if matrix[rr] >> c & 1), None)
+        if sel is None:
+            continue
+        matrix[r], matrix[sel] = matrix[sel], matrix[r]
+        rhs[r], rhs[sel] = rhs[sel], rhs[r]
+        for rr in range(len(rows)):
+            if rr != r and matrix[rr] >> c & 1:
+                matrix[rr] ^= matrix[r]
+                rhs[rr] ^= rhs[r]
+        pivot_row_of_col[c] = r
+        r += 1
+    if any(matrix[rr] == 0 and rhs[rr] for rr in range(len(rows))):
+        return None
+    gset = frozenset(candidates[c] for c, rr in pivot_row_of_col.items() if rhs[rr])
+    return gset or None
+
+
+def full_system_gflow(graph):
+    """``find_gflow``'s sweeps over ``full_system_correcting_set``."""
+    done, pending, sets = set(graph.outputs), set(graph.measured), {}
+    while pending:
+        candidates = sorted(done - graph.inputs)
+        solved = {}
+        for i in sorted(pending):
+            gset = full_system_correcting_set(graph, i, candidates, pending)
+            if gset is not None:
+                solved[i] = gset
+        if not solved:
+            return None
+        sets.update(solved)
+        pending -= set(solved)
+        done |= set(solved)
+    return _structure(graph, sets)
+
+
+def test_find_gflow_equals_the_full_system_solver_on_the_atlas():
+    checked = found = 0
+    for graph in all_small_open_graphs(max_vertices=6):
+        structure = find_gflow(graph)
+        assert structure == full_system_gflow(graph), (sorted(graph.edges), sorted(graph.outputs))
+        checked += 1
+        found += structure is not None
+    assert checked > 5000 and 0 < found < checked
+
+
+@seed(20_000)
+@settings(deadline=None, max_examples=200)
+@given(st.integers(3, 12), st.floats(0.2, 0.8), st.randoms(use_true_random=False))
+def test_find_gflow_equals_the_full_system_solver_on_random_open_graphs(n, density, rng):
+    vertices = tuple(range(1, n + 1))
+    edges = [pair for pair in itertools.combinations(vertices, 2) if rng.random() < density]
+    outs = rng.sample(vertices, rng.randint(1, n - 1))
+    ins = rng.sample(vertices, rng.randint(0, 2))
+    angles = {v: Angle.exact(1, 4) for v in vertices if v not in outs}
+    graph = OpenGraph(vertices, frozenset(edges), frozenset(ins), frozenset(outs), angles)
+    assert find_gflow(graph) == full_system_gflow(graph)

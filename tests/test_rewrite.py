@@ -56,8 +56,7 @@ from oneway.circuits import TimeSlicedView
 from oneway.rewrite import (
     _Node,
     _blocker,
-    _commutes,
-    _correction_czs,
+    _conflicts,
     _direct_candidates,
     _eliminate_corrections,
     _fire_candidates,
@@ -77,6 +76,16 @@ from test_acceptance import atlas_gflow_only_graphs
 from test_determinism import all_small_open_graphs
 
 TRIPLES = list(itertools.permutations((1, 2, 3)))
+
+
+def role_commutes(a: Gate, b: Gate) -> bool:
+    """Whether the conflict index lets gates a and b pass each other."""
+    return not _conflicts(Circuit(plain_wires(*set(a.wires) | set(b.wires)), (a, b)), 0, 2)
+
+
+def node_of(circuit: Circuit) -> _Node:
+    """The engine's root node for ``circuit``."""
+    return _Node(circuit.wires, circuit.gates)
 
 
 def test_cz_commute_is_a_matrix_identity():
@@ -130,7 +139,7 @@ def test_commutes_is_sound(data):
         return Gate(kind, tuple(pair[:2]))
 
     a, b = gate("a"), gate("b")
-    if _commutes(a, b):
+    if role_commutes(a, b):
         def lift(g: Gate) -> np.ndarray:
             if g.kind == "J":
                 return j_on(np.pi / 4, g.wires[0], order)
@@ -162,7 +171,7 @@ def test_role_rule_equals_the_syntactic_commutation_test():
     gates += [Gate(kind, pair) for kind in ("CZ", "CX") for pair in itertools.permutations(order, 2)]
     pairs = list(itertools.product(gates, repeat=2))
     assert len(pairs) == 225
-    assert [_commutes(a, b) for a, b in pairs] == [syntactic_commutes(a, b) for a, b in pairs]
+    assert [role_commutes(a, b) for a, b in pairs] == [syntactic_commutes(a, b) for a, b in pairs]
 
 
 def spelled(terminals: str, *gates: str) -> Circuit:
@@ -381,7 +390,7 @@ def test_blocker_equals_the_crossed_gate_walk(case):
     circuit, site = case
     want = crossed_walk_blocker(circuit, site)
     assert _blocker(circuit, site) == want
-    node = _Node(circuit)
+    node = node_of(circuit)
     assert _blocker(node, site) == want
 
 
@@ -416,7 +425,55 @@ def test_next_conflict_equals_a_program_order_scan(case):
     circuit, p, stop, skip = case
     want = scanned_next_conflict(circuit, p, stop, skip)
     assert _next_conflict(circuit, p, stop, skip) == want
-    assert _next_conflict(_Node(circuit), p, stop, set(skip)) == want
+    assert _next_conflict(node_of(circuit), p, stop, set(skip)) == want
+
+
+@st.composite
+def matched_sites(draw) -> tuple[Circuit, tuple[int, ...]]:
+    """Three site gates among a few others, on |+> wires: a site for each
+    rule's shape match, freshness and gather checks."""
+    n = draw(st.integers(3, 4))
+    gates = draw(st.lists(gates_on_wires(n), min_size=3, max_size=7))
+    site = draw(st.lists(st.integers(0, len(gates) - 1), min_size=3, max_size=3, unique=True))
+    wires = tuple(Wire(k, "plus", "output") for k in range(1, n + 1))
+    return Circuit(wires, tuple(gates)), tuple(sorted(site))
+
+
+def produced_or_error(rule, circuit, site, **kw):
+    """The gates ``rule`` produces at ``site``, or its RewriteError text."""
+    try:
+        _, step = rule(circuit, site, **kw)
+    except RewriteError as exc:
+        return str(exc)
+    # a rule applied to an engine node returns its edit and its step's fields
+    return step[2] if type(circuit) is _Node else step.produced
+
+
+# a CZ/CX commutation that matches, and one whose CZ pair misses the third wire
+@example((spelled("ooo", "CZ 2 3", "CX 1 2", "CZ 1 3"), (0, 1, 2)))
+@example((spelled("ooo", "CZ 2 3", "CX 1 2", "CZ 1 2"), (0, 1, 2)))
+# a CX triangle that reduces, and a CZ pair on fresh wire 1 that mints a CX
+@example((spelled("ooo", "CX 1 2", "CX 2 3", "CX 1 3"), (0, 1, 2)))
+@example((spelled("ooo", "CZ 1 3", "CZ 2 3", "J 1"), (0, 1, 2)))
+@settings(max_examples=300)
+@given(matched_sites())
+def test_memoised_shape_matches_equal_the_rule_without_the_memo(case):
+    circuit, site = case
+    pair = site[:2]
+    calls = [(apply_cz_commute, site, {}), (apply_cx_commute, site, {}), (apply_peephole, pair, {})]
+    calls += [(apply_cz_to_cx, pair, {"fresh": w.id}) for w in circuit.wires]
+    node = node_of(circuit)
+    # the same gates two positions on, in a node that shares the memo
+    shifted = _Node(circuit.wires, (Gate("CZ", (1, 2)),) * 2 + circuit.gates, None, node)
+    for rule, at, kw in calls:
+        want = produced_or_error(rule, circuit, at, **kw)
+        assert produced_or_error(rule, node, at, **kw) == want  # the memo fills
+        assert produced_or_error(rule, node, at, **kw) == want  # and answers
+        moved = tuple(k + 2 for k in at)
+        assert produced_or_error(rule, shifted, moved, **kw) == produced_or_error(
+            rule, Circuit(circuit.wires, shifted.gates), moved, **kw
+        )
+    assert node.matches is shifted.matches and len(node.matches) == len(calls)
 
 
 def teleport_wires() -> tuple[Wire, ...]:
@@ -808,7 +865,7 @@ def test_eliminator_names_a_correction_cz_it_cannot_move():
         (Wire(1, "input", "measured"), Wire(2, "plus", "output")),
         (Gate("J", (1,), Angle.exact(1, 4)), Gate("CZ", (1, 2)), Gate("CX", (1, 2))),
     )
-    node = _Node(circuit)
+    node = node_of(circuit)
     with pytest.raises(RewriteError, match=r"^no commutation partner eliminates CZ 1 2 at 1$"):
         _eliminate_corrections(node)
     assert node.steps == []
@@ -847,10 +904,11 @@ def test_step_checks_catch_a_drifting_step(monkeypatch):
 
     def bent_jgate(node, i, j):
         # the tail fires jgate on an engine node, which gets the rule's edit
-        edit, step = good_jgate(node, i, j)
+        # and the fields of its step
+        edit, (rule, consumed, _, removed) = good_jgate(node, i, j)
         bent = Gate("J", (j,), Angle.exact(1, 3))
         edit = edit._replace(produced=(bent, *edit.produced[1:]))
-        return edit, RewriteStep(step.rule, step.consumed, (bent,), i)
+        return edit, (rule, consumed, (bent,), removed)
 
     monkeypatch.setattr(oneway.rewrite, "apply_jgate", bent_jgate)
     with pytest.raises(GflowSearchExhausted, match="drifted") as info:
@@ -990,12 +1048,12 @@ def eliminator_inputs(draw) -> Circuit:
 @given(eliminator_inputs())
 def test_correction_eliminator_steps_replay_and_keep_the_isometry(circuit):
     try:
-        end = _eliminate_corrections(_Node(circuit))
+        end = _eliminate_corrections(node_of(circuit))
     except RewriteError as exc:
         # a node never changes, so a failed pass leaves no partial path to check
         assert re.fullmatch(r"no commutation partner eliminates CZ \d+ \d+ at \d+", str(exc))
         return
-    assert not list(_correction_czs(end.circuit))
+    assert not node_of(end.circuit).shaped
     assert all(step.rule == "cz-commute" for step in end.steps)
     assert replay(circuit, end.steps) == end.circuit
 
@@ -1044,11 +1102,11 @@ def unpruned_mint_candidates(circuit, work):
 
 def unpruned_fire_candidates(circuit):
     gates = circuit.gates
-    for q, _ in _correction_czs(circuit):
+    for q, _ in circuit.shaped:
         for m in sorted(gates[q].wires):
             (k,) = set(gates[q].wires) - {m}
             partners = circuit.czs[k]
-            for cx_idx in circuit.cxs[m]:
+            for cx_idx, _ in circuit.cxs[m]:
                 for p in partners.get(gates[cx_idx].target, ()):
                     yield from _fits(apply_cz_commute, circuit, (p, cx_idx, q))
 
@@ -1095,12 +1153,20 @@ def unpruned_shift_candidates(circuit, work):
 @example(spelled("ooo", "CX 1 2", "CX 2 3", "CX 1 3"))
 # a mint: wire 2 is fresh up to the CZ 3 4, and its second gate comes after
 @example(spelled("oooo", "CZ 2 4", "CZ 3 4", "CX 1 3", "CX 1 2"))
+# screened before any site: the one conflict of the CX 1 2 before the
+# correction CZ 1 3 is the CX 3 1, which is no partner
+@example(spelled("moo", "J 1", "CX 1 2", "CX 3 1", "CZ 1 3", "CZ 2 3"))
+# screened: two conflicts, the J 2 and the partner CZ 2 3, lie in that window
+@example(spelled("moo", "J 1", "CX 1 2", "J 2", "CZ 2 3", "CZ 1 3"))
+# screened: the shift of the CZ 2 3 past the CX 1 2 has no CZ 1 3 to eat,
+# and the triangle through the CX 1 3 has no helper CX 3 2
+@example(spelled("ooo", "CZ 2 3", "CX 1 3", "CX 1 2"))
 @settings(deadline=None, max_examples=300)
 @given(st.one_of(measured_first_inputs(), eliminator_inputs()))
 def test_pruned_generators_yield_what_the_unpruned_ones_yield(circuit):
     # every CX is unwanted, so the generators that take work see each one
     work = [(k, g.control, g.target) for k, g in enumerate(circuit.gates) if g.kind == "CX"]
-    node = _Node(circuit)
+    node = node_of(circuit)
     assert list(_direct_candidates(node, work)) == list(unpruned_direct_candidates(node, work))
     assert list(_mint_candidates(node, work)) == list(unpruned_mint_candidates(node, work))
     assert list(_fire_candidates(node)) == list(unpruned_fire_candidates(node))
