@@ -1,16 +1,34 @@
-"""Dense statevector oracle on flat in-place views.
+"""Dense statevector oracle on flat views.
 
-The simulator owns one contiguous state array per run and applies each gate
-as one or two numpy calls on a reshaped view of it.  Wire order is big-endian
-throughout: the first wire in a listing is the most significant bit of the
-state index, so the wire at position ``a`` of ``n`` is the middle axis of
-``psi.reshape(2**a, 2, -1)``.  A J gate is one ``matmul`` on that view, a CZ
-negates the ``(1, 1)`` block of two such axes in place, a CX reverses the
-target half of its control-1 block in place, and projecting or measuring a
-wire contracts the same view with a two-entry bra.  Circuits become explicit
-isometries by evolving all input basis states at once (a trailing batch
-axis); measurement patterns are simulated outcome by outcome with adapted
-angles.
+The simulator owns one contiguous state array per run.  Wire order is
+big-endian throughout: the first wire in a listing is the most significant
+bit of the state index, so the wire at position ``a`` of ``n`` is the middle
+axis of ``psi.reshape(2**a, 2, -1)``.  A J gate is one ``matmul`` on that
+view, and projecting or measuring a wire is one ``matmul`` with a one-row
+bra (or a sum of the two halves for <+|).
+
+CZ and CX take one of two paths, chosen by the size of the state:
+
+- up to ``_TABLE_MAX`` (2**10) amplitudes, one numpy call on a cached,
+  read-only, full-length table: a CZ multiplies by a +-1 sign vector, a CX
+  gathers through a source-index vector.  Both are exact.  Every flow-atlas
+  state is this small, and there a numpy call costs more than its work;
+- above it, the strided kernels: a CZ negates the ``(1, 1)`` block of its
+  two axes in place, a CX reverses the target half of its control-1 block
+  in place.  The tables are built by these same kernels.
+
+Tables cover every (size, position pair) up to the bound, so all of them
+together hold at most 1,212,352 bytes of CZ signs and as many of int64 CX
+sources (``8 * sum(k * (k - 1) * 2**k for k <= 10)`` each).  The bound is
+measured: cycling through every position pair on a 2-core Xeon, a table
+call is 2-4x faster than a strided one up to 2**10, the margin narrows as
+the tables outgrow the L2 cache, the gather loses from 2**14 and the sign
+multiply from 2**15, and each table costs about three strided calls to
+build.
+
+Circuits become explicit isometries by evolving all input basis states at
+once (a trailing batch axis); measurement patterns are simulated outcome by
+outcome with adapted angles.
 """
 
 from __future__ import annotations
@@ -86,13 +104,16 @@ def _start_state(amplitudes: np.ndarray, is_input: list[bool], batch: int) -> np
     return psi.reshape(-1)
 
 
-def _apply_cz(psi: np.ndarray, a: int, b: int) -> None:
+_TABLE_MAX = 1 << 10  # states up to this many amplitudes take the table kernels
+
+
+def _negate_cz_block(psi: np.ndarray, a: int, b: int) -> None:
     """CZ on the wires at positions a < b: negate their (1, 1) block in place."""
     block = psi.reshape(1 << a, 2, 1 << (b - a - 1), 2, -1)[:, 1, :, 1, :]
     np.negative(block, out=block)
 
 
-def _apply_cx(psi: np.ndarray, c: int, t: int) -> None:
+def _reverse_cx_block(psi: np.ndarray, c: int, t: int) -> None:
     """CX, control at position c, target at t: reverse the target axis of the control-1 block."""
     if c < t:
         block = psi.reshape(1 << c, 2, 1 << (t - c - 1), 2, -1)[:, 1]
@@ -100,6 +121,41 @@ def _apply_cx(psi: np.ndarray, c: int, t: int) -> None:
     else:
         block = psi.reshape(1 << t, 2, 1 << (c - t - 1), 2, -1)[:, :, :, 1]
         block[...] = block[:, ::-1]
+
+
+# Unbounded caches over a finite domain: sizes up to _TABLE_MAX and their position pairs.
+@functools.lru_cache(maxsize=None)
+def _cz_signs(size: int, a: int, b: int) -> np.ndarray:
+    """+-1 vector of a CZ at positions a < b on ``size`` amplitudes; shared, so read-only."""
+    signs = np.ones(size, dtype=complex)
+    _negate_cz_block(signs, a, b)
+    signs.flags.writeable = False
+    return signs
+
+
+@functools.lru_cache(maxsize=None)
+def _cx_sources(size: int, c: int, t: int) -> np.ndarray:
+    """Source index of every amplitude after a CX(c -> t); shared, so read-only."""
+    sources = np.arange(size)
+    _reverse_cx_block(sources, c, t)
+    sources.flags.writeable = False
+    return sources
+
+
+def _apply_cz(psi: np.ndarray, a: int, b: int) -> None:
+    """CZ on the wires at positions a < b, in place."""
+    if psi.size <= _TABLE_MAX:
+        psi *= _cz_signs(psi.size, a, b)
+    else:
+        _negate_cz_block(psi, a, b)
+
+
+def _apply_cx(psi: np.ndarray, c: int, t: int) -> np.ndarray:
+    """CX, control at position c, target at t; returns the new state (a gather or ``psi`` itself)."""
+    if psi.size <= _TABLE_MAX:
+        return psi[_cx_sources(psi.size, c, t)]
+    _reverse_cx_block(psi, c, t)
+    return psi
 
 
 def _evolved_tensor(circuit: Circuit, cap: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -120,7 +176,7 @@ def _evolved_tensor(circuit: Circuit, cap: int) -> tuple[np.ndarray, tuple[int, 
         elif gate.kind == "CZ":
             _apply_cz(psi, axis_of[gate.wires[0]], axis_of[gate.wires[1]])
         else:
-            _apply_cx(psi, axis_of[gate.wires[0]], axis_of[gate.wires[1]])
+            psi = _apply_cx(psi, axis_of[gate.wires[0]], axis_of[gate.wires[1]])
     return psi, input_wires
 
 
@@ -142,7 +198,8 @@ def circuit_isometry(circuit: Circuit, cap: int = 14) -> Isometry:
             psi *= _SQRT_HALF
     matrix = psi.reshape(2 ** len(output_wires), 2 ** len(input_wires))
 
-    norms = np.linalg.norm(matrix, axis=0)
+    # np.linalg.norm(matrix, axis=0), computed as it does, without its dispatch
+    norms = np.sqrt(np.add.reduce((matrix.conj() * matrix).real, axis=0))
     if np.any(norms < 1e-9):
         raise ProjectionError(
             f"measured-wire projection collapsed a column (min norm {norms.min():.3g})"
@@ -207,11 +264,13 @@ def max_deviation(
     ma, mb = _as_matrix(a), _as_matrix(b)
     if ma.shape != mb.shape:
         raise ValueError(f"shape mismatch {ma.shape} vs {mb.shape}")
-    idx = np.unravel_index(np.argmax(np.abs(ma)), ma.shape)
-    if abs(mb[idx]) == 0.0:
-        return float(np.max(np.abs(ma)))
-    phase = (ma[idx] / mb[idx]) / abs(ma[idx] / mb[idx])
-    return float(np.max(np.abs(ma - phase * mb)))
+    mags = np.abs(ma)
+    k = mags.argmax()
+    top, other = ma.flat[k], mb.flat[k]
+    if abs(other) == 0.0:
+        return float(mags.flat[k])
+    phase = (top / other) / abs(top / other)
+    return float(np.abs(ma - phase * mb).max())
 
 
 def run_pattern(
@@ -254,10 +313,9 @@ def run_pattern(
             adapted = (-1.0) ** (x_hits[i] % 2) * theta + (z_hits[i] % 2) * math.pi
             # Row r = outcomes[i] of j_matrix(adapted): (<0| + (-1)^r e^{i adapted} <1|) / sqrt 2.
             phase = cmath.exp(1j * adapted) * _SQRT_HALF
+            row = ((_SQRT_HALF, -phase if outcomes[i] else phase),)
             a = bisect_left(present, i)
-            view = psi.reshape(1 << a, 2, -1)
-            psi = view[:, 1] * (-phase if outcomes[i] else phase)
-            psi += view[:, 0] * _SQRT_HALF
+            psi = np.matmul(row, psi.reshape(1 << a, 2, -1))
             present.pop(a)
             norm = math.sqrt(np.vdot(psi, psi).real)
             if norm < 1e-9:
