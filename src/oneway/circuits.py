@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,23 +104,16 @@ class Wire:
 class Circuit:
     wires: tuple[Wire, ...]
     gates: tuple[Gate, ...]
-    # Each wire's gate positions in program order.  A circuit never changes,
-    # so the index is built once, by __post_init__, and never invalidated.
-    _on: dict[int, list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "wires", tuple(sorted(self.wires, key=lambda w: w.id)))
         object.__setattr__(self, "gates", tuple(self.gates))
-        on: dict[int, list[int]] = {w.id: [] for w in self.wires}
-        if len(on) != len(self.wires):
+        ids = {w.id for w in self.wires}
+        if len(ids) != len(self.wires):
             raise ValueError("duplicate wire ids")
-        try:
-            for k, g in enumerate(self.gates):
-                for w in g.wires:
-                    on[w].append(k)
-        except KeyError:
-            raise ValueError(f"gate {g.text()} uses undeclared wire") from None
-        object.__setattr__(self, "_on", on)
+        for g in self.gates:
+            if not ids.issuperset(g.wires):
+                raise ValueError(f"gate {g.text()} uses undeclared wire")
 
     def wire(self, wire_id: int) -> Wire:
         for w in self.wires:
@@ -130,7 +123,7 @@ class Circuit:
 
     def gates_on(self, wire_id: int) -> list[int]:
         """Positions of the gates on a wire, in program order."""
-        return list(self._on.get(wire_id, ()))
+        return [k for k, g in enumerate(self.gates) if wire_id in g.wires]
 
 
 def j_matrix(angle: Angle | float) -> np.ndarray:

@@ -202,7 +202,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_compile.set_defaults(func=cmd_compile)
 
-    p_verify = sub.add_parser("verify", help="compare two circuit files up to global phase")
+    p_verify = sub.add_parser(
+        "verify",
+        help="compare two circuit files up to global phase",
+        description=(
+            "Compare two circuit files up to global phase, lining up input columns by"
+            " ascending input-wire id in each file. compile lines them up through the"
+            " trace's jgate chains instead, so verify fails on a compile's own output"
+            " whenever those chains reorder the inputs."
+        ),
+    )
     p_verify.add_argument("circuit_a")
     p_verify.add_argument("circuit_b")
     p_verify.add_argument("--tol", type=_NON_NEGATIVE, default=1e-9)

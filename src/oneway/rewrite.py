@@ -18,11 +18,11 @@ clears the site's own bits, and the lowest bit left blocks.
 
 Identity catalogue, written in program order (left gate acts first):
 
-  cz-commute   [CZ jk; CX ij; CZ ik] == [CX ij; CZ jk]   (and mirrored
-               arrangements; the CZ touching the control is consumed and the
-               other two swap relative order)
+  commutation  [G jk; CX ij; G ik] == [CX ij; G jk]      (G a CZ: traced as
+               cz-commute; G a CX controlled by j: cx-commute, the CX
+               triangle.  G ik commutes with the other two, so the three
+               come in any order: G ik is consumed, the other two swap)
   cz-to-cx     [CZ jk; CZ ik] == [CZ jk; CX ij]          (wire j fresh |+>)
-  cx-commute   [CX jk; CX ij; CX ik] == [CX ij; CX jk]   (and mirrored)
   jgate        [CZ ij; J(t) i; CX ij] == J(t) on j       (wire j fresh |+>,
                wire i measured and otherwise finished; j inherits i's start)
   peephole     equal CZ or CX pairs cancel
@@ -251,31 +251,28 @@ def _matched(circuit: Circuit, site: tuple[int, ...], shape, *args):
     return hit
 
 
-def _cz_commute_shape(gates):
+def _triangle_shape(gates, kind):
+    """[G jk; CX ij; G ik] == [CX ij; G jk], G of ``kind`` ("CX": controlled
+    by j), on the site's three gates in any order: G ik is consumed, and
+    the other two come out in reversed site order."""
     if len(gates) != 3:
         raise RewriteError("site must have three gates")
-    cxs = [g for g in gates if g.kind == "CX"]
-    czs = [g for g in gates if g.kind == "CZ"]
-    if len(cxs) != 1 or len(czs) != 2:
-        raise RewriteError("need one CX and two CZ gates")
-    cx = cxs[0]
-    i, j = cx.wires
-    partner = [g for g in czs if j in g.wires and i not in g.wires]
-    eaten = [g for g in czs if i in g.wires and j not in g.wires]
-    if len(partner) != 1 or len(eaten) != 1:
-        raise RewriteError("CZ pair does not fit the commutation pattern")
-    (k,) = set(partner[0].wires) - {j}
-    if set(eaten[0].wires) != {i, k}:
-        raise RewriteError("CZ pair does not share the third wire")
-    return (partner[0], cx) if gates.index(cx) < gates.index(partner[0]) else (cx, partner[0])
+    for x, y, z in itertools.permutations(range(3)):
+        cx, g = gates[x], gates[y]
+        if cx.kind == "CX" and g.kind == kind and cx.target in g.wires:
+            i, j = cx.wires
+            k = g.wires[g.wires[0] == j]
+            if k != i and g == Gate(kind, (j, k)) and gates[z] == Gate(kind, (i, k)):
+                return (g, cx) if x < y else (cx, g)
+    raise RewriteError(f"site does not fit [{kind} jk; CX ij; {kind} ik]")
 
 
 def apply_cz_commute(circuit: Circuit, site: tuple[int, ...]) -> tuple[Circuit, RewriteStep]:
-    """The CZ/CX commutation identity on one CX and two CZs.
+    """The commutation identity with G a CZ: [CZ jk; CX ij; CZ ik] == [CX ij; CZ jk].
 
     The CZ sharing the control wire is consumed, the other two swap order.
     """
-    return _gathered(circuit, "cz-commute", site, _matched(circuit, site, _cz_commute_shape))
+    return _gathered(circuit, "cz-commute", site, _matched(circuit, site, _triangle_shape, "CZ"))
 
 
 def _require_fresh(circuit: Circuit, wire: int, before: int, site: tuple[int, ...]) -> None:
@@ -318,46 +315,13 @@ def apply_cz_to_cx(
     return _gathered(circuit, "cz-to-cx", site, produced)
 
 
-def _cx_word(gate_list: list[Gate], wires: list[int]) -> tuple[int, ...]:
-    """GF(2) action of a CX-only sequence, as images of basis bit vectors."""
-    index = {w: k for k, w in enumerate(wires)}
-    images = [1 << k for k in range(len(wires))]  # column space over GF(2)
-    state = list(images)
-    for g in gate_list:
-        c, t = index[g.control], index[g.target]
-        state[t] ^= state[c]
-    return tuple(state)
-
-
-def _cx_commute_shape(gates):
-    if len(gates) != 3:
-        raise RewriteError("site must have three gates")
-    if any(g.kind != "CX" for g in gates):
-        raise RewriteError("all site gates must be CX")
-    wires = sorted({w for g in gates for w in g.wires})
-    if len(wires) != 3:
-        raise RewriteError("site must span exactly three wires")
-
-    want = _cx_word(gates, wires)
-    for drop in range(3):
-        a, b = gates[:drop] + gates[drop + 1:]
-        if not (a.target == b.control or b.target == a.control):
-            continue
-        for candidate in ((a, b), (b, a)):
-            if _cx_word(list(candidate), wires) == want:
-                return candidate
-    raise RewriteError("CX triple does not reduce to a two-gate word")
-
-
 def apply_cx_commute(circuit: Circuit, site: tuple[int, ...]) -> tuple[Circuit, RewriteStep]:
-    """Cancel the redundant CX in a triangle of CX gates.
+    """The commutation identity with G a CX: [CX jk; CX ij; CX ik] == [CX ij; CX jk].
 
-    The site must be three CX gates on wires i, j, k shaped (i->j), (j->k),
-    (i->k); the (i->k) gate is consumed and the other two are reordered so
-    the overall linear action is unchanged (checked over GF(2), which is
-    exact for CX-only circuits).
+    In this triangle of CX gates on wires i, j, k the chord (i->k) is
+    consumed and the other two swap order.
     """
-    return _gathered(circuit, "cx-commute", site, _matched(circuit, site, _cx_commute_shape))
+    return _gathered(circuit, "cx-commute", site, _matched(circuit, site, _triangle_shape, "CX"))
 
 
 def _peephole_shape(gates):

@@ -239,13 +239,9 @@ def basis_column_order(
         raise ValueError(f"wire sets differ: {natural_wires} vs {logical_wires}")
     n = len(logical_wires)
     pos = {w: k for k, w in enumerate(natural_wires)}
-    order = np.zeros(1 << n, dtype=np.intp)
-    for j in range(1 << n):
-        idx = 0
-        for k, w in enumerate(logical_wires):
-            idx |= ((j >> (n - 1 - k)) & 1) << (n - 1 - pos[w])
-        order[j] = idx
-    return order
+    # natural index of every basis state, one axis per natural wire, read with
+    # the axes in logical order
+    return np.arange(1 << n).reshape((2,) * n).transpose([pos[w] for w in logical_wires]).reshape(-1)
 
 
 def _as_matrix(obj: Isometry | StateVector | np.ndarray) -> np.ndarray:
@@ -282,16 +278,20 @@ def run_pattern(
 ) -> StateVector:
     """Simulate the raw pattern: entangle, measure with forced outcomes, correct.
 
-    A forced outcome of 1 on vertex i triggers the correcting-set operator:
-    X hits on g(i), Z hits on its odd neighborhood.  Hits on not-yet-measured
-    vertices fold into adapted angles (-1)^r theta + t pi; hits on outputs
-    are applied at the end as X^r Z^t.
+    ``outcomes`` forces 0 or 1 on each measured vertex; anything else is
+    refused.  A forced outcome of 1 on vertex i triggers the correcting-set
+    operator: X hits on g(i), Z hits on its odd neighborhood.  Hits on
+    not-yet-measured vertices fold into adapted angles (-1)^r theta + t pi;
+    hits on outputs are applied at the end as X^r Z^t.
     """
     n = len(graph.vertices)
     if n > cap:
         raise WireCapError(f"{n} vertices exceeds the simulation cap {cap}")
     if set(outcomes) != set(graph.measured):
         raise ValueError("need exactly one forced outcome per measured vertex")
+    for v, r in sorted(outcomes.items()):
+        if r not in (0, 1):
+            raise ValueError(f"forced outcome {r!r} on vertex {v} is neither 0 nor 1")
 
     input_state = np.asarray(input_state, dtype=complex).reshape(-1)
     if input_state.shape != (2 ** len(graph.inputs),):

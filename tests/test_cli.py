@@ -8,8 +8,17 @@ import sys
 import pytest
 
 import oneway.pipeline
-from oneway import parse_text
+from oneway import (
+    basis_column_order,
+    circuit_isometry,
+    compile_pattern,
+    max_deviation,
+    parse_graph_with_sets,
+    parse_text,
+    trace_text,
+)
 from oneway.cli import main
+from oneway.rewrite import follow_jgates
 
 TRIANGLE = """\
 vertices: 1 2 3
@@ -221,6 +230,38 @@ def test_verify_compiled_against_extended(fixtures_dir, tmp_path, capsys):
 
     assert main(["verify", str(ext), str(compact)]) == 0
     assert "max deviation:" in capsys.readouterr().out
+
+
+# two inputs, and the jgate chain of input 1 ends on wire 3, past input 2
+REORDERING = """\
+vertices: 1 2 3
+edges: 1-2 1-3
+inputs: 1 2
+outputs: 2 3
+angles: 1=1/8pi
+"""
+
+
+def test_verify_lines_up_inputs_by_wire_id_not_by_the_trace(tmp_path, capsys):
+    graph = tmp_path / "reordering.graph"
+    graph.write_text(REORDERING)
+    ext, trace = tmp_path / "extended.circuit", tmp_path / "trace.txt"
+    assert main(["compile", str(graph), "--emit-extended", str(ext), "--trace", str(trace)]) == 0
+    compact = tmp_path / "compact.circuit"
+    compact.write_text(capsys.readouterr().out)
+
+    # verify reads the columns of both by ascending input-wire id: (1, 2) against (2, 3)
+    assert main(["verify", str(ext), str(compact)]) == 4
+    assert capsys.readouterr().out == "max deviation: 7.071e-01\n"
+
+    # lined up through the trace's jgate chains, as compile does, they agree
+    done = compile_pattern(*parse_graph_with_sets(REORDERING))
+    assert trace_text(done.trace) == trace.read_text()
+    a = circuit_isometry(parse_text(ext.read_text()))
+    b = circuit_isometry(parse_text(compact.read_text()))
+    chained = follow_jgates(done.trace.steps, list(a.input_wires))
+    assert (a.input_wires, b.input_wires, chained) == ((1, 2), (2, 3), [3, 2])
+    assert max_deviation(a.matrix, b.matrix[:, basis_column_order(b.input_wires, chained)]) <= 1e-9
 
 
 def test_verify_detects_a_changed_angle(tmp_path, capsys):

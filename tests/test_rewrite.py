@@ -7,6 +7,7 @@ the drivers themselves use.
 """
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 import functools
 import hashlib
 import itertools
@@ -67,6 +68,7 @@ from oneway.rewrite import (
     _mint_candidates,
     _next_conflict,
     _shift_candidates,
+    _triangle_shape,
     follow_jgates,
 )
 from oneway.simulate import basis_column_order
@@ -88,22 +90,14 @@ def node_of(circuit: Circuit) -> _Node:
     return _Node(circuit.wires, circuit.gates)
 
 
-def test_cz_commute_is_a_matrix_identity():
-    # circuit [CZ jk, CX ij, CZ ik] acts as [CX ij, CZ jk]
-    for i, j, k in TRIPLES:
-        order = (1, 2, 3)
-        lhs = cz_on(i, k, order) @ cx_on(i, j, order) @ cz_on(j, k, order)
-        rhs = cz_on(j, k, order) @ cx_on(i, j, order)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
-
-
-def test_cx_triangle_is_a_matrix_identity():
-    # circuit [CX jk, CX ij, CX ik] acts as [CX ij, CX jk]
-    for i, j, k in TRIPLES:
-        order = (1, 2, 3)
-        lhs = cx_on(i, k, order) @ cx_on(i, j, order) @ cx_on(j, k, order)
-        rhs = cx_on(j, k, order) @ cx_on(i, j, order)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
+def test_commutation_is_a_matrix_identity():
+    # circuit [G jk, CX ij, G ik] acts as [CX ij, G jk], G a CZ or a CX controlled by j
+    for g_on in (cz_on, cx_on):
+        for i, j, k in TRIPLES:
+            order = (1, 2, 3)
+            lhs = g_on(i, k, order) @ cx_on(i, j, order) @ g_on(j, k, order)
+            rhs = g_on(j, k, order) @ cx_on(i, j, order)
+            assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 def test_cz_pair_to_cx_holds_on_plus():
@@ -296,15 +290,94 @@ def test_cx_commute_cancels_the_chord():
 
 
 def test_cx_commute_rejections():
+    refused = re.escape("site does not fit [CX jk; CX ij; CX ik]")
     cyclic = Circuit(plain_wires(1, 2, 3), (Gate("CX", (1, 2)), Gate("CX", (2, 3)), Gate("CX", (3, 1))))
-    with pytest.raises(RewriteError, match="does not reduce"):
+    with pytest.raises(RewriteError, match=refused):
         apply_cx_commute(cyclic, (0, 1, 2))
     mixed = Circuit(plain_wires(1, 2, 3), (Gate("CX", (1, 2)), Gate("CZ", (2, 3)), Gate("CX", (1, 3))))
-    with pytest.raises(RewriteError, match="must be CX"):
+    with pytest.raises(RewriteError, match=refused):
         apply_cx_commute(mixed, (0, 1, 2))
     narrow = Circuit(plain_wires(1, 2), (Gate("CX", (1, 2)), Gate("CX", (2, 1)), Gate("CX", (1, 2))))
-    with pytest.raises(RewriteError, match="three wires"):
+    with pytest.raises(RewriteError, match=refused):
         apply_cx_commute(narrow, (0, 1, 2))
+
+
+def cz_commute_shape(gates):
+    """The commutation's shape match for G a CZ, written case by case, kept
+    as the triangle match's reference."""
+    if len(gates) != 3:
+        raise RewriteError("site must have three gates")
+    cxs = [g for g in gates if g.kind == "CX"]
+    czs = [g for g in gates if g.kind == "CZ"]
+    if len(cxs) != 1 or len(czs) != 2:
+        raise RewriteError("need one CX and two CZ gates")
+    cx = cxs[0]
+    i, j = cx.wires
+    partner = [g for g in czs if j in g.wires and i not in g.wires]
+    eaten = [g for g in czs if i in g.wires and j not in g.wires]
+    if len(partner) != 1 or len(eaten) != 1:
+        raise RewriteError("CZ pair does not fit the commutation pattern")
+    (k,) = set(partner[0].wires) - {j}
+    if set(eaten[0].wires) != {i, k}:
+        raise RewriteError("CZ pair does not share the third wire")
+    return (partner[0], cx) if gates.index(cx) < gates.index(partner[0]) else (cx, partner[0])
+
+
+def cx_word(gate_list, wires):
+    """GF(2) action of a CX-only sequence, as images of basis bit vectors."""
+    index = {w: k for k, w in enumerate(wires)}
+    state = [1 << k for k in range(len(wires))]
+    for g in gate_list:
+        state[index[g.target]] ^= state[index[g.control]]
+    return tuple(state)
+
+
+def cx_commute_shape(gates):
+    """The commutation's shape match for G a CX, written as a search for a
+    two-gate CX word of the same GF(2) action, kept as the triangle match's
+    reference."""
+    if len(gates) != 3:
+        raise RewriteError("site must have three gates")
+    if any(g.kind != "CX" for g in gates):
+        raise RewriteError("all site gates must be CX")
+    wires = sorted({w for g in gates for w in g.wires})
+    if len(wires) != 3:
+        raise RewriteError("site must span exactly three wires")
+    want = cx_word(gates, wires)
+    for drop in range(3):
+        a, b = gates[:drop] + gates[drop + 1:]
+        if not (a.target == b.control or b.target == a.control):
+            continue
+        for candidate in ((a, b), (b, a)):
+            if cx_word(list(candidate), wires) == want:
+                return candidate
+    raise RewriteError("CX triple does not reduce to a two-gate word")
+
+
+def test_triangle_shape_equals_both_shape_matches_it_replaces():
+    # every triple of J, CZ and CX gates on six wire labels, which covers
+    # every pattern of equal wires among three two-wire gates
+    def produced(shape, *args):
+        try:
+            return shape(*args)
+        except RewriteError:
+            return None
+
+    labels = range(1, 7)
+    gates = [Gate("J", (w,), Angle.exact(1, 4)) for w in labels]
+    gates += [Gate("CZ", pair) for pair in itertools.combinations(labels, 2)]
+    gates += [Gate("CX", pair) for pair in itertools.permutations(labels, 2)]
+    fits = Counter()
+    for triple in itertools.product(gates, repeat=3):
+        for kind, reference in (("CZ", cz_commute_shape), ("CX", cx_commute_shape)):
+            got = produced(_triangle_shape, triple, kind)
+            assert got == produced(reference, triple), (kind, triple)
+            fits[kind] += got is not None
+    # each kind fits 6 * 5 * 4 triangles, in each of the 3! orders
+    assert fits == {"CZ": 720, "CX": 720}
+    for short in (gates[:2], gates[:4]):
+        with pytest.raises(RewriteError, match="three gates"):
+            _triangle_shape(tuple(short), "CZ")
 
 
 def test_peephole_cancels_across_commuting_gates():

@@ -110,6 +110,31 @@ def test_basis_column_order_is_a_permutation():
         assert sorted(order) == list(range(16))
 
 
+def column_order_by_bits(natural_wires, logical_wires):
+    """``basis_column_order`` written bit by bit, kept as its reference."""
+    n = len(logical_wires)
+    pos = {w: k for k, w in enumerate(natural_wires)}
+    order = np.zeros(1 << n, dtype=np.intp)
+    for j in range(1 << n):
+        idx = 0
+        for k, w in enumerate(logical_wires):
+            idx |= ((j >> (n - 1 - k)) & 1) << (n - 1 - pos[w])
+        order[j] = idx
+    return order
+
+
+@given(st.lists(st.integers(0, 20), max_size=7, unique=True), st.randoms(use_true_random=False))
+def test_basis_column_order_equals_a_bit_by_bit_reordering(natural, rnd):
+    logical = list(natural)
+    rnd.shuffle(logical)
+    got = basis_column_order(tuple(natural), logical)
+    assert got.tolist() == column_order_by_bits(natural, logical).tolist()
+
+
+def test_basis_column_order_of_no_wires():
+    assert basis_column_order((), []).tolist() == [0]
+
+
 def test_max_deviation_phase_alignment():
     rng = np.random.default_rng(7)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -160,6 +185,10 @@ def test_run_pattern_input_validation(path3):
     structure = find_flow(path3)
     with pytest.raises(ValueError, match="forced outcome"):
         run_pattern(path3, structure, np.array([1.0, 0.0]), {1: 0})
+    # the outcome is a bit: 2 or -1 is refused, not run as outcome 1
+    for bad in (2, -1):
+        with pytest.raises(ValueError, match=rf"^forced outcome {bad} on vertex 2 is neither 0 nor 1$"):
+            run_pattern(path3, structure, np.array([1.0, 0.0]), {1: 0, 2: bad})
     with pytest.raises(ValueError, match="dimension"):
         run_pattern(path3, structure, np.ones(4), {1: 0, 2: 0})
     with pytest.raises(WireCapError):
