@@ -22,7 +22,7 @@ python perfbench/run.py --workload "$workload" --seconds 0 --trace "$trace" > "$
 if [ "$trace" = 0 ]; then
   tail -n 12 "$out"
 else
-  grep -E '^(# passes|# untraced|rewrite\.rule_calls) ' "$out"
+  grep -E '^(# passes:|# untraced|rewrite\.rule_calls) ' "$out"
 fi
 grep -q '"correct": true' "$out" || { echo "$workload: reference check failed"; exit 1; }
 grep -q "^# output sha256 $sha " "$out" || { echo "$workload: output sha256 changed"; exit 1; }

@@ -27,13 +27,34 @@ class Angle:
     def __post_init__(self) -> None:
         if (self.pi_multiple is None) == (self.float_radians is None):
             raise ValueError("angle needs exactly one of pi_multiple / float_radians")
-        if self.pi_multiple is not None:
-            object.__setattr__(self, "pi_multiple", Fraction(self.pi_multiple) % 2)
+        p = self.pi_multiple
+        if p is not None:
+            if type(p) is not Fraction or not 0 <= p.numerator < 2 * p.denominator:
+                object.__setattr__(self, "pi_multiple", Fraction(p) % 2)
         elif not math.isfinite(self.float_radians):
             raise ValueError(f"angle must be finite, got {self.float_radians} radians")
 
+    # Not a field: __hash__ keeps the hash here on first use, because hashing
+    # a Fraction is slow.
+    _hash = None
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.pi_multiple, self.float_radians)))
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild from the fields, so the cached hash does not travel: the
+        # hash of None can differ between processes.
+        return (Angle, (self.pi_multiple, self.float_radians))
+
     @staticmethod
     def exact(numerator: int | Fraction, denominator: int = 1) -> Angle:
+        if denominator == 0:
+            raise ValueError(f"zero denominator in angle {numerator}/{denominator}pi")
+        if type(numerator) is int and type(denominator) is int and denominator > 0:
+            # already the normal form: Fraction(n, d) % 2 == (n mod 2d) / d
+            return Angle(pi_multiple=Fraction(numerator % (2 * denominator), denominator))
         return Angle(pi_multiple=Fraction(numerator, denominator))
 
     @staticmethod
@@ -45,10 +66,7 @@ class Angle:
         """Parse ``p/qpi`` (rational multiple of pi) or a decimal radian value."""
         m = _RATIONAL.match(token)
         if m:
-            p, q = int(m.group(1)), int(m.group(2))
-            if q == 0:
-                raise ValueError(f"zero denominator in angle {token!r}")
-            return Angle.exact(p, q)
+            return Angle.exact(int(m.group(1)), int(m.group(2)))
         try:
             value = float(token)
         except ValueError:

@@ -2,17 +2,20 @@
 
 Wires mirror graph vertices and carry their preparation (input state or |+>)
 and fate (output or measured).  Gates are kept in program order, left to
-right.  The time-sliced view holds the two facts the simplify entry points
-read off an extended circuit: the layer order of its measured wires and
-their graph neighbours.  The extended circuit's layout itself (entangling
-CZs, then per round J gates and their corrections) is the extend module's
-to define.
+right.  Gates and wires are validated tuples: each checks its fields when it
+is built (a pickled one too, when it loads), and ``==`` is type-strict, so a
+gate equals no plain tuple and no wire.  The time-sliced view holds the two
+facts the simplify entry points read off an extended circuit: the layer
+order of its measured wires and their graph neighbours.  The extended
+circuit's layout itself (entangling CZs, then per round J gates and their
+corrections) is the extend module's to define.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,42 +36,60 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Gate:
-    kind: str  # "J" | "CZ" | "CX"
-    wires: tuple[int, ...]
-    angle: Angle | None = None
+class _StrictTuple(tuple):
+    """A tuple base whose ``==`` holds only between values of one type.
 
-    def __post_init__(self) -> None:
-        if self.kind == "J":
-            if len(self.wires) != 1 or self.angle is None:
+    A subclass never equals a plain tuple or a value of another subclass
+    with the same fields, and ``!=`` is its negation.  (A foreign tuple
+    subclass on the left of ``==`` compares by its own rules.)  Hashing stays
+    ``tuple.__hash__``, in C.  ``_make`` (and so ``_replace``) goes through
+    the constructor, so a derived value is validated again.
+    """
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        if type(other) is not type(self) and isinstance(other, tuple):
+            return False
+        return tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Gate(_StrictTuple, namedtuple("Gate", "kind wires angle")):
+    """A gate: ``kind`` is "J", "CZ" or "CX"; ``angle`` is set for J alone.
+
+    A CZ's wires are stored ascending; a CX's are (control, target).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, wires: tuple[int, ...], angle: Angle | None = None):
+        if kind == "J":
+            if len(wires) != 1 or angle is None:
                 raise ValueError("J gate needs one wire and an angle")
-        elif self.kind == "CZ":
-            if len(self.wires) != 2 or self.wires[0] == self.wires[1]:
+        elif kind == "CZ":
+            if len(wires) != 2 or wires[0] == wires[1]:
                 raise ValueError("CZ needs two distinct wires")
-            if self.angle is not None:
+            if angle is not None:
                 raise ValueError("CZ carries no angle")
-            object.__setattr__(self, "wires", tuple(sorted(self.wires)))
-        elif self.kind == "CX":
-            if len(self.wires) != 2 or self.wires[0] == self.wires[1]:
+            a, b = wires
+            wires = (a, b) if a < b else (b, a)
+        elif kind == "CX":
+            if len(wires) != 2 or wires[0] == wires[1]:
                 raise ValueError("CX needs distinct control and target")
-            if self.angle is not None:
+            if angle is not None:
                 raise ValueError("CX carries no angle")
         else:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-
-    # Not a field: __hash__ keeps the hash here on first use, because hashing
-    # the angle hashes a Fraction, which is slow.
-    _hash = None
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.kind, self.wires, self.angle)))
-        return self._hash
-
-    def __reduce__(self):
-        # Rebuild from the fields: a string's hash differs between processes.
-        return (Gate, (self.kind, self.wires, self.angle))
+            raise ValueError(f"unknown gate kind {kind!r}")
+        return tuple.__new__(cls, (kind, wires, angle))
 
     @property
     def control(self) -> int:
@@ -87,17 +108,17 @@ class Gate:
         return f"{self.kind} {self.wires[0]} {self.wires[1]}"
 
 
-@dataclass(frozen=True)
-class Wire:
-    id: int
-    init: str  # "input" | "plus"
-    terminal: str  # "output" | "measured"
+class Wire(_StrictTuple, namedtuple("Wire", "id init terminal")):
+    """A wire: ``init`` is "input" or "plus", ``terminal`` "output" or "measured"."""
 
-    def __post_init__(self) -> None:
-        if self.init not in ("input", "plus"):
-            raise ValueError(f"bad wire init {self.init!r}")
-        if self.terminal not in ("output", "measured"):
-            raise ValueError(f"bad wire terminal {self.terminal!r}")
+    __slots__ = ()
+
+    def __new__(cls, id: int, init: str, terminal: str):
+        if init not in ("input", "plus"):
+            raise ValueError(f"bad wire init {init!r}")
+        if terminal not in ("output", "measured"):
+            raise ValueError(f"bad wire terminal {terminal!r}")
+        return tuple.__new__(cls, (id, init, terminal))
 
 
 @dataclass(frozen=True)
@@ -106,7 +127,7 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "wires", tuple(sorted(self.wires, key=lambda w: w.id)))
+        object.__setattr__(self, "wires", tuple(sorted(self.wires)))
         object.__setattr__(self, "gates", tuple(self.gates))
         ids = {w.id for w in self.wires}
         if len(ids) != len(self.wires):

@@ -89,6 +89,8 @@ def odd_neighborhood(graph: OpenGraph, subset: frozenset[int] | set[int]) -> fro
     for s in subset:
         if s not in graph.neighbors:
             raise ValueError(f"vertex {s} not in graph")
+        if len(subset) == 1:  # Odd({s}) == N(s)
+            return graph.neighbors[s]
         for n in graph.neighbors[s]:
             counts[n] = counts.get(n, 0) + 1
     return frozenset(v for v, c in counts.items() if c % 2 == 1)

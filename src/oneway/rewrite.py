@@ -65,11 +65,11 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, insort
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .circuits import Circuit, Gate, TimeSlicedView, Wire, digest
+from .circuits import Circuit, Gate, TimeSlicedView, Wire, _StrictTuple, digest
 from .determinism import CorrectionStructure
 
 __all__ = [
@@ -117,17 +117,18 @@ class GflowSearchExhausted(RuntimeError):
         self.nodes = nodes
 
 
-@dataclass(frozen=True)
-class RewriteStep:
-    rule: str
-    consumed: tuple[int, ...]
-    produced: tuple[Gate, ...]
-    wire_removed: int | None = None
+class RewriteStep(
+    _StrictTuple, namedtuple("RewriteStep", "rule consumed produced wire_removed", defaults=[None])
+):
+    """One applied identity: the rule, the site it consumed, the gates it
+    produced there and, for a jgate, the wire it removed."""
+
+    __slots__ = ()
 
     def text(self) -> str:
         line = (
-            f"{self.rule} consumed={','.join(str(k) for k in self.consumed)}"
-            f" produced={','.join(g.text() for g in self.produced)}"
+            f"{self.rule} consumed={','.join(map(str, self.consumed))}"
+            f" produced={','.join(map(Gate.text, self.produced))}"
         )
         if self.wire_removed is not None:
             line += f" removed-wire={self.wire_removed}"
@@ -569,6 +570,7 @@ def simplify_flow(circuit: Circuit, view: TimeSlicedView) -> tuple[Circuit, Simp
     # the CZ c + 1, which no other gate ever holds.
     keys = list(range(0, 2 * len(gates), 2))
     edge_key = {e: 2 * p for p, e in enumerate(edges)}
+    edge_cz = dict(zip(edges, gates))  # the leading CZs are the edges
     cx_key = {i: 2 * p for i, p in cx_at.items()}
 
     def pos(key: int) -> int:
@@ -582,7 +584,7 @@ def simplify_flow(circuit: Circuit, view: TimeSlicedView) -> tuple[Circuit, Simp
             e = (min(t, k), max(t, k))
             c, x, z = 2 * q, cx_key[i], edge_key[e]
             site = tuple(sorted((pos(z), pos(x), pos(c))))
-            steps.append(RewriteStep("cz-commute", site, (cx, Gate("CZ", e))))
+            steps.append(RewriteStep("cz-commute", site, (cx, edge_cz[e])))
             cx_key[i], edge_key[e] = c, c + 1
             del keys[pos(x)]
             del keys[pos(z)]

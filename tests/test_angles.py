@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given
@@ -28,6 +29,24 @@ def test_parse_rational_and_decimal():
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
         Angle.parse(bad)
+
+
+def test_a_zero_denominator_is_a_value_error():
+    with pytest.raises(ValueError, match="zero denominator"):
+        Angle.exact(1, 0)
+    with pytest.raises(ValueError, match="zero denominator"):
+        Angle.parse("1/0pi")
+
+
+def test_a_pickled_angle_drops_its_cached_hash():
+    # the hash of None can differ between processes, so the cache must not travel
+    for angle in (Angle.exact(3, 8), Angle.radians(0.5)):
+        hash(angle)
+        assert "_hash" in vars(angle)
+        copy = pickle.loads(pickle.dumps(angle))
+        assert copy == angle and repr(copy) == repr(angle)
+        assert "_hash" not in vars(copy)
+        assert hash(copy) == hash(angle) == hash((angle.pi_multiple, angle.float_radians))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -162,10 +162,12 @@ def test_parse_skips_comments():
 
 
 def test_a_pickled_gate_drops_its_cached_hash():
-    # a string's hash differs between processes, so the cache must not travel
+    # a string's hash differs between processes, so no cached hash may travel
     gate = Gate("J", (3,), Angle.exact(1, 4))
     hash(gate)
+    assert "_hash" in vars(gate.angle)
     copy = pickle.loads(pickle.dumps(gate))
     assert copy == gate and repr(copy) == repr(gate)
-    assert "_hash" not in vars(copy)
+    assert not hasattr(copy, "__dict__")  # a gate keeps no per-instance state
+    assert "_hash" not in vars(copy.angle)
     assert hash(copy) == hash(gate)

@@ -1,10 +1,13 @@
 """The scripts under scripts/ still run against the package."""
 
 import importlib.util
+import os
 import pathlib
+import subprocess
 import sys
 
-SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def load_script(name: str):
@@ -42,3 +45,17 @@ def test_gflow_only_digest_checks_its_expectation(monkeypatch, capsys):
     assert script.main(["--expect", line.split()[1]]) == 0
     assert script.main(["--expect", "0" * 64]) == 1
     assert "expected sha256 " + "0" * 64 in capsys.readouterr().err
+
+
+def test_bench_check_shows_a_traced_pass_and_refuses_a_changed_digest():
+    env = dict(os.environ, PATH=os.pathsep.join([str(pathlib.Path(sys.executable).parent), os.environ["PATH"]]))
+    run = subprocess.run(
+        ["bash", str(SCRIPTS / "bench_check.sh"), "strip-scaling", "0" * 64, "1"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 1
+    passes, untraced, calls, verdict = run.stdout.splitlines()
+    assert passes == "# passes: 1 untraced, 1 traced"
+    assert untraced.startswith("# untraced pass ")
+    assert calls.split()[0] == "rewrite.rule_calls"
+    assert verdict == "strip-scaling: output sha256 changed"
