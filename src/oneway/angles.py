@@ -52,9 +52,6 @@ class Angle:
     def exact(numerator: int | Fraction, denominator: int = 1) -> Angle:
         if denominator == 0:
             raise ValueError(f"zero denominator in angle {numerator}/{denominator}pi")
-        if type(numerator) is int and type(denominator) is int and denominator > 0:
-            # already the normal form: Fraction(n, d) % 2 == (n mod 2d) / d
-            return Angle(pi_multiple=Fraction(numerator % (2 * denominator), denominator))
         return Angle(pi_multiple=Fraction(numerator, denominator))
 
     @staticmethod

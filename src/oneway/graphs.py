@@ -85,12 +85,14 @@ def odd_neighborhood(graph: OpenGraph, subset: frozenset[int] | set[int]) -> fro
     Linear over symmetric difference: Odd(S ^ T) == Odd(S) ^ Odd(T); equals
     the Z-support of the product of the members' stabilizers.
     """
+    if len(subset) == 1:  # Odd({s}) == N(s); an unknown s falls through to the error
+        (s,) = subset
+        if s in graph.neighbors:
+            return graph.neighbors[s]
     counts: dict[int, int] = {}
     for s in subset:
         if s not in graph.neighbors:
             raise ValueError(f"vertex {s} not in graph")
-        if len(subset) == 1:  # Odd({s}) == N(s)
-            return graph.neighbors[s]
         for n in graph.neighbors[s]:
             counts[n] = counts.get(n, 0) + 1
     return frozenset(v for v, c in counts.items() if c % 2 == 1)

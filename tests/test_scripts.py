@@ -47,15 +47,42 @@ def test_gflow_only_digest_checks_its_expectation(monkeypatch, capsys):
     assert "expected sha256 " + "0" * 64 in capsys.readouterr().err
 
 
-def test_bench_check_shows_a_traced_pass_and_refuses_a_changed_digest():
-    env = dict(os.environ, PATH=os.pathsep.join([str(pathlib.Path(sys.executable).parent), os.environ["PATH"]]))
-    run = subprocess.run(
-        ["bash", str(SCRIPTS / "bench_check.sh"), "strip-scaling", "0" * 64, "1"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
-    )
+# The lines of a traced `perfbench/run.py --seconds 0 --trace 1` report that
+# bench_check.sh reads, with the per-layer lines around them cut short.
+TRACED_REPORT = """\
+# workload strip-scaling: 4 graphs, seed 1 (selects the compile order, the spot-check seed)
+# output sha256 %s  (over every emitted circuit and trace text)
+# passes: 1 untraced, 1 traced
+# untraced pass 0.019920 s wall, traced 0.020292 s; span self-times sum to 0.020174 s
+rewrite.s                        0.0193 s
+rewrite.rule_calls               0 count
+{"correct": true, "attempted": 4, "failed": 0}
+"""
+
+
+def test_bench_check_shows_a_traced_pass_and_refuses_a_changed_digest(tmp_path):
+    # A stand-in `python` that prints a canned report, so the test exercises
+    # the script's checks and not the benchmark.
+    sha = "1" * 64
+    (tmp_path / "report").write_text(TRACED_REPORT % sha)
+    stub = tmp_path / "python"
+    stub.write_text(f'#!/bin/sh\ncat "{tmp_path / "report"}"\n')
+    stub.chmod(0o755)
+    env = dict(os.environ, PATH=os.pathsep.join([str(tmp_path), os.environ["PATH"]]))
+
+    def check(expected_sha):
+        return subprocess.run(
+            ["bash", str(SCRIPTS / "bench_check.sh"), "strip-scaling", expected_sha, "1"],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    shown = [
+        "# passes: 1 untraced, 1 traced",
+        "# untraced pass 0.019920 s wall, traced 0.020292 s; span self-times sum to 0.020174 s",
+        "rewrite.rule_calls               0 count",
+    ]
+    run = check(sha)
+    assert run.returncode == 0 and run.stdout.splitlines() == shown
+    run = check("0" * 64)
     assert run.returncode == 1
-    passes, untraced, calls, verdict = run.stdout.splitlines()
-    assert passes == "# passes: 1 untraced, 1 traced"
-    assert untraced.startswith("# untraced pass ")
-    assert calls.split()[0] == "rewrite.rule_calls"
-    assert verdict == "strip-scaling: output sha256 changed"
+    assert run.stdout.splitlines() == shown + ["strip-scaling: output sha256 changed"]
