@@ -34,9 +34,10 @@ class Angle:
         elif not math.isfinite(self.float_radians):
             raise ValueError(f"angle must be finite, got {self.float_radians} radians")
 
-    # Not a field: __hash__ keeps the hash here on first use, because hashing
-    # a Fraction is slow.
+    # Not fields: __hash__ keeps the hash here on first use, because hashing
+    # a Fraction is slow, and text() keeps its string, formatted once.
     _hash = None
+    _text = None
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -44,8 +45,8 @@ class Angle:
         return self._hash
 
     def __reduce__(self):
-        # Rebuild from the fields, so the cached hash does not travel: the
-        # hash of None can differ between processes.
+        # Rebuild from the fields, so the cached hash and text do not
+        # travel: the hash of None can differ between processes.
         return (Angle, (self.pi_multiple, self.float_radians))
 
     @staticmethod
@@ -77,6 +78,8 @@ class Angle:
         return self.float_radians
 
     def text(self) -> str:
-        if self.pi_multiple is not None:
-            return f"{self.pi_multiple.numerator}/{self.pi_multiple.denominator}pi"
-        return repr(self.float_radians)
+        if self._text is None:
+            p = self.pi_multiple
+            text = repr(self.float_radians) if p is None else f"{p.numerator}/{p.denominator}pi"
+            object.__setattr__(self, "_text", text)
+        return self._text

@@ -102,10 +102,10 @@ class Gate(_StrictTuple, namedtuple("Gate", "kind wires angle")):
         return self.wires[1]
 
     def text(self) -> str:
-        if self.kind == "J":
-            assert self.angle is not None
-            return f"J({self.angle.text()}) {self.wires[0]}"
-        return f"{self.kind} {self.wires[0]} {self.wires[1]}"
+        kind, wires, angle = self
+        if kind == "J":
+            return f"J({angle.text()}) {wires[0]}"
+        return f"{kind} {wires[0]} {wires[1]}"
 
 
 class Wire(_StrictTuple, namedtuple("Wire", "id init terminal")):
@@ -163,7 +163,7 @@ class TimeSlicedView:
     ``simplify_flow`` reads only ``order``, which must be the order of the
     circuit's J gates; the gflow engine reads both.  Both follow from the
     structure and the graph, so a single ``simplify(extended, structure)``
-    entry (ROADMAP item 3) deletes this view together with ``slice_circuit``.
+    entry (ROADMAP item 1) deletes this view together with ``slice_circuit``.
     """
 
     order: tuple[int, ...]
@@ -189,7 +189,7 @@ def slice_circuit(circuit: Circuit, structure: CorrectionStructure) -> TimeSlice
 
 def emit_text(circuit: Circuit) -> str:
     lines = [f"wire {w.id} {w.init} {w.terminal}" for w in circuit.wires]
-    lines.extend(g.text() for g in circuit.gates)
+    lines.extend(map(Gate.text, circuit.gates))
     return "\n".join(lines) + "\n"
 
 

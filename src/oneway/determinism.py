@@ -119,10 +119,8 @@ def find_flow(graph: OpenGraph) -> CorrectionStructure | None:
     return _structure(graph, {i: frozenset({j}) for i, j in f.items()})
 
 
-def validate_gflow(
-    graph: OpenGraph, sets: dict[int, frozenset[int]]
-) -> CorrectionStructure | list[str]:
-    """Check user-supplied correcting sets; structure on success, problems on failure."""
+def _set_problems(graph: OpenGraph, sets: dict[int, frozenset[int]]) -> list[str]:
+    """What is wrong with each correcting set on its own; empty when nothing is."""
     problems: list[str] = []
     measured = graph.measured
     vs = set(graph.vertices)
@@ -145,10 +143,42 @@ def validate_gflow(
             problems.append(f"g({i}) contains its own vertex")
         if i not in odd_neighborhood(graph, gset):
             problems.append(f"vertex {i} is not in the odd neighborhood of g({i})")
+    return problems
+
+
+def validate_gflow(
+    graph: OpenGraph, sets: dict[int, frozenset[int]]
+) -> CorrectionStructure | list[str]:
+    """Check user-supplied correcting sets; structure on success, problems on failure."""
+    problems = _set_problems(graph, sets)
     if problems:
         return problems
     structure = _structure(graph, dict(sets))
     return ["correcting sets induce a cyclic measurement order"] if structure is None else structure
+
+
+def _structure_problems(graph: OpenGraph, structure: CorrectionStructure) -> list[str]:
+    """What is wrong with ``structure`` on ``graph``, layers as given; empty when nothing is.
+
+    The per-set checks of ``validate_gflow``, then the order condition of
+    the gflow definition, in one pass that lays out no layering of its own:
+    the layers partition the measured vertices, and every measured member
+    of (g(i) | Odd(g(i))) \\ {i} lies in a layer strictly after i's.
+    """
+    sets = structure.correcting_sets
+    problems = _set_problems(graph, sets)
+    if problems:
+        return problems
+    measured = graph.measured
+    layer_of = {v: depth for depth, layer in enumerate(structure.layers) for v in layer}
+    if layer_of.keys() != measured or sum(map(len, structure.layers)) != len(measured):
+        return [f"layers must partition the measured vertices {sorted(measured)}"]
+    for i, gset in sorted(sets.items()):
+        d = layer_of[i]  # an output has no layer: it comes after every round
+        early = [k for k in gset | odd_neighborhood(graph, gset) if layer_of.get(k, d + 1) <= d and k != i]
+        if early:
+            problems.append(f"g({i}) needs {sorted(early)} measured after {i}")
+    return problems
 
 
 def find_gflow(graph: OpenGraph) -> CorrectionStructure | None:

@@ -10,7 +10,7 @@ measurement's own outcome dependence.
 from __future__ import annotations
 
 from .circuits import Circuit, Gate, Wire
-from .determinism import CorrectionStructure, validate_gflow
+from .determinism import CorrectionStructure, _structure_problems
 from .graphs import OpenGraph
 
 __all__ = ["build_extended", "correction_block"]
@@ -25,9 +25,17 @@ def correction_block(graph: OpenGraph, i: int, j: int) -> list[Gate]:
 
 
 def build_extended(graph: OpenGraph, structure: CorrectionStructure) -> Circuit:
-    checked = validate_gflow(graph, structure.correcting_sets)
-    if isinstance(checked, list):
-        raise ValueError("structure invalid for graph: " + "; ".join(checked))
+    """The extended circuit of ``structure`` on ``graph``, one round per layer.
+
+    The structure is checked as laid out: each correcting set as
+    ``validate_gflow`` checks it, and the layers themselves, which must
+    partition the measured vertices and put every measured member of
+    (g(i) | Odd(g(i))) \\ {i} in a later round than i.  A failed check
+    raises ValueError.
+    """
+    problems = _structure_problems(graph, structure)
+    if problems:
+        raise ValueError("structure invalid for graph: " + "; ".join(problems))
 
     wires = tuple(
         Wire(
@@ -40,9 +48,10 @@ def build_extended(graph: OpenGraph, structure: CorrectionStructure) -> Circuit:
 
     gates: list[Gate] = [Gate("CZ", edge) for edge in sorted(graph.edges)]
     for layer in structure.layers:
-        for i in sorted(layer):
+        ordered = sorted(layer)
+        for i in ordered:
             gates.append(Gate("J", (i,), graph.angles[i]))
-        for i in sorted(layer):
+        for i in ordered:
             for j in sorted(structure.correcting_sets[i]):
                 gates.extend(correction_block(graph, i, j))
     return Circuit(wires, tuple(gates))

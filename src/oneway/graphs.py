@@ -49,7 +49,7 @@ class OpenGraph:
             nbrs[b].add(a)
         return {v: frozenset(s) for v, s in nbrs.items()}
 
-    @property
+    @cached_property
     def measured(self) -> frozenset[int]:
         return frozenset(self.vertices) - self.outputs
 

@@ -126,12 +126,10 @@ class RewriteStep(
     __slots__ = ()
 
     def text(self) -> str:
-        line = (
-            f"{self.rule} consumed={','.join(map(str, self.consumed))}"
-            f" produced={','.join(map(Gate.text, self.produced))}"
-        )
-        if self.wire_removed is not None:
-            line += f" removed-wire={self.wire_removed}"
+        rule, consumed, produced, removed = self
+        line = f"{rule} consumed={','.join(map(str, consumed))} produced={','.join(map(Gate.text, produced))}"
+        if removed is not None:
+            line += f" removed-wire={removed}"
         return line
 
 
@@ -459,22 +457,23 @@ def _read_flow(circuit: Circuit, order: tuple[int, ...]):
     circuit laid out any other way, or whose rounds do not make f a causal
     flow measured in ``order``, raises FlowSimplifyError.
     """
-    gates = circuit.gates
-    cxs = Counter(g.control for g in gates if g.kind == "CX")
+    gates, n = circuit.gates, len(circuit.gates)
+    kinds, wires, _ = zip(*gates) if gates else ((), (), ())
+    cxs = Counter(w[0] for kind, w in zip(kinds, wires) if kind == "CX")
     for i in order:
         if cxs[i] != 1:
             raise FlowSimplifyError(f"wire {i} has {cxs[i]} correction CXs; flow needs 1")
 
     def off_layout(p: int) -> FlowSimplifyError:
-        at = f"gate {gates[p].text()} at {p}" if p < len(gates) else "the end of the circuit"
+        at = f"gate {gates[p].text()} at {p}" if p < n else "the end of the circuit"
         return FlowSimplifyError(f"{at} is off the flow layout of an extended circuit")
 
     p = 0
-    while p < len(gates) and gates[p].kind == "CZ":
-        if p and gates[p - 1].wires >= gates[p].wires:
+    while p < n and kinds[p] == "CZ":
+        if p and wires[p - 1] >= wires[p]:
             raise off_layout(p)
         p += 1
-    edges = [g.wires for g in gates[:p]]
+    edges = wires[:p]
     nbrs: dict[int, set[int]] = {w.id: set() for w in circuit.wires}
     for a, b in edges:
         nbrs[a].add(b)
@@ -487,25 +486,25 @@ def _read_flow(circuit: Circuit, order: tuple[int, ...]):
     j_at: dict[int, int] = {}
     cx_at: dict[int, int] = {}
     rounds = 0
-    while p < len(gates):
+    while p < n:
         start = p
-        while p < len(gates) and gates[p].kind == "J":
-            (i,) = gates[p].wires
-            if i in layer_of or (p > start and i < gates[p - 1].wires[0]):
+        while p < n and kinds[p] == "J":
+            (i,) = wires[p]
+            if i in layer_of or (p > start and i < wires[p - 1][0]):
                 raise off_layout(p)
             layer_of[i], j_at[i] = rounds, p
             p += 1
         if p == start:
             raise off_layout(p)
         rounds += 1
-        for i in [g.wires[0] for g in gates[start:p]]:
-            cx = gates[p] if p < len(gates) else None
-            if cx is None or cx.kind != "CX" or cx.control != i:
+        for (i,) in wires[start:p]:
+            if p == n or kinds[p] != "CX" or wires[p][0] != i:
                 raise off_layout(p)
-            f[i], cx_at[i] = cx.target, p
+            t = wires[p][1]
+            f[i], cx_at[i] = t, p
             p += 1
-            for k in sorted(nbrs[cx.target] - {i}):
-                if p == len(gates) or gates[p].kind != "CZ" or gates[p].wires != (min(i, k), max(i, k)):
+            for k in sorted(nbrs[t] - {i}):
+                if p == n or kinds[p] != "CZ" or wires[p] != ((i, k) if i < k else (k, i)):
                     raise off_layout(p)
                 p += 1
 
@@ -539,7 +538,8 @@ def simplify_flow(circuit: Circuit, view: TimeSlicedView) -> tuple[Circuit, Simp
     is fixed: for each measured i in layer order, one cz-commute per
     correction CZ i k, right to left, moving the edge CZ f(i) k past the CX
     i f(i); then, in layer order, one jgate per measured wire.  Positions
-    are read off order keys by bisection, with no relabelling.  It checks
+    are read off order keys by bisection, each key once per step, with no
+    relabelling.  It checks
     no step; the pipeline's final oracle check covers the result.
     """
     edges, nbrs, f, j_at, cx_at = _read_flow(circuit, view.order)
@@ -567,34 +567,35 @@ def simplify_flow(circuit: Circuit, view: TimeSlicedView) -> tuple[Circuit, Simp
     # first: it sits among the leading CZs or in the block of a wire measured
     # before i.  So apply_cz_commute, which swaps the CX and the edge CZ,
     # puts out (CX, CZ) where the correction CZ was: the CX takes its key c,
-    # the CZ c + 1, which no other gate ever holds.
+    # the CZ c + 1, which no other gate ever holds.  The CX comes before the
+    # correction CZ in i's first step and after it in the others.
     keys = list(range(0, 2 * len(gates), 2))
     edge_key = {e: 2 * p for p, e in enumerate(edges)}
     edge_cz = dict(zip(edges, gates))  # the leading CZs are the edges
     cx_key = {i: 2 * p for i, p in cx_at.items()}
 
-    def pos(key: int) -> int:
-        return bisect_left(keys, key)
-
     steps = []
     for i in order:
         t, cx = f[i], gates[cx_at[i]]
         for q in range(cx_at[i] + len(nbrs[t]) - 1, cx_at[i], -1):  # its correction CZs, right to left
-            k = gates[q].wires[gates[q].wires[0] == i]
-            e = (min(t, k), max(t, k))
+            a, b = gates[q].wires
+            k = b if a == i else a
+            e = (t, k) if t < k else (k, t)
             c, x, z = 2 * q, cx_key[i], edge_key[e]
-            site = tuple(sorted((pos(z), pos(x), pos(c))))
+            pz, px, pc = bisect_left(keys, z), bisect_left(keys, x), bisect_left(keys, c)
+            site = (pz, px, pc) if px < pc else (pz, pc, px)
             steps.append(RewriteStep("cz-commute", site, (cx, edge_cz[e])))
             cx_key[i], edge_key[e] = c, c + 1
-            del keys[pos(x)]
-            del keys[pos(z)]
+            del keys[px]  # the higher first, so pz still holds
+            del keys[pz]
             insort(keys, c + 1)
     for i in order:
         t, angle = f[i], gates[j_at[i]].angle
-        z, j, x = edge_key[(min(i, t), max(i, t))], 2 * j_at[i], cx_key[i]
-        steps.append(RewriteStep("jgate", (pos(z), pos(j), pos(x)), (Gate("J", (t,), angle),), i))
-        del keys[pos(j)]  # the produced J keeps the CX's key
-        del keys[pos(z)]
+        z, j, x = edge_key[(i, t) if i < t else (t, i)], 2 * j_at[i], cx_key[i]
+        pz, pj = bisect_left(keys, z), bisect_left(keys, j)
+        steps.append(RewriteStep("jgate", (pz, pj, bisect_left(keys, x)), (Gate("J", (t,), angle),), i))
+        del keys[pj]  # the produced J keeps the CX's key
+        del keys[pz]
     return compact, SimplificationTrace(tuple(steps), digest(circuit), digest(compact))
 
 

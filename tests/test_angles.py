@@ -39,14 +39,16 @@ def test_a_zero_denominator_is_a_value_error():
 
 
 def test_a_pickled_angle_drops_its_cached_hash():
-    # the hash of None can differ between processes, so the cache must not travel
-    for angle in (Angle.exact(3, 8), Angle.radians(0.5)):
+    # the hash of None can differ between processes, so the caches must not travel
+    for angle, text in ((Angle.exact(3, 8), "3/8pi"), (Angle.radians(0.5), "0.5")):
         hash(angle)
-        assert "_hash" in vars(angle)
+        assert angle.text() is angle.text() == text
+        assert "_hash" in vars(angle) and "_text" in vars(angle)
         copy = pickle.loads(pickle.dumps(angle))
         assert copy == angle and repr(copy) == repr(angle)
-        assert "_hash" not in vars(copy)
+        assert "_hash" not in vars(copy) and "_text" not in vars(copy)
         assert hash(copy) == hash(angle) == hash((angle.pi_multiple, angle.float_radians))
+        assert copy.text() == text
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

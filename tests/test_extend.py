@@ -8,10 +8,13 @@ extended circuit, since build_extended is the only code that makes one: the
 rewrite engine reads the layer order and the graph neighbours off it.
 """
 
+import itertools
+
 import pytest
 
 from oneway import (
     Angle,
+    CorrectionStructure,
     Gate,
     OpenGraph,
     TimeSlicedView,
@@ -126,3 +129,70 @@ def test_build_rejects_mismatched_structure(example1):
     structure = find_flow(other)
     with pytest.raises(ValueError, match="structure invalid"):
         build_extended(graph, structure)
+
+
+def test_build_rejects_layers_that_contradict_or_omit_the_sets():
+    # path3 measured backwards: CX 1 2 would correct wire 1 after wire 2 is measured
+    graph, _ = load_fixture("path3")
+    structure = find_flow(graph)
+    backwards = CorrectionStructure(structure.correcting_sets, structure.layers[::-1])
+    with pytest.raises(ValueError, match=r"^structure invalid for graph: g\(1\) needs \[2\] measured after 1$"):
+        build_extended(graph, backwards)
+    # strip2x3 without its last round: wires 2 and 5 would get no J
+    graph, _ = load_fixture("strip2x3")
+    structure = find_flow(graph)
+    short = CorrectionStructure(structure.correcting_sets, structure.layers[:-1])
+    with pytest.raises(
+        ValueError, match=r"^structure invalid for graph: layers must partition the measured vertices \[1, 2, 4, 5\]$"
+    ):
+        build_extended(graph, short)
+
+
+def atlas_structures():
+    """Every connected graph of 2 to 5 vertices, every output subset short of
+    all vertices and every input subset, with its flow and its gflow where
+    each exists."""
+    for graph in all_small_open_graphs():
+        for r in range(len(graph.vertices) + 1):
+            for ins in itertools.combinations(graph.vertices, r):
+                opened = OpenGraph(graph.vertices, graph.edges, frozenset(ins), graph.outputs, graph.angles)
+                for structure in (find_flow(opened), find_gflow(opened)):
+                    if structure is not None:
+                        yield opened, structure
+
+
+def measured_in_order(graph, structure):
+    """The gflow definition's order condition, read directly off the layers:
+    i lies before every measured vertex of g(i) and of Odd(g(i)) but i."""
+    depth = {v: d for d, layer in enumerate(structure.layers) for v in layer}
+    for i, gset in structure.correcting_sets.items():
+        odd = {v for v in graph.vertices if len(graph.neighbors[v] & gset) % 2}
+        if any(depth[k] <= depth[i] for k in (gset | odd) - {i} if k in depth):
+            return False
+    return True
+
+
+def swapped_neighbours(layers):
+    """Each copy of ``layers`` with one pair of adjacent layers swapped."""
+    for d in range(len(layers) - 1):
+        yield layers[:d] + (layers[d + 1], layers[d]) + layers[d + 2 :]
+
+
+def test_build_refuses_exactly_the_layer_swaps_that_break_the_order():
+    # A found structure's layers are longest paths, so swapping two of them
+    # always breaks the order; one vertex per layer also gives swaps that keep it.
+    structures = accepted = refused = 0
+    for graph, structure in atlas_structures():
+        build_extended(graph, structure)
+        structures += 1
+        fine = tuple(frozenset({v}) for layer in structure.layers for v in sorted(layer))
+        for layers in itertools.chain(swapped_neighbours(structure.layers), swapped_neighbours(fine)):
+            swapped = CorrectionStructure(structure.correcting_sets, layers)
+            if measured_in_order(graph, swapped):
+                build_extended(graph, swapped)
+                accepted += 1
+            else:
+                with pytest.raises(ValueError, match=r"^structure invalid for graph: g\(\d+\) needs "):
+                    build_extended(graph, swapped)
+                refused += 1
+    assert (structures, accepted, refused) == (11572, 2804, 7372)

@@ -44,6 +44,14 @@ def test_neighbors_and_measured():
     assert g.measured == frozenset({1, 2})
 
 
+@pytest.mark.parametrize("outputs", [(), (3,), (3, 4), (1, 2, 3, 4)])
+def test_measured_is_computed_once(outputs):
+    g = square(outputs=outputs, angles={})
+    first = g.measured
+    assert first == frozenset(g.vertices) - g.outputs
+    assert g.measured is first
+
+
 def test_validate_reports_each_problem():
     ok = square()
     assert validate(ok) == []

@@ -1,6 +1,7 @@
 """The scripts under scripts/ still run against the package."""
 
 import importlib.util
+import json
 import os
 import pathlib
 import subprocess
@@ -86,3 +87,59 @@ def test_bench_check_shows_a_traced_pass_and_refuses_a_changed_digest(tmp_path):
     run = check("0" * 64)
     assert run.returncode == 1
     assert run.stdout.splitlines() == shown + ["strip-scaling: output sha256 changed"]
+
+
+# The lines of an untraced `perfbench/run.py --trace 0` report that
+# bench_pairs.py reads, the human-readable metric lines cut.
+UNTRACED_REPORT = """\
+# env {"nproc": 2, "python": "3.11.7", "seed": %(seed)d}
+# output sha256 %(sha)s  (over every emitted circuit and trace text)
+{"correct": true, "attempted": 4, "failed": 0, "metrics": {"compile_s": {"value": %(compile_s)s, "unit": "s"}, \
+"peak_rss_mb": {"value": 52.0, "unit": "MiB"}, "ok_frac": {"value": 1.0, "unit": "ratio"}}}
+"""
+
+
+def stand_in_tree(root, compile_s, sha="1" * 64):
+    """A tree whose perfbench/run.py prints a canned report; it checks its arguments."""
+    (root / "perfbench").mkdir(parents=True)
+    report = UNTRACED_REPORT % {"seed": 3, "sha": sha, "compile_s": compile_s}
+    (root / "perfbench" / "run.py").write_text(
+        "import sys\n"
+        "assert sys.argv[1:] == ['--workload', 'strip-scaling', '--seed', '3', '--trace', '0'], sys.argv\n"
+        f"print({report!r}, end='')\n"
+    )
+    better = [{"name": "compile_s", "better": "lower"}, {"name": "ok_frac", "better": "higher"}]
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": better}))
+    return root
+
+
+def test_bench_pairs_alternates_the_trees_and_writes_their_runs(tmp_path, capsys):
+    script = load_script("bench_pairs")
+    parent = stand_in_tree(tmp_path / "parent", 0.021)
+    change = stand_in_tree(tmp_path / "change", 0.019)
+    out = tmp_path / "BENCH.json"
+    args = [str(parent), str(change), "--workload", "strip-scaling", "--pairs", "2", "--seed", "3", "--out", str(out)]
+    assert script.main(args) == 0
+    (series,) = json.loads(out.read_text())["series"]
+    assert [(r["pair"], r["side"]) for r in series["runs"]] == [
+        (0, "parent"), (0, "change"), (1, "change"), (1, "parent"),
+    ]
+    assert all(r["output_sha256"] == "1" * 64 and r["env"]["seed"] == 3 for r in series["runs"])
+    assert series["runs"][1]["result"]["metrics"]["compile_s"]["value"] == 0.019
+    assert (series["workload"], series["seed"], series["failed_runs"], series["same_output"]) == (
+        "strip-scaling", 3, 0, True,
+    )
+    compile_s = series["summary"]["compile_s"]
+    assert compile_s["parent"] == {"median": 0.021, "q1": 0.021, "q3": 0.021}
+    assert compile_s["change"]["median"] == 0.019
+    assert compile_s["pairs_won"] == {"parent": 0, "change": 2, "tie": 0}
+    assert series["summary"]["ok_frac"]["pairs_won"] == {"parent": 0, "change": 0, "tie": 2}
+    assert set(series["summary"]) == {"compile_s", "ok_frac"}
+
+    # a second series is appended; outputs that differ fail the run
+    stand_in_tree(tmp_path / "other", 0.019, sha="2" * 64)
+    args[1] = str(tmp_path / "other")
+    args[5] = "1"
+    assert script.main(args) == 1
+    first, second = json.loads(out.read_text())["series"]
+    assert first == series and second["same_output"] is False and len(second["runs"]) == 2
