@@ -1,105 +1,27 @@
-"""Measurement patterns on graph states, compiled down to circuits."""
+"""Measurement patterns on graph states, compiled down to circuits.
 
-from .angles import Angle
-from .graphs import (
-    OpenGraph,
-    emit_graph,
-    odd_neighborhood,
-    parse_graph,
-    parse_graph_with_sets,
-    validate,
-)
-from .determinism import CorrectionStructure, find_flow, find_gflow, validate_gflow
-from .circuits import (
-    Circuit,
-    Gate,
-    TimeSlicedView,
-    Wire,
-    digest,
-    emit_text,
-    j_matrix,
-    parse_text,
-    slice_circuit,
-)
-from .extend import build_extended, correction_block
-from .simulate import (
-    Isometry,
-    ProjectionError,
-    StateVector,
-    WireCapError,
-    basis_column_order,
-    circuit_isometry,
-    max_deviation,
-    measured_wire_reduced_states,
-    run_pattern,
-)
-from .rewrite import (
-    FlowSimplifyError,
-    GflowSearchExhausted,
-    RewriteError,
-    RewriteStep,
-    SimplificationTrace,
-    apply_cx_commute,
-    apply_cz_commute,
-    apply_cz_to_cx,
-    apply_jgate,
-    apply_peephole,
-    replay,
-    simplify_flow,
-    simplify_gflow,
-    trace_text,
-)
-from .pipeline import Compiled, CompileError, compile_pattern
+Each module lists its public names in its own ``__all__``; the package
+re-exports them all and adds none of its own.
+"""
 
-__all__ = [
-    "Angle",
-    "OpenGraph",
-    "emit_graph",
-    "odd_neighborhood",
-    "parse_graph",
-    "parse_graph_with_sets",
-    "validate",
-    "CorrectionStructure",
-    "find_flow",
-    "find_gflow",
-    "validate_gflow",
-    "Circuit",
-    "Gate",
-    "TimeSlicedView",
-    "Wire",
-    "digest",
-    "emit_text",
-    "j_matrix",
-    "parse_text",
-    "slice_circuit",
-    "build_extended",
-    "correction_block",
-    "Isometry",
-    "ProjectionError",
-    "StateVector",
-    "WireCapError",
-    "basis_column_order",
-    "circuit_isometry",
-    "max_deviation",
-    "measured_wire_reduced_states",
-    "run_pattern",
-    "FlowSimplifyError",
-    "GflowSearchExhausted",
-    "RewriteError",
-    "RewriteStep",
-    "SimplificationTrace",
-    "apply_cx_commute",
-    "apply_cz_commute",
-    "apply_cz_to_cx",
-    "apply_jgate",
-    "apply_peephole",
-    "replay",
-    "simplify_flow",
-    "simplify_gflow",
-    "trace_text",
-    "Compiled",
-    "CompileError",
-    "compile_pattern",
-]
+from .angles import *
+from .graphs import *
+from .determinism import *
+from .circuits import *
+from .extend import *
+from .simulate import *
+from .rewrite import *
+from .pipeline import *
+
+__all__ = (
+    angles.__all__
+    + graphs.__all__
+    + determinism.__all__
+    + circuits.__all__
+    + extend.__all__
+    + simulate.__all__
+    + rewrite.__all__
+    + pipeline.__all__
+)
 
 __version__ = "0.1.0"

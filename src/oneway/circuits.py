@@ -4,17 +4,16 @@ Wires mirror graph vertices and carry their preparation (input state or |+>)
 and fate (output or measured).  Gates are kept in program order, left to
 right.  Gates and wires are validated tuples: each checks its fields when it
 is built (a pickled one too, when it loads), and ``==`` is type-strict, so a
-gate equals no plain tuple and no wire.  The time-sliced view holds the two
-facts the simplify entry points read off an extended circuit: the layer
-order of its measured wires and their graph neighbours.  The extended
-circuit's layout itself (entangling CZs, then per round J gates and their
-corrections) is the extend module's to define.
+gate equals no plain tuple and no wire.  The time-sliced view holds the
+layer order of the measured wires, read off the correction structure alone.
+This module knows nothing of the extended circuit's layout (entangling CZs,
+then per round J gates and their corrections): the extend module writes it,
+and only the rewrite module reads it back.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -156,35 +155,26 @@ def j_matrix(angle: Angle | float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeSlicedView:
-    """What the two simplify entry points read beside an extended circuit.
+    """The layer order the two simplify entry points read beside an
+    extended circuit.
 
     ``order`` lists the measured wires layer by layer, ascending within a
-    layer; ``neighbors`` maps each measured wire to its graph neighbours.
-    ``simplify_flow`` reads only ``order``, which must be the order of the
-    circuit's J gates; the gflow engine reads both.  Both follow from the
-    structure and the graph, so a single ``simplify(extended, structure)``
-    entry (ROADMAP item 1) deletes this view together with ``slice_circuit``.
+    layer; ``simplify_flow`` requires it to be the order of the circuit's J
+    gates.  It follows from the structure alone, so a single
+    ``simplify(extended, structure)`` entry (ROADMAP item 1) deletes this view
+    together with ``slice_circuit``.
     """
 
     order: tuple[int, ...]
-    neighbors: dict[int, frozenset[int]]
 
 
 def slice_circuit(circuit: Circuit, structure: CorrectionStructure) -> TimeSlicedView:
-    """Read the layer order and the graph neighbours off an extended circuit.
+    """The layer order of ``structure``'s measured wires.
 
-    The circuit must follow the extend module's layout, whose leading CZs
-    are exactly the graph edges.
+    It reads nothing of ``circuit``, which stays a parameter only for the
+    callers that pass it; ROADMAP item 1 deletes this function.
     """
-    order = tuple(i for layer in structure.layers for i in sorted(layer))
-    neighbors: dict[int, set[int]] = {i: set() for i in order}
-    for g in itertools.takewhile(lambda g: g.kind == "CZ", circuit.gates):
-        a, b = g.wires
-        if a in neighbors:
-            neighbors[a].add(b)
-        if b in neighbors:
-            neighbors[b].add(a)
-    return TimeSlicedView(order, {i: frozenset(n) for i, n in neighbors.items()})
+    return TimeSlicedView(tuple(i for layer in structure.layers for i in sorted(layer)))
 
 
 def emit_text(circuit: Circuit) -> str:

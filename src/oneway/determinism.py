@@ -33,12 +33,6 @@ class CorrectionStructure:
         """Flow when every correcting set is a single vertex, g(i) = {f(i)}; else gflow."""
         return "flow" if all(len(gset) == 1 for gset in self.correcting_sets.values()) else "gflow"
 
-    def layer_of(self, vertex: int) -> int:
-        for depth, layer in enumerate(self.layers):
-            if vertex in layer:
-                return depth
-        raise KeyError(vertex)
-
 
 def _layering(graph: OpenGraph, sets: dict[int, frozenset[int]]) -> tuple[frozenset[int], ...] | None:
     """Longest-path layering of the precedence DAG; None if it has a cycle.
@@ -267,8 +261,8 @@ def _solve_correcting_set(
         if matrix[rr] == 0 and rhs[rr]:
             return None
 
+    # the system is consistent, so this solution meets i's row of parity 1
+    # and has a member
     gset = frozenset(kept[c] for c, rr in pivot_row_of_col.items() if rhs[rr])
-    if not gset:
-        return None
     assert i in odd_neighborhood(graph, gset)
     return gset

@@ -48,7 +48,7 @@ it and its parent, and a rule applied to a node returns its edit and its
 step's fields instead.  The plan search builds a child, and its step, only
 when the child's gates are new, the tail extends the accepted node one step
 at a time, and the step checks walk that one path back from its end,
-comparing the circuits already built.
+comparing the nodes already built.
 
 Each node does only the work its result depends on.  Its tables come from
 one pass over its gates.  A pair of fixed site gates that no partner can
@@ -610,18 +610,18 @@ class _Node:
     wire's gate positions (``gates_on`` returns them uncopied), the conflict
     index (one mask per wire and role, ORed per gate), the per-wire CZ
     table, each wire's CXs with their targets, and the correction-shaped
-    CZs.  Its Circuit is made only when something asks for it.  A rule
-    applied to a node returns its edit and the fields of its step, which
-    ``then`` turns into the child.  The root holds the memo of shape matches
-    that every node below it shares.  Nothing on a node changes once it is
-    built; callers only read.
+    CZs.  A node stands for its own circuit wherever only ``wires`` and
+    ``gates`` are read, as the oracle reads them.  A rule applied to a node
+    returns its edit and the fields of its step, which ``then`` turns into
+    the child.  The root holds the memo of shape matches that every node
+    below it shares.  Nothing on a node changes once it is built; callers
+    only read.
     """
 
-    __slots__ = ("wires", "gates", "_on", "conflicts", "czs", "cxs", "shaped", "matches", "step", "parent",
-                 "depth", "_circuit")
+    __slots__ = ("wires", "gates", "_on", "conflicts", "czs", "cxs", "shaped", "matches", "step", "parent", "depth")
 
     def __init__(self, wires: tuple[Wire, ...], gates: tuple[Gate, ...], step=None, parent=None):
-        self.wires, self.gates, self.step, self.parent, self._circuit = wires, gates, step, parent, None
+        self.wires, self.gates, self.step, self.parent = wires, gates, step, parent
         self.depth, self.matches = (0, {}) if parent is None else (parent.depth + 1, parent.matches)
         self._on = on = {w.id: [] for w in wires}
         self.czs = czs = {w: {} for w in on}
@@ -660,12 +660,6 @@ class _Node:
         ]
 
     wire = Circuit.wire
-
-    @property
-    def circuit(self) -> Circuit:
-        if self._circuit is None:
-            self._circuit = Circuit(self.wires, self.gates)
-        return self._circuit
 
     def gates_on(self, wire_id: int) -> list[int]:
         return self._on.get(wire_id, [])
@@ -964,9 +958,9 @@ def _check_path(end: _Node) -> tuple[_Node, str | None]:
     """Oracle-check each step on the path to ``end`` taken on a circuit of
     at most ``_CHECKED_WIDTH`` wires.
 
-    Each such step compares the isometries of the stored circuits on either
-    side of it, with input columns lined up through the jgate relabelings;
-    no rule runs again.  Returns ``end`` and None, or the node before the
+    Each such step compares the isometries of the nodes on either side of
+    it, with input columns lined up through the jgate relabelings; no rule
+    runs again.  Returns ``end`` and None, or the node before the
     first drifting step and why.
     """
     from .simulate import basis_column_order, circuit_isometry, max_deviation
@@ -979,8 +973,8 @@ def _check_path(end: _Node) -> tuple[_Node, str | None]:
         order_after = follow_jgates([step], order)
         if len(node.wires) <= _CHECKED_WIDTH:
             if before is None:
-                before = circuit_isometry(node.circuit)
-            after = circuit_isometry(following.circuit)
+                before = circuit_isometry(node)
+            after = circuit_isometry(following)
             mb = before.matrix[:, basis_column_order(before.input_wires, order)]
             ma = after.matrix[:, basis_column_order(after.input_wires, order_after)]
             dev = max_deviation(mb, ma)
@@ -1001,23 +995,25 @@ def simplify_gflow(
     """Search a special-CX designation and strip every measured wire.
 
     Each measured wire i keeps one special CX (its eventual teleportation
-    partner, a graph neighbour in g(i)); the engine cancels the others with
-    the CX-triangle identity, minting helpers from CZ pairs where needed.
-    Designations, one partner per wire in layer order, are tried
-    injectively in product order of the ascending candidate lists, at most
-    ``budget`` of them (default: all, capped at 10000).  Each gets one plan
-    search; its accepted path is the result once every step on at most
-    ``_CHECKED_WIDTH`` wires passes the oracle check, and a drifting step
-    fails the designation.  `compile_pattern` calls it only for a gflow
+    partner, a graph neighbour in g(i), read off the circuit's leading CZs,
+    which ``build_extended`` lays out as the graph's edges); the engine
+    cancels the others with the CX-triangle identity, minting helpers from
+    CZ pairs where needed.  Designations, one partner per wire in layer
+    order, are tried injectively in product order of the ascending candidate
+    lists, at most ``budget`` of them (default: all, capped at 10000).  Each
+    gets one plan search; its accepted path is the result once every step on
+    at most ``_CHECKED_WIDTH`` wires passes the oracle check, and a drifting
+    step fails the designation.  `compile_pattern` calls it only for a gflow
     (some g(i) of two or more vertices); given a flow's single-vertex sets it
     takes ``simplify_flow``'s steps, which the tests hold it to.
     """
     order = view.order
     initial = digest(circuit)
     partial = SimplificationTrace((), initial, initial)
+    edges = {g.wires for g in itertools.takewhile(lambda g: g.kind == "CZ", circuit.gates)}
     candidates: list[list[int]] = []
     for i in order:
-        cand = sorted(structure.correcting_sets[i] & view.neighbors[i])
+        cand = sorted(j for j in structure.correcting_sets[i] if (min(i, j), max(i, j)) in edges)
         if not cand:
             raise GflowSearchExhausted(0, partial, f"wire {i} has no graph neighbour in its correcting set")
         candidates.append(cand)
@@ -1037,9 +1033,10 @@ def simplify_gflow(
         nodes += spent
         if why is None:
             end, why = _check_path(end)
-        trace = SimplificationTrace(tuple(end.steps), initial, digest(end.circuit))
+        compact = Circuit(end.wires, end.gates)
+        trace = SimplificationTrace(tuple(end.steps), initial, digest(compact))
         if why is None:
-            return end.circuit, trace
+            return compact, trace
         partial = trace
     else:
         if not attempts:

@@ -91,7 +91,7 @@ def test_flow_on_path():
     assert s is not None and s.kind == "flow"
     assert s.correcting_sets == {1: frozenset({2}), 2: frozenset({3})}
     assert s.layers == (frozenset({1}), frozenset({2}))
-    assert s.layer_of(2) == 1
+    assert {v: d for d, layer in enumerate(s.layers) for v in layer}[2] == 1
 
 
 def triangle():
@@ -169,10 +169,11 @@ def test_layers_respect_the_definition():
         if structure is None:
             continue
         assert frozenset(v for layer in structure.layers for v in layer) == graph.measured
+        depth = {v: d for d, layer in enumerate(structure.layers) for v in layer}
         for i, gset in structure.correcting_sets.items():
             later = (gset | odd_neighborhood(graph, gset)) - {i}
             for v in later & graph.measured:
-                assert structure.layer_of(v) > structure.layer_of(i)
+                assert depth[v] > depth[i]
 
 
 def test_layering_a_long_chain_does_not_recurse():

@@ -108,8 +108,12 @@ def test_parse_reports_line_numbers():
         parse_graph("vertices: 1 2\nedges: 1-2\ninputs: 1\n")
     with pytest.raises(ValueError, match="bad edge"):
         parse_graph("vertices: 1 2\nedges: 12\ninputs: 1\noutputs: 2\n")
-    # a token that is not a number names its key and line
     ok = "vertices: 1 2\nedges: 1-2\ninputs: 1\noutputs: 2\nangles: 1=1/4pi\n"
+    with pytest.raises(ValueError, match="^line 5: angles: bad angle assignment '1:1/4pi'$"):
+        parse_graph(ok.replace("1=1/4pi", "1:1/4pi"))
+    with pytest.raises(ValueError, match="^line 6: correcting_sets: bad correcting set '1=2'$"):
+        parse_graph_with_sets(ok + "correcting_sets: 1=2\n")
+    # a token that is not a number names its key and line
     for good, bad, where in [
         ("vertices: 1 2", "vertices: 1 a", "line 1: vertices: "),
         ("edges: 1-2", "edges: 1-b", "line 2: edges: "),
@@ -140,6 +144,14 @@ def test_parse_rejects_invalid_graphs():
     bad = "vertices: 1 2\nedges: 1-2\ninputs: 1\noutputs: 2\n"  # angle for 1 missing
     with pytest.raises(ValueError, match="missing angles"):
         parse_graph(bad)
+    for vertices, inputs, outputs, message in [
+        ("1 2 -3", "1", "2 -3", "^vertex ids must be non-negative integers$"),
+        ("1 2", "1 7", "2", "^inputs must be vertices$"),
+        ("1 2", "1", "2 7", "^outputs must be vertices$"),
+    ]:
+        text = f"vertices: {vertices}\nedges: 1-2\ninputs: {inputs}\noutputs: {outputs}\nangles: 1=1/4pi\n"
+        with pytest.raises(ValueError, match=message):
+            parse_graph(text)
 
 
 def test_comments_and_blank_lines_ignored():

@@ -4,8 +4,8 @@ import pytest
 
 import oneway.pipeline
 from oneway import (
-    Angle, CompileError, OpenGraph, build_extended, compile_pattern, emit_text, find_flow, parse_graph,
-    trace_text,
+    Angle, CompileError, FlowSimplifyError, OpenGraph, StateVector, build_extended, compile_pattern, emit_text,
+    find_flow, parse_graph, trace_text,
 )
 from conftest import load_fixture
 from test_determinism import all_small_open_graphs
@@ -39,6 +39,33 @@ def test_too_wide_to_verify_is_code_4():
         compile_pattern(graph, max_wires=2)
     assert info.value.code == 4
     assert len(info.value.extended.wires) == 3
+    assert len(info.value.trace.steps) == 3
+
+
+def test_a_failed_flow_simplification_is_code_4(monkeypatch):
+    def refuse(circuit, view):
+        raise FlowSimplifyError("off the layout")
+
+    monkeypatch.setattr(oneway.pipeline, "simplify_flow", refuse)
+    graph, _ = load_fixture("path3")
+    with pytest.raises(CompileError, match="^simplification failed: off the layout$") as info:
+        compile_pattern(graph)
+    assert info.value.code == 4
+    assert len(info.value.extended.wires) == 3 and info.value.trace is None
+
+
+def test_a_failed_outcome_spot_check_is_code_4(monkeypatch):
+    run_pattern = oneway.pipeline.run_pattern
+
+    def flipped(*args, **kwargs):  # path3's one output, in the state orthogonal to the pattern's
+        state = run_pattern(*args, **kwargs)
+        return StateVector(state.amplitudes[::-1] * [1, -1], state.wires)
+
+    monkeypatch.setattr(oneway.pipeline, "run_pattern", flipped)
+    graph, _ = load_fixture("path3")
+    with pytest.raises(CompileError, match=r"^outcome spot check failed: deviation \d\.\d{3}e[+-]\d\d$") as info:
+        compile_pattern(graph)
+    assert info.value.code == 4
     assert len(info.value.trace.steps) == 3
 
 

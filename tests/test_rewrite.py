@@ -91,6 +91,11 @@ def node_of(circuit: Circuit) -> _Node:
     return _Node(circuit.wires, circuit.gates)
 
 
+def circuit_of(node: _Node) -> Circuit:
+    """The circuit an engine node stands for."""
+    return Circuit(node.wires, node.gates)
+
+
 def test_cz_commute_is_a_matrix_identity():
     # circuit [CZ jk, CX ij, CZ ik] acts as [CX ij, CZ jk]
     for i, j, k in TRIPLES:
@@ -253,6 +258,9 @@ def test_cz_to_cx_forward():
     circ = Circuit(cz_to_cx_wires(), (Gate("CZ", (2, 3)), Gate("CX", (1, 2))))
     with pytest.raises(RewriteError, match="site must be a CZ pair"):
         apply_cz_to_cx(circ, (0, 1), fresh=2)
+    circ = Circuit(cz_to_cx_wires(), (Gate("CZ", (2, 3)), Gate("CZ", (1, 3)), Gate("CZ", (1, 2))))
+    with pytest.raises(RewriteError, match="^site must have two gates$"):
+        apply_cz_to_cx(circ, (0, 1, 2), fresh=2)
 
 
 def test_cz_to_cx_fresh_wire_selection():
@@ -273,6 +281,9 @@ def test_cz_to_cx_requires_freshness():
     )
     with pytest.raises(RewriteError, match="not fresh"):
         apply_cz_to_cx(circ, (1, 2), fresh=2)
+    # the pair fits with wire 1 as the fresh one, but wire 1 starts as an input
+    with pytest.raises(RewriteError, match=r"^wire 1 is not \|\+>-initialized$"):
+        apply_cz_to_cx(circ, (1, 2), fresh=1)
 
 
 def test_cz_to_cx_names_the_first_gate_that_touches_the_fresh_wire():
@@ -407,6 +418,11 @@ def test_peephole_rejections():
     jpair = Circuit(plain_wires(1,), (Gate("J", (1,), Angle.exact(0)), Gate("J", (1,), Angle.exact(0))))
     with pytest.raises(RewriteError, match="equal CZ or CX pair"):
         apply_peephole(jpair, (0, 1))
+    triple = Circuit(plain_wires(1, 2), (Gate("CZ", (1, 2)),) * 3)
+    with pytest.raises(RewriteError, match="^site must have two gates$"):
+        apply_peephole(triple, (0, 1, 2))
+    with pytest.raises(RewriteError, match=r"^site \(0, 5\) out of range$"):
+        apply_peephole(triple, (0, 5))
 
 
 def test_gather_names_the_first_blocking_gate():
@@ -618,6 +634,17 @@ def test_jgate_rejections():
     doubled = Circuit(teleport_wires(), (Gate("CZ", (1, 2)),) + ok)
     with pytest.raises(RewriteError, match="cannot relabel"):
         apply_jgate(doubled, 1, 2)
+    for gates, message in [
+        ((), "^wire 1 carries no gates$"),
+        (ok[:2], r"^leftover gate on wire 1: last is J\(1/4pi\) 1, want CX 1 2$"),
+        (ok[::2], "^wire 1 carries no J gate$"),
+    ]:
+        with pytest.raises(RewriteError, match=message):
+            apply_jgate(Circuit(teleport_wires(), gates), 1, 2)
+    # a CX onto wire 1 acts on it as X, so it cannot pass the CZ 1 2 and ride along
+    crossing = Circuit(wires3, ok[:1] + (Gate("CX", (3, 1)),) + ok[1:])
+    with pytest.raises(RewriteError, match="^gate CX 3 1 at 1 cannot slide before the CZ 1 2$"):
+        apply_jgate(crossing, 1, 2)
 
 
 def test_step_and_trace_text():
@@ -930,7 +957,7 @@ def test_simplify_flow_refuses_a_circuit_off_the_flow_layout():
     with pytest.raises(FlowSimplifyError, match=r"^CX 1 2 is not the correction of a causal flow$"):
         simplify_flow(early, slice_circuit(early, swapped))
     with pytest.raises(FlowSimplifyError, match=r"^the J gates measure \[1, 2\], not the order \[2, 1\]$"):
-        simplify_flow(ext, TimeSlicedView((2, 1), view.neighbors))
+        simplify_flow(ext, TimeSlicedView((2, 1)))
     for w2, message in [
         (Wire(2, "plus", "output"), r"^wire 2 is output, but a J measures it$"),
         (Wire(2, "input", "measured"), r"^CX 1 2 is not the correction of a causal flow$"),
@@ -940,6 +967,10 @@ def test_simplify_flow_refuses_a_circuit_off_the_flow_layout():
     dropped = Circuit(ext.wires, ext.gates[:4] + ext.gates[5:])  # the correction CZ 1 3
     with pytest.raises(FlowSimplifyError, match=r"^gate J\(1/2pi\) 2 at 4 is off the flow layout"):
         simplify_flow(dropped, view)
+    # one round measures wires 1 and 2 of two flow pairs, but its J gates descend
+    descending = spelled("mmoo", "CZ 1 3", "CZ 2 4", "J 2", "J 1", "CX 1 3", "CX 2 4")
+    with pytest.raises(FlowSimplifyError, match=r"^gate J\(1/4pi\) 1 at 3 is off the flow layout"):
+        simplify_flow(descending, TimeSlicedView((1, 2)))
 
 
 def test_eliminator_names_a_correction_cz_it_cannot_move():
@@ -980,6 +1011,33 @@ def test_gflow_wire_without_a_neighbour_in_its_set_is_named():
     foreign = CorrectionStructure({1: frozenset({3}), 2: frozenset({3})}, (frozenset({1}), frozenset({2})))
     with pytest.raises(GflowSearchExhausted, match="0 attempts: wire 1 has no graph neighbour"):
         simplify_gflow(ext, view, foreign)
+
+
+def test_a_tail_that_cannot_clear_a_correction_cz_fails_the_designation():
+    # a gflow on the path 3-2-1-4 whose only designation, 3 onto 2 and 4 onto
+    # 1, leaves the tail no partner for the correction CZ 2 4
+    graph = OpenGraph(
+        vertices=(1, 2, 3, 4), edges=((1, 2), (1, 4), (2, 3)), inputs=(), outputs=(1, 2),
+        angles={3: Angle.exact(1, 4), 4: Angle.exact(1, 2)},
+    )
+    structure = validate_gflow(graph, {3: frozenset({2}), 4: frozenset({1, 3})})
+    ext = build_extended(graph, structure)
+    message = "^gflow designation search exhausted after 1 attempts: no commutation partner eliminates CZ 2 4 at 5$"
+    with pytest.raises(GflowSearchExhausted, match=message):
+        simplify_gflow(ext, slice_circuit(ext, structure), structure)
+
+
+def test_gflow_names_a_measured_wire_the_view_leaves_out():
+    # two flow pairs, 1 onto 2 and 3 onto 4; a view that omits wire 3 strips
+    # wire 1 only, and the tail refuses to return wire 3 still measured
+    graph = OpenGraph(
+        vertices=(1, 2, 3, 4), edges=((1, 2), (3, 4)), inputs=(), outputs=(2, 4),
+        angles={1: Angle.exact(1, 4), 3: Angle.exact(1, 2)},
+    )
+    structure = validate_gflow(graph, {1: frozenset({2}), 3: frozenset({4})})
+    ext = build_extended(graph, structure)
+    with pytest.raises(GflowSearchExhausted, match=r"exhausted after 1 attempts: wires \[3\] were not removed$"):
+        simplify_gflow(ext, TimeSlicedView((1,)), structure)
 
 
 def test_step_checks_catch_a_drifting_step(monkeypatch):
@@ -1061,10 +1119,10 @@ def test_step_checks_read_the_search_path(name, monkeypatch):
     (path,) = paths
     assert tuple(node.step for node in path[1:]) == trace.steps
     # by induction, the k-th node holds replay(ext, trace.steps[:k])
-    assert path[0].circuit == ext
+    assert circuit_of(path[0]) == ext
     for before, node in zip(path, path[1:]):
-        assert node.circuit == replay(before.circuit, [node.step])
-    assert path[-1].circuit == compact
+        assert circuit_of(node) == replay(circuit_of(before), [node.step])
+    assert circuit_of(path[-1]) == compact
 
 
 def assert_trace_replays(structure, ext: Circuit, view) -> None:
@@ -1137,16 +1195,16 @@ def test_correction_eliminator_steps_replay_and_keep_the_isometry(circuit):
         # a node never changes, so a failed pass leaves no partial path to check
         assert re.fullmatch(r"no commutation partner eliminates CZ \d+ \d+ at \d+", str(exc))
         return
-    assert not node_of(end.circuit).shaped
+    assert not node_of(circuit_of(end)).shaped
     assert all(step.rule == "cz-commute" for step in end.steps)
-    assert replay(circuit, end.steps) == end.circuit
+    assert replay(circuit, end.steps) == circuit_of(end)
 
     # every wire an output, so no measured-wire projection can collapse
     def unprojected(c: Circuit):
         wires = tuple(Wire(w.id, w.init, "output") for w in c.wires)
         return circuit_isometry(Circuit(wires, c.gates)).matrix
 
-    assert max_deviation(unprojected(circuit), unprojected(end.circuit)) <= 1e-9
+    assert max_deviation(unprojected(circuit), unprojected(circuit_of(end))) <= 1e-9
 
 
 @st.composite

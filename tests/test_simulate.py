@@ -12,7 +12,9 @@ from oneway import (
     Circuit,
     CorrectionStructure,
     Gate,
+    OpenGraph,
     ProjectionError,
+    StateVector,
     Wire,
     WireCapError,
     basis_column_order,
@@ -144,6 +146,22 @@ def test_max_deviation_phase_alignment():
     assert max_deviation(m, bumped) > 0.05
     with pytest.raises(ValueError, match="shape mismatch"):
         max_deviation(m, m[:2])
+    # state vectors are read by their amplitudes; aligned on the larger
+    # entry, 0.8i, the other entries differ by 2 * 0.6
+    state = StateVector(np.array([0.6, 0.8j]), (1,))
+    assert max_deviation(state, StateVector(1j * state.amplitudes, (1,))) == pytest.approx(0.0, abs=1e-15)
+    assert max_deviation(state, StateVector(np.array([0.6, -0.8j]), (1,))) == pytest.approx(1.2)
+
+
+def test_run_pattern_refuses_an_outcome_of_zero_amplitude():
+    # vertex 1 touches nothing, so it is measured as it is given: |-> has no
+    # overlap with the J(0) outcome 0, <+|
+    graph = OpenGraph(vertices=(1, 2), edges=(), inputs=(1,), outputs=(2,), angles={1: Angle.exact(0)})
+    structure = CorrectionStructure({1: frozenset({2})}, (frozenset({1}),))
+    minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    with pytest.raises(ProjectionError, match="^outcome 0 on vertex 1 has zero amplitude$"):
+        run_pattern(graph, structure, minus, {1: 0})
+    assert run_pattern(graph, structure, minus, {1: 1}).wires == (2,)
 
 
 def test_run_pattern_is_outcome_independent(path3):
