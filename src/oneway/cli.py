@@ -72,27 +72,17 @@ def cmd_flow(args: argparse.Namespace) -> int:
         return _fail(2, str(exc))
 
     found = False
-    flow = find_flow(graph)
-    if flow is None:
-        print("flow: no")
-    else:
+    for name, find in (("flow", find_flow), ("gflow", find_gflow)):
+        structure = find(graph)
+        print(f"{name}: {'no' if structure is None else 'yes'}")
+        if structure is None:
+            continue
         found = True
-        print("flow: yes")
-        for i in sorted(flow.correcting_sets):
-            (j,) = flow.correcting_sets[i]
-            print(f"  f({i}) = {j}")
-        print(f"  layers: {_format_layers(flow.layers)}")
-
-    gflow = find_gflow(graph)
-    if gflow is None:
-        print("gflow: no")
-    else:
-        found = True
-        print("gflow: yes")
-        for i in sorted(gflow.correcting_sets):
-            members = ",".join(str(v) for v in sorted(gflow.correcting_sets[i]))
-            print(f"  g({i}) = {{{members}}}")
-        print(f"  layers: {_format_layers(gflow.layers)}")
+        for i, members in sorted(structure.correcting_sets.items()):
+            # a flow names f(i), the one member of its set
+            shown = ",".join(map(str, sorted(members)))
+            print(f"  f({i}) = {shown}" if name == "flow" else f"  g({i}) = {{{shown}}}")
+        print(f"  layers: {_format_layers(structure.layers)}")
 
     if sets is not None:
         checked = validate_gflow(graph, sets)

@@ -93,6 +93,7 @@ __all__ = [
 _TOL = 1e-9  # the per-step oracle checks' deviation bound
 _PLAN_BUDGET = 4000  # search nodes per designation
 _CHECKED_WIDTH = 12  # the widest circuit the per-step oracle checks compare
+_PRODUCED = {"jgate": 1, "peephole-cancel": 0, "cz-commute": 2, "cx-commute": 2, "cz-to-cx": 2}  # gates per step
 
 
 class RewriteError(ValueError):
@@ -275,8 +276,7 @@ def apply_cz_commute(circuit: Circuit, site: tuple[int, ...]) -> tuple[Circuit, 
 
 
 def _require_fresh(circuit: Circuit, wire: int, before: int, site: tuple[int, ...]) -> None:
-    w = circuit.wire(wire)
-    if w.init != "plus":
+    if circuit.wire(wire).init != "plus":
         raise RewriteError(f"wire {wire} is not |+>-initialized")
     for q in circuit.gates_on(wire):
         if q < before and q not in site:
@@ -347,7 +347,10 @@ def apply_jgate(circuit: Circuit, i: int, j: int) -> tuple[Circuit, RewriteStep]
     at the CX position.
     """
     gates = circuit.gates
-    wi, wj = circuit.wire(i), circuit.wire(j)
+    try:
+        wi, wj = circuit.wire(i), circuit.wire(j)
+    except KeyError as exc:
+        raise RewriteError(f"the circuit has no wire {exc.args[0]}") from None
     if wi.terminal != "measured":
         raise RewriteError(f"wire {i} is not a measured wire")
     if wj.init != "plus":
@@ -403,9 +406,7 @@ def apply_jgate(circuit: Circuit, i: int, j: int) -> tuple[Circuit, RewriteStep]
         if q < cx_pos and q not in site and q not in slid:
             raise RewriteError(f"wire {j} is not fresh: {gates[q].text()} at {q}")
 
-    theta = gates[jg_pos].angle
-    assert theta is not None
-    produced = Gate("J", (j,), theta)
+    produced = Gate("J", (j,), gates[jg_pos].angle)
     # the teleported J, then the riders in program order, where the CX was
     edit = _Edit(
         tuple(sorted(site | slid)),
@@ -417,10 +418,14 @@ def apply_jgate(circuit: Circuit, i: int, j: int) -> tuple[Circuit, RewriteStep]
 
 
 def replay(circuit: Circuit, steps: tuple[RewriteStep, ...] | list[RewriteStep]) -> Circuit:
-    """Re-run recorded steps; raises if any step no longer matches."""
+    """Re-run recorded steps; raises RewriteError if any step no longer matches."""
     c = circuit
     for st in steps:
-        if st.rule == "jgate":
+        if st.rule not in _PRODUCED:
+            raise RewriteError(f"unknown rule {st.rule!r}")
+        if len(st.produced) != _PRODUCED[st.rule]:  # a jgate's and a cz-to-cx's wire are read off them
+            redo = None
+        elif st.rule == "jgate":
             c, redo = apply_jgate(c, st.wire_removed, st.produced[0].wires[0])
         elif st.rule == "peephole-cancel":
             c, redo = apply_peephole(c, st.consumed)
@@ -428,11 +433,9 @@ def replay(circuit: Circuit, steps: tuple[RewriteStep, ...] | list[RewriteStep])
             c, redo = apply_cz_commute(c, st.consumed)
         elif st.rule == "cx-commute":
             c, redo = apply_cx_commute(c, st.consumed)
-        elif st.rule == "cz-to-cx":
-            c, redo = apply_cz_to_cx(c, st.consumed, fresh=st.produced[1].target)
         else:
-            raise RewriteError(f"unknown rule {st.rule!r}")
-        if redo.produced != st.produced:
+            c, redo = apply_cz_to_cx(c, st.consumed, fresh=st.produced[1].wires[-1])  # the CX's target
+        if redo is None or redo.produced != st.produced:
             raise RewriteError(f"replay diverged at step {st.text()}")
     return c
 
@@ -539,8 +542,8 @@ def simplify_flow(circuit: Circuit, view: TimeSlicedView) -> tuple[Circuit, Simp
     correction CZ i k, right to left, moving the edge CZ f(i) k past the CX
     i f(i); then, in layer order, one jgate per measured wire.  Positions
     are read off order keys by bisection, each key once per step, with no
-    relabelling.  It checks
-    no step; the pipeline's final oracle check covers the result.
+    relabelling.  It checks no step; the pipeline's final oracle check
+    covers the result.
     """
     edges, nbrs, f, j_at, cx_at = _read_flow(circuit, view.order)
     gates, order = circuit.gates, view.order
@@ -847,33 +850,16 @@ def _fire_candidates(node: _Node):
 def _hop_candidates(node: _Node, work: list[tuple[int, int, int]]):
     """Commutations that walk a helper CX right past the CZ blocking it."""
     gates = node.gates
-    seen_helpers: set[int] = set()
-    for u, i, t in work:
-        for m, _ in _middles(node, i, t):
-            for h in _helper_indices(node, m, t):
-                if h in seen_helpers:
-                    continue
-                seen_helpers.add(h)
-                q = _next_conflict(node, h, len(gates))  # only the first blocker can move this helper
-                if q == len(gates):
-                    continue
-                g = gates[q]
-                if g.kind == "CZ" and t in g.wires and m not in g.wires:
-                    y = g.wires[g.wires[0] == t]
-                    yield from _partner_sites(apply_cz_commute, node, h, q, node.czs[m].get(y, ()))
-
-
-def _shift_candidates(node: _Node, work: list[tuple[int, int, int]]):
-    """Commutations that swap a CZ on the target past the unwanted CX itself."""
-    gates = node.gates
-    for u, i, t in work:
-        eaten_by_y = node.czs[i]
-        for q in node.gates_on(t):
-            g = gates[q]
-            if g.kind != "CZ" or i in g.wires:
-                continue
+    helpers = (h for _, i, t in work for m, _ in _middles(node, i, t) for h in _helper_indices(node, m, t))
+    for h in dict.fromkeys(helpers):  # each helper CX m->t once, where the work first reaches it
+        m, t = gates[h].wires
+        q = _next_conflict(node, h, len(gates))  # only the first blocker can move this helper
+        if q == len(gates):
+            continue
+        g = gates[q]
+        if g.kind == "CZ" and t in g.wires and m not in g.wires:
             y = g.wires[g.wires[0] == t]
-            yield from _partner_sites(apply_cz_commute, node, q, u, eaten_by_y.get(y, ()))
+            yield from _partner_sites(apply_cz_commute, node, h, q, node.czs[m].get(y, ()))
 
 
 def _tail(node: _Node, order: tuple[int, ...], targets: dict[int, int]) -> _Node:
@@ -902,16 +888,15 @@ def _plan(
     every measured wire.
 
     A CX is unwanted when its target is not its control's designated
-    partner.  Moves are tried most-direct-first on each node, where a rule
-    returns its edit.  The plan moves no wire (jgate fires only in the
-    tail), so a child is keyed on its gate tuple: a seen one is pruned, only
-    a new one becomes a node, with its step.  Once no unwanted CX remains,
-    the tail is the goal test.  Returns the end node of the accepted path
-    and None, or the deepest node explored and why the search failed; then
-    the nodes spent.
+    partner.  Each node tries four moves in turn, direct, mint, fire and
+    hop, where a rule returns its edit.  The plan moves no wire (jgate fires
+    only in the tail), so a child is keyed on its gate tuple: a seen one is
+    pruned, only a new one becomes a node, with its step.  Once no unwanted
+    CX remains, the tail is the goal test.  Returns the end node of the
+    accepted path and None, or the deepest node explored and why the search
+    failed; then the nodes spent.
     """
-    nodes = 0
-    best = root
+    nodes, best = 0, root
     seen = {root.gates}
     why = "no sequence of moves cancels every unwanted CX"
 
@@ -931,7 +916,6 @@ def _plan(
             _mint_candidates(c, work),
             _fire_candidates(c),
             _hop_candidates(c, work),
-            _shift_candidates(c, work),
         )
         for edit, step in candidates:
             gates = _spliced(c.gates, edit)
@@ -1000,13 +984,16 @@ def simplify_gflow(
     cancels the others with the CX-triangle identity, minting helpers from
     CZ pairs where needed.  Designations, one partner per wire in layer
     order, are tried injectively in product order of the ascending candidate
-    lists, at most ``budget`` of them (default: all, capped at 10000).  Each
-    gets one plan search; its accepted path is the result once every step on
-    at most ``_CHECKED_WIDTH`` wires passes the oracle check, and a drifting
-    step fails the designation.  `compile_pattern` calls it only for a gflow
+    lists, at most ``budget`` of them (default: all, capped at 10000; a
+    budget below 1 raises ValueError).  Each gets one plan search; its
+    accepted path is the result once every step on at most
+    ``_CHECKED_WIDTH`` wires passes the oracle check, and a drifting step
+    fails the designation.  `compile_pattern` calls it only for a gflow
     (some g(i) of two or more vertices); given a flow's single-vertex sets it
     takes ``simplify_flow``'s steps, which the tests hold it to.
     """
+    if budget is not None and not budget >= 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     order = view.order
     initial = digest(circuit)
     partial = SimplificationTrace((), initial, initial)
@@ -1021,7 +1008,6 @@ def simplify_gflow(
 
     root = _Node(circuit.wires, circuit.gates)  # every designation's search starts here
     attempts = nodes = 0
-    why: str | None = f"the attempt budget is {cap}"
     for assignment in itertools.product(*candidates):
         if len(set(assignment)) != len(assignment):
             continue
@@ -1038,9 +1024,8 @@ def simplify_gflow(
         if why is None:
             return compact, trace
         partial = trace
-    else:
-        if not attempts:
-            why = "no injective designation exists among the candidate partners " + " ".join(
-                f"{i}:{{{','.join(map(str, cand))}}}" for i, cand in zip(order, candidates)
-            )
+    if not attempts:  # a budget of at least 1 stops the loop only after an attempt
+        why = "no injective designation exists among the candidate partners " + " ".join(
+            f"{i}:{{{','.join(map(str, cand))}}}" for i, cand in zip(order, candidates)
+        )
     raise GflowSearchExhausted(attempts, partial, why, nodes)

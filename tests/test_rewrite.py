@@ -68,7 +68,6 @@ from oneway.rewrite import (
     _middles,
     _mint_candidates,
     _next_conflict,
-    _shift_candidates,
     _triangle_shape,
     follow_jgates,
 )
@@ -697,6 +696,30 @@ def test_replay_diverges_on_a_different_circuit():
         replay(ext, [RewriteStep("bogus", (), ())])
 
 
+def test_rules_and_replay_refuse_wires_and_steps_the_circuit_lacks():
+    theta = Angle.exact(1, 4)
+    circ = Circuit(teleport_wires(), (Gate("CZ", (1, 2)), Gate("J", (1,), theta), Gate("CX", (1, 2))))
+    for i, j, missing in [(7, 2, 7), (1, 9, 9)]:
+        with pytest.raises(RewriteError, match=f"^the circuit has no wire {missing}$"):
+            apply_jgate(circ, i, j)
+    with pytest.raises(RewriteError, match="^the circuit has no wire 7$"):
+        replay(circ, [RewriteStep("jgate", (0, 1, 2), (Gate("J", (2,), theta),), 7)])
+
+    pair = Circuit(cz_to_cx_wires(), (Gate("CZ", (2, 3)), Gate("CZ", (1, 3))))
+    _, step = apply_cz_to_cx(pair, (0, 1), fresh=2)
+    assert replay(pair, [step]) == apply_cz_to_cx(pair, (0, 1), fresh=2)[0]
+    for produced in [step.produced[1:], step.produced[:1], ()]:
+        bent = RewriteStep("cz-to-cx", step.consumed, produced)
+        with pytest.raises(RewriteError, match=f"^replay diverged at step {re.escape(bent.text())}$"):
+            replay(pair, [bent])
+    # the fresh wire is read off the last produced gate, here a CZ 2 3
+    with pytest.raises(RewriteError, match="^wire 3 is not part of the site$"):
+        replay(pair, [RewriteStep("cz-to-cx", step.consumed, step.produced[::-1])])
+    for rule in ("jgate", "cz-commute"):
+        with pytest.raises(RewriteError, match="^replay diverged at step"):
+            replay(circ, [RewriteStep(rule, (0, 1, 2), ())])
+
+
 def flow_compile(graph: OpenGraph):
     structure = find_flow(graph)
     assert structure is not None
@@ -780,6 +803,14 @@ def test_simplify_gflow_budget_exhaustion():
     assert max_deviation(circuit_isometry(ext), circuit_isometry(compact)) <= 1e-9
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_simplify_gflow_refuses_a_budget_below_one(budget):
+    # worded as compile_pattern and the CLI refuse it, before any search
+    structure, ext, view = fixture_pipeline("budget")
+    with pytest.raises(ValueError, match=f"^budget must be at least 1, got {budget}$"):
+        simplify_gflow(ext, view, structure, budget=budget)
+
+
 # sha256 of emit_text(compact) + trace_text(trace) per fixture: any change to
 # a rewrite step, its order or its output shows here
 FIXTURE_DIGESTS = {
@@ -844,16 +875,21 @@ def test_simplify_flow_enters_no_part_of_the_engine(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == FIXTURE_DIGESTS["strip2x3"]
 
 
-def atlas_flows_with_inputs():
+def atlas_with_inputs():
     """Every connected graph of 2 to 5 vertices, every output subset short of
-    all vertices and every non-empty input subset that has a flow."""
+    all vertices and every non-empty input subset."""
     for graph in all_small_open_graphs():
         for r in range(1, len(graph.vertices) + 1):
             for ins in itertools.combinations(graph.vertices, r):
-                opened = OpenGraph(graph.vertices, graph.edges, frozenset(ins), graph.outputs, graph.angles)
-                structure = find_flow(opened)
-                if structure is not None:
-                    yield structure, build_extended(opened, structure)
+                yield OpenGraph(graph.vertices, graph.edges, frozenset(ins), graph.outputs, graph.angles)
+
+
+def atlas_flows_with_inputs():
+    """Each of ``atlas_with_inputs`` that has a flow, with it."""
+    for opened in atlas_with_inputs():
+        structure = find_flow(opened)
+        if structure is not None:
+            yield structure, build_extended(opened, structure)
 
 
 def test_flow_atlas_with_inputs_is_byte_identical():
@@ -1220,7 +1256,8 @@ def measured_first_inputs(draw) -> Circuit:
 
 
 # The plan's candidate generators as written before they were pruned: every
-# site is built and handed to ``_fits``.
+# site is built and handed to ``_fits``.  The last is the shift move the plan
+# once had, the reference for the fire move's sites.
 
 
 def unpruned_direct_candidates(circuit, work):
@@ -1273,6 +1310,7 @@ def unpruned_hop_candidates(circuit, work):
 
 
 def unpruned_shift_candidates(circuit, work):
+    """Commutations that swap a CZ on the target past the unwanted CX itself."""
     gates = circuit.gates
     for u, i, t in work:
         eaten_by_y = circuit.czs[i]
@@ -1285,43 +1323,91 @@ def unpruned_shift_candidates(circuit, work):
                 yield from _fits(apply_cz_commute, circuit, (q, u, e))
 
 
-# the only gate between the CX and the correction CZ is the partner itself
-@example(spelled("moo", "J 1", "CX 1 2", "CZ 2 3", "CZ 1 3"))
-# the partner comes first, and the CX it does not commute with is a site gate
-@example(spelled("moo", "CZ 2 3", "J 1", "CX 1 2", "CZ 1 3"))
-# a shift that fires: the CZ on the target, the CX, then the partner
-@example(spelled("moo", "CZ 2 3", "CX 1 2", "CZ 1 3"))
-# a CX triangle whose helper is the only gate between its other two CXs
-@example(spelled("ooo", "CX 1 2", "CX 2 3", "CX 1 3"))
-# a mint: wire 2 is fresh up to the CZ 3 4, and its second gate comes after
-@example(spelled("oooo", "CZ 2 4", "CZ 3 4", "CX 1 3", "CX 1 2"))
-# screened before any site: the one conflict of the CX 1 2 before the
-# correction CZ 1 3 is the CX 3 1, which is no partner
-@example(spelled("moo", "J 1", "CX 1 2", "CX 3 1", "CZ 1 3", "CZ 2 3"))
-# screened: two conflicts, the J 2 and the partner CZ 2 3, lie in that window
-@example(spelled("moo", "J 1", "CX 1 2", "J 2", "CZ 2 3", "CZ 1 3"))
-# screened: the shift of the CZ 2 3 past the CX 1 2 has no CZ 1 3 to eat,
-# and the triangle through the CX 1 3 has no helper CX 3 2
-@example(spelled("ooo", "CZ 2 3", "CX 1 3", "CX 1 2"))
-@settings(deadline=None, max_examples=300)
-@given(st.one_of(measured_first_inputs(), eliminator_inputs()))
+GENERATOR_CASES = [
+    # the only gate between the CX and the correction CZ is the partner itself
+    spelled("moo", "J 1", "CX 1 2", "CZ 2 3", "CZ 1 3"),
+    # the partner comes first, and the CX it does not commute with is a site gate
+    spelled("moo", "CZ 2 3", "J 1", "CX 1 2", "CZ 1 3"),
+    # a shift site that no fire site matches: the CZ 1 3 it eats comes before
+    # any J, as an entangling edge does
+    spelled("moo", "CZ 2 3", "CX 1 2", "CZ 1 3"),
+    # a fire site whose mover is the higher wire of the correction CZ 1 3
+    spelled("moo", "J 1", "CZ 1 2", "CX 3 2", "CZ 1 3"),
+    # a CX triangle whose helper is the only gate between its other two CXs
+    spelled("ooo", "CX 1 2", "CX 2 3", "CX 1 3"),
+    # a mint: wire 2 is fresh up to the CZ 3 4, and its second gate comes after
+    spelled("oooo", "CZ 2 4", "CZ 3 4", "CX 1 3", "CX 1 2"),
+    # screened before any site: the one conflict of the CX 1 2 before the
+    # correction CZ 1 3 is the CX 3 1, which is no partner
+    spelled("moo", "J 1", "CX 1 2", "CX 3 1", "CZ 1 3", "CZ 2 3"),
+    # screened: two conflicts, the J 2 and the partner CZ 2 3, lie in that window
+    spelled("moo", "J 1", "CX 1 2", "J 2", "CZ 2 3", "CZ 1 3"),
+    # screened: the shift of the CZ 2 3 past the CX 1 2 has no CZ 1 3 to eat,
+    # and the triangle through the CX 1 3 has no helper CX 3 2
+    spelled("ooo", "CZ 2 3", "CX 1 3", "CX 1 2"),
+]
+
+
+def on_generator_cases(test):
+    """Run ``test`` on ``GENERATOR_CASES``, then on 300 drawn circuits."""
+    test = settings(deadline=None, max_examples=300)(
+        given(st.one_of(measured_first_inputs(), eliminator_inputs()))(test)
+    )
+    for circuit in reversed(GENERATOR_CASES):
+        test = example(circuit)(test)
+    return test
+
+
+def every_cx_unwanted(circuit: Circuit) -> list[tuple[int, int, int]]:
+    """The work list that makes the generators that take work see each CX."""
+    return [(k, g.control, g.target) for k, g in enumerate(circuit.gates) if g.kind == "CX"]
+
+
+@on_generator_cases
 def test_pruned_generators_yield_what_the_unpruned_ones_yield(circuit):
-    # every CX is unwanted, so the generators that take work see each one
-    work = [(k, g.control, g.target) for k, g in enumerate(circuit.gates) if g.kind == "CX"]
+    work = every_cx_unwanted(circuit)
     node = node_of(circuit)
     assert list(_direct_candidates(node, work)) == list(unpruned_direct_candidates(node, work))
     assert list(_mint_candidates(node, work)) == list(unpruned_mint_candidates(node, work))
     assert list(_fire_candidates(node)) == list(unpruned_fire_candidates(node))
     assert list(_hop_candidates(node, work)) == list(unpruned_hop_candidates(node, work))
-    assert list(_shift_candidates(node, work)) == list(unpruned_shift_candidates(node, work))
+
+
+def eaten_cz(node: _Node, step) -> int:
+    """The position of the CZ a cz-commute step consumes: the one site gate
+    that is not among the gates it produces."""
+    _, site, produced = step
+    (eaten,) = (p for p in site if node.gates[p] not in produced)
+    return eaten
+
+
+@on_generator_cases
+def test_a_shift_site_is_a_fire_site_exactly_when_the_cz_it_eats_is_shaped(circuit):
+    # the plan dropped the shift move: the sites of it that fire does not
+    # build all eat a CZ that comes before any J on its wires
+    node = node_of(circuit)
+    fired = set(_fire_candidates(node))
+    shaped = {q for q, _ in node.shaped}
+    for edit, step in unpruned_shift_candidates(node, every_cx_unwanted(circuit)):
+        assert ((edit, step) in fired) == (eaten_cz(node, step) in shaped)
+
+
+def test_the_shift_site_on_an_entangling_edge_is_no_fire_site():
+    # the CZ 1 3 the site eats comes before any J, as an entangling edge does
+    circuit = spelled("moo", "CZ 2 3", "CX 1 2", "CZ 1 3")
+    node = node_of(circuit)
+    ((_, step),) = unpruned_shift_candidates(node, every_cx_unwanted(circuit))
+    assert eaten_cz(node, step) == 2 and not node.shaped
+    assert not list(_fire_candidates(node))
 
 
 @functools.cache
 def recorded_plan_search() -> tuple[list[int], list[tuple[tuple[Wire, ...], list]]]:
     """Run the gflow search on every gflow-only atlas graph, in order, then on
-    the example1, example2 and budget fixtures.  Returns the plan nodes spent
-    on each atlas graph, and for each ``_plan`` call its wires and the gate
-    tuples of the root and of every child it generated."""
+    the example1, example2 and budget fixtures, then on the first 21 of the
+    30 gflow-only atlas graphs with inputs.  Returns the plan nodes spent on
+    each atlas graph without inputs, and for each ``_plan`` call its wires
+    and the gate tuples of the root and of every child it generated."""
     nodes: list[int] = []
     plans: list[tuple[tuple[Wire, ...], list]] = []
     running: list[list] = []  # the children of the _plan call under way
@@ -1350,13 +1436,16 @@ def recorded_plan_search() -> tuple[list[int], list[tuple[tuple[Wire, ...], list
         finally:
             running.pop()
 
-    inputs = []
-    for graph in atlas_gflow_only_graphs():
+    def gflow_input(graph):
         structure = find_gflow(graph)
         ext = build_extended(graph, structure)
-        inputs.append((structure, ext, slice_circuit(ext, structure)))
+        return structure, ext, slice_circuit(ext, structure)
+
+    inputs = [gflow_input(graph) for graph in atlas_gflow_only_graphs()]
     atlas = len(inputs)
     inputs.extend(fixture_pipeline(name) for name in ("example1", "example2", "budget"))
+    with_inputs = (g for g in atlas_with_inputs() if find_flow(g) is None and find_gflow(g) is not None)
+    inputs.extend(map(gflow_input, itertools.islice(with_inputs, 21)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oneway.rewrite, "_plan", recording_plan)
         mp.setattr(oneway.rewrite, "_spliced", recording_spliced)
