@@ -13,7 +13,10 @@ output), ``# output sha256`` and ``# env`` are kept.
 Per side, each end-to-end metric of the change tree's BENCHMARK.json gets
 its median and quartiles over the runs; each pair counts as won by the side
 that is better on that metric, as the file's ``better`` says, and as a tie
-when the two are equal.  The series goes into ``--out``; when that file
+when the two are equal.  A gain is shown when the change wins at least 9 in
+10 pairs (a tie is won by neither side) and its median is better than the
+parent's by more than the parent's interquartile range; each metric records
+whether it is.  The series goes into ``--out``; when that file
 exists already, the series is appended to the ones it holds.  Exits 1 if a
 run failed or the two trees' outputs differ.
 """
@@ -60,8 +63,17 @@ def quartiles(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
+def gain_shown(parent: dict, change: dict, won: dict, direction: str) -> bool:
+    """The change wins at least 9 in 10 pairs, and its median is better than
+    the parent's by more than the parent's interquartile range."""
+    gain = (parent["median"] - change["median"]) * (1 if direction == "lower" else -1)
+    pairs = sum(won.values())
+    return pairs > 0 and 10 * won["change"] >= 9 * pairs and gain > parent["q3"] - parent["q1"]
+
+
 def summarise(runs: list[dict], better: dict[str, str]) -> dict:
-    """Median and quartiles per side, and pairs won, of each end-to-end metric."""
+    """Median and quartiles per side, pairs won and whether a gain is shown,
+    of each end-to-end metric."""
     pairs: dict[int, dict[str, dict]] = {}
     for run in runs:
         if ok(run):
@@ -78,8 +90,9 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
                 a, b = pair["parent"], pair["change"]
                 won["tie" if a == b else "change" if (b < a) == (direction == "lower") else "parent"] += 1
         if all(values.values()):
-            summary[name] = {"better": direction, **{side: quartiles(values[side]) for side in SIDES},
-                             "pairs_won": won}
+            sides = {side: quartiles(values[side]) for side in SIDES}
+            summary[name] = {"better": direction, **sides, "pairs_won": won,
+                             "gain_shown": gain_shown(sides["parent"], sides["change"], won, direction)}
     return summary
 
 
@@ -119,7 +132,7 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     for name, s in series["summary"].items():
         print(f"{name:<14} parent {s['parent']['median']:.6g}  change {s['change']['median']:.6g}"
-              f"  won {s['pairs_won']}")
+              f"  won {s['pairs_won']}  gain shown: {'yes' if s['gain_shown'] else 'no'}")
     return 0 if series["same_output"] and not series["failed_runs"] else 1
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 from .angles import Angle
 
@@ -143,14 +144,23 @@ def parse_graph_with_sets(text: str) -> tuple[OpenGraph, dict[int, frozenset[int
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {key}: {exc}") from None
 
+    def distinct(key: str, parse_token, named=lambda x: f"vertex {x}", ident=None) -> list:
+        """``key``'s parsed tokens; the first whose ``ident`` (by default the
+        token itself) repeats an earlier one's is refused, ``named`` as the
+        error names it."""
+        out = read(key, parse_token)
+        idents = out if ident is None else list(map(ident, out))
+        if len(set(idents)) < len(idents):  # then find the first repeat
+            earlier: set = set()
+            for x, k in zip(out, idents):
+                if k in earlier:
+                    raise ValueError(f"line {fields[key][0]}: {key}: duplicate {named(x)}")
+                earlier.add(k)
+        return out
+
     def assigned(key: str, parse_token) -> dict:
         """``key``'s ``v=...`` tokens by vertex; a vertex given twice is refused."""
-        out: dict = {}
-        for v, value in read(key, parse_token):
-            if v in out:
-                raise ValueError(f"line {fields[key][0]}: {key}: duplicate vertex {v}")
-            out[v] = value
-        return out
+        return dict(distinct(key, parse_token, lambda a: f"vertex {a[0]}", itemgetter(0)))
 
     def edge(tok: str) -> tuple[int, int]:
         a, sep, b = tok.partition("-")
@@ -168,12 +178,18 @@ def parse_graph_with_sets(text: str) -> tuple[OpenGraph, dict[int, frozenset[int
         v, sep, body = tok.partition("=")
         if not sep or not (body.startswith("{") and body.endswith("}")):
             raise ValueError(f"bad correcting set {tok!r}")
-        return int(v), frozenset(int(x) for x in body[1:-1].split(",") if x)
+        members: set[int] = set()
+        for m in map(int, filter(None, body[1:-1].split(","))):
+            if m in members:
+                raise ValueError(f"duplicate vertex {m} in correcting set {tok!r}")
+            members.add(m)
+        return int(v), frozenset(members)
 
-    vertices = tuple(read("vertices", int))
-    edges = set(read("edges", edge))
-    inputs = frozenset(read("inputs", int))
-    outputs = frozenset(read("outputs", int))
+    vertices = tuple(distinct("vertices", int))
+    # an edge is listed once, in either orientation
+    edges = distinct("edges", edge, lambda e: f"edge {e[0]}-{e[1]}", frozenset)
+    inputs = frozenset(distinct("inputs", int))
+    outputs = frozenset(distinct("outputs", int))
     angles = assigned("angles", angle)
     sets = assigned("correcting_sets", correcting_set) if "correcting_sets" in fields else None
 

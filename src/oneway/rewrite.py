@@ -45,19 +45,21 @@ engine reproduces ``simplify_flow``'s output byte for byte.
 A Circuit never changes: each rule applied to one returns a new Circuit.
 Inside the engine every circuit sits in a ``_Node`` with the step that made
 it and its parent, and a rule applied to a node returns its edit and its
-step's fields instead.  The plan search builds a child, and its step, only
-when the child's gates are new, the tail extends the accepted node one step
-at a time, and the step checks walk that one path back from its end,
-comparing the nodes already built.
+step's fields instead.  The plan search calls a rule, and builds a child and
+its step, only when the child's gates are new, the tail extends the accepted
+node one step at a time, and the step checks walk that one path back from
+its end, comparing the nodes already built.
 
 Each node does only the work its result depends on.  Its tables come from
 one pass over its gates.  A pair of fixed site gates that no partner can
-complete is screened out before any site is built; every other site goes to
-its rule, whose gather check is the only one the site gets.  A rule's shape
-match depends only on the site's gates in site order, so one
-``simplify_gflow`` call matches each such gate sequence once per rule: its
-root node holds the memo, and every node below shares it.  The rules are
-still called by their module names, ``apply_*``, looked up at call time.
+complete is screened out before any site is built.  A rule's shape match
+depends only on the site's gates in site order, so one ``simplify_gflow``
+call matches each such gate sequence once per shape: its root node holds
+the memo, and every node below shares it.  The plan search splices each
+remaining site's child from that match, and a child it has already seen
+ends there; a new one goes to its rule, whose gather check is the only one
+the site gets.  The rules are still called by their module names, ``apply_*``,
+looked up at call time.
 """
 
 from __future__ import annotations
@@ -216,6 +218,11 @@ def _splice(circuit: Circuit | _Node, edit: _Edit, *step):
     return Circuit(wires, _spliced(circuit.gates, edit)), RewriteStep(*step)
 
 
+def _gather(site: tuple[int, ...], produced: tuple[Gate, ...]) -> _Edit:
+    """The edit that gathers ``site`` at its last gate and puts ``produced`` there."""
+    return _Edit(site, site[-1] - (len(site) - 1), produced)
+
+
 def _gathered(circuit: Circuit, rule: str, site: tuple[int, ...], produced: tuple[Gate, ...]):
     """Gather ``site`` at its last gate and put ``produced`` there: the
     circuit after and the step, as ``_splice`` returns them.  Each site gate
@@ -224,7 +231,7 @@ def _gathered(circuit: Circuit, rule: str, site: tuple[int, ...], produced: tupl
     if blocked is not None:
         (p, q), gates = blocked, circuit.gates
         raise RewriteError(f"gate {gates[q].text()} at {q} blocks gathering {gates[p].text()} from {p}")
-    return _splice(circuit, _Edit(site, site[-1] - (len(site) - 1), produced), rule, site, produced)
+    return _splice(circuit, _gather(site, produced), rule, site, produced)
 
 
 def _matched(circuit: Circuit, site: tuple[int, ...], shape, *args):
@@ -237,6 +244,15 @@ def _matched(circuit: Circuit, site: tuple[int, ...], shape, *args):
         raise RewriteError(f"site indices must be strictly ascending, got {site}")
     if site and not (0 <= site[0] and site[-1] < len(circuit.gates)):
         raise RewriteError(f"site {site} out of range")
+    hit = _match(circuit, site, shape, *args)
+    if type(hit) is str:
+        raise RewriteError(hit)
+    return hit
+
+
+def _match(circuit: Circuit, site: tuple[int, ...], shape, *args):
+    """``_matched`` on a site known to ascend within the circuit, with a
+    refusal returned as its text."""
     memo = circuit.matches if type(circuit) is _Node else {}
     key = (shape, tuple(map(circuit.gates.__getitem__, site)), *args)
     hit = memo.get(key)
@@ -246,8 +262,6 @@ def _matched(circuit: Circuit, site: tuple[int, ...], shape, *args):
         except RewriteError as exc:
             hit = str(exc)
         memo[key] = hit
-    if type(hit) is str:
-        raise RewriteError(hit)
     return hit
 
 
@@ -617,8 +631,8 @@ class _Node:
     ``gates`` are read, as the oracle reads them.  A rule applied to a node
     returns its edit and the fields of its step, which ``then`` turns into
     the child.  The root holds the memo of shape matches that every node
-    below it shares.  Nothing on a node changes once it is built; callers
-    only read.
+    below it shares.  Nothing on a node changes once it is built, and the
+    two wires of a CZ share its position list; callers only read.
     """
 
     __slots__ = ("wires", "gates", "_on", "conflicts", "czs", "cxs", "shaped", "matches", "step", "parent", "depth")
@@ -633,23 +647,25 @@ class _Node:
         z, x, j = (dict.fromkeys(on, 0) for _ in range(3))  # per wire, its gates in each role
         measured = {w.id for w in wires if w.terminal == "measured"}
         past_j = set()  # the measured wires whose J has come
-        for k, g in enumerate(gates):
-            bit, a, b = 1 << k, g.wires[0], g.wires[-1]
+        for k, (kind, ws, _) in enumerate(gates):
+            bit, a, b = 1 << k, ws[0], ws[-1]
             on[a].append(k)
-            if g.kind == "J":
+            if kind == "J":
                 j[a] |= bit
                 if a in measured:
                     past_j.add(a)
                 continue
             on[b].append(k)
             z[a] |= bit
-            if g.kind == "CX":
+            if kind == "CX":
                 x[b] |= bit
                 cxs[a].append((k, b))
                 continue
             z[b] |= bit
-            czs[a].setdefault(b, []).append(k)
-            czs[b].setdefault(a, []).append(k)
+            pair = czs[a].get(b)
+            if pair is None:  # one position list per CZ pair, in both wires' tables
+                pair = czs[a][b] = czs[b][a] = []
+            pair.append(k)
             if a in past_j or b in past_j:
                 shaped.append((k, [m for m in (a, b) if m in past_j]))
         # a gate conflicts with every gate on its wires but those in its own
@@ -658,8 +674,8 @@ class _Node:
         not_z = {w: x[w] | j[w] for w in on}
         not_x = {w: z[w] | j[w] for w in on}
         self.conflicts = [
-            not_z[g.wires[0]] | (z if g.kind == "J" else not_x if g.kind == "CX" else not_z)[g.wires[-1]]
-            for g in gates
+            not_z[ws[0]] | (z if kind == "J" else not_x if kind == "CX" else not_z)[ws[-1]]
+            for kind, ws, _ in gates
         ]
 
     wire = Circuit.wire
@@ -702,7 +718,7 @@ def _peephole_pass(node: _Node) -> _Node:
 
 
 def _partner_moves(node: _Node, q: int, movers):
-    """Commutations that carry the CZ at q away through a mover's CX.
+    """The commutation sites that carry the CZ at q away through a mover's CX.
 
     The mover CX may be controlled by either wire of the CZ; the measured
     side is the common case, but when the CZ pairs a measured wire with its
@@ -714,11 +730,14 @@ def _partner_moves(node: _Node, q: int, movers):
         for cx_idx, t in node.cxs[m]:
             # the partner CZ pairs the CZ's other wire with the CX target
             # (never the CZ at q, which pairs it with the CX control)
-            yield from _partner_sites(apply_cz_commute, node, cx_idx, q, partners.get(t, ()))
+            if t in partners:
+                yield from _partner_sites(apply_cz_commute, "CZ", node, cx_idx, q, partners[t])
 
 
-def _partner_sites(rule, node, a, b, partners):
-    """``rule`` at each site (partner, a, b) that ``_fits``, partners in order.
+def _partner_sites(rule, kind, node, a, b, partners):
+    """The sites (partner, a, b) of ``rule``, the commutation identity
+    with G of ``kind``, that gathering does not plainly block, partners in
+    order.
 
     Let lo and hi be the earlier and the later of a and b.  Gathering a site
     carries lo past every gate before hi but the partner, a partner before
@@ -736,10 +755,10 @@ def _partner_sites(rule, node, a, b, partners):
     between = _conflicts(node, lo, hi)
     if between & (between - 1) or between and between.bit_length() - 1 not in partners:
         return ()
-    return _unblocked_sites(rule, node, a, b, partners, lo, hi, between)
+    return _unblocked_sites(rule, kind, node, a, b, partners, lo, hi, between)
 
 
-def _unblocked_sites(rule, node, a, b, partners, lo, hi, between):
+def _unblocked_sites(rule, kind, node, a, b, partners, lo, hi, between):
     """The sites of a pair that ``_partner_sites`` did not screen out."""
     last = first = None  # each bound is found when a partner first needs it
     for p in partners:
@@ -756,17 +775,23 @@ def _unblocked_sites(rule, node, a, b, partners, lo, hi, between):
                 first = min(_next_conflict(node, lo, end, (hi,)), _next_conflict(node, hi, end))
             if p > first:
                 break
-        yield from _fits(rule, node, (p, a, b))
+        yield rule, tuple(sorted((p, a, b))), _triangle_shape, kind, ()
 
 
-def _fits(rule, node: _Node, gates: tuple[int, ...], **kw):
-    """``rule`` at the site of ``gates`` as a one-item tuple, or () if the
-    rule refuses it.  The rule's own gather check, a few integer operations
-    on the node's conflict index, is the only one a site gets."""
-    try:
-        return (rule(node, tuple(sorted(gates)), **kw),)
-    except RewriteError:
-        return ()
+def _fired(node: _Node, sites):
+    """Each site's rule applied to ``node``, as its edit and step fields,
+    leaving out the sites the rule refuses.
+
+    A site is (rule, positions, shape, shape argument, rule arguments): the
+    caller that builds it knows which identity it is, so the shape is
+    never read off the rule, which may be a wrapper.  The rule's own gather
+    check, a few integer operations on the node's conflict index, is the
+    only one a site gets."""
+    for rule, site, _, _, args in sites:
+        try:
+            yield rule(node, site, *args)
+        except RewriteError:
+            pass
 
 
 def _eliminate_corrections(node: _Node) -> _Node:
@@ -789,7 +814,7 @@ def _eliminate_corrections(node: _Node) -> _Node:
             return node
         for q, controllers in shaped:
             movers = controllers + [w for w in node.gates[q].wires if w not in controllers]
-            result = next(_partner_moves(node, q, movers), None)
+            result = next(_fired(node, _partner_moves(node, q, movers)), None)
             if result is not None:
                 break
         else:
@@ -814,7 +839,7 @@ def _direct_candidates(node: _Node, work: list[tuple[int, int, int]]):
     """CX triangles that erase an unwanted CX outright."""
     for u, i, t in work:
         for m, m_idx in _middles(node, i, t):
-            yield from _partner_sites(apply_cx_commute, node, m_idx, u, _helper_indices(node, m, t))
+            yield from _partner_sites(apply_cx_commute, "CX", node, m_idx, u, _helper_indices(node, m, t))
 
 
 def _mint_candidates(node: _Node, work: list[tuple[int, int, int]]):
@@ -832,7 +857,7 @@ def _mint_candidates(node: _Node, work: list[tuple[int, int, int]]):
                 continue
             for km in node.czs[m].get(c, ()):
                 if km < second:
-                    yield from _fits(apply_cz_to_cx, node, (kt, km), fresh=t)
+                    yield apply_cz_to_cx, (kt, km) if kt < km else (km, kt), _cz_to_cx_shape, t, (t,)
 
 
 def _fire_candidates(node: _Node):
@@ -859,7 +884,7 @@ def _hop_candidates(node: _Node, work: list[tuple[int, int, int]]):
         g = gates[q]
         if g.kind == "CZ" and t in g.wires and m not in g.wires:
             y = g.wires[g.wires[0] == t]
-            yield from _partner_sites(apply_cz_commute, node, h, q, node.czs[m].get(y, ()))
+            yield from _partner_sites(apply_cz_commute, "CZ", node, h, q, node.czs[m].get(y, ()))
 
 
 def _tail(node: _Node, order: tuple[int, ...], targets: dict[int, int]) -> _Node:
@@ -888,13 +913,14 @@ def _plan(
     every measured wire.
 
     A CX is unwanted when its target is not its control's designated
-    partner.  Each node tries four moves in turn, direct, mint, fire and
-    hop, where a rule returns its edit.  The plan moves no wire (jgate fires
-    only in the tail), so a child is keyed on its gate tuple: a seen one is
-    pruned, only a new one becomes a node, with its step.  Once no unwanted
-    CX remains, the tail is the goal test.  Returns the end node of the
-    accepted path and None, or the deepest node explored and why the search
-    failed; then the nodes spent.
+    partner.  Each node tries the sites of four moves in turn, direct, mint,
+    fire and hop.  The plan moves no wire (jgate fires only in the tail), so
+    a child is keyed on its gate tuple, spliced from the site's memoised
+    shape match before its rule runs: a seen one is pruned, and only a new
+    one calls the rule, whose gather check decides whether it becomes a
+    node, with its step.  Once no unwanted CX remains, the tail is the goal
+    test.  Returns the end node of the accepted path and None, or the
+    deepest node explored and why the search failed; then the nodes spent.
     """
     nodes, best = 0, root
     seen = {root.gates}
@@ -917,11 +943,19 @@ def _plan(
             _fire_candidates(c),
             _hop_candidates(c, work),
         )
-        for edit, step in candidates:
-            gates = _spliced(c.gates, edit)
+        for rule, site, shape, arg, args in candidates:
+            produced = _match(c, site, shape, arg)
+            if type(produced) is str:
+                continue
+            gates = _spliced(c.gates, _gather(site, produced))
             known = len(seen)
             seen.add(gates)  # the one hash of the child's gate tuple
             if len(seen) == known:
+                continue
+            try:
+                _, step = rule(c, site, *args)
+            except RewriteError:
+                seen.discard(gates)  # gathering is blocked here, not at every site
                 continue
             nodes += 1
             if nodes > _PLAN_BUDGET:

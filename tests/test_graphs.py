@@ -131,6 +131,13 @@ def test_parse_reports_line_numbers():
     ("angles: 1=1/4pi", "angles: 1=1/4pi 1=1/2pi", "^line 5: angles: duplicate vertex 1$"),
     ("angles: 1=1/4pi", "angles: 1=1/4pi\ncorrecting_sets: 1={2} 1={}",
      "^line 6: correcting_sets: duplicate vertex 1$"),
+    ("vertices: 1 2", "vertices: 1 2 2 3", "^line 1: vertices: duplicate vertex 2$"),
+    ("edges: 1-2", "edges: 1-2 1-2", "^line 2: edges: duplicate edge 1-2$"),
+    ("edges: 1-2", "edges: 1-2 2-1", "^line 2: edges: duplicate edge 2-1$"),
+    ("inputs: 1", "inputs: 1 1", "^line 3: inputs: duplicate vertex 1$"),
+    ("outputs: 2", "outputs: 2 2", "^line 4: outputs: duplicate vertex 2$"),
+    ("angles: 1=1/4pi", "angles: 1=1/4pi\ncorrecting_sets: 1={2,2}",
+     "^line 6: correcting_sets: duplicate vertex 2 in correcting set '1=\\{2,2\\}'$"),
 ])
 def test_parse_refuses_a_vertex_repeated_within_one_value(good, bad, message):
     # a repeat must not silently override the earlier assignment

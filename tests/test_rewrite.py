@@ -60,9 +60,10 @@ from oneway.rewrite import (
     _blocker,
     _conflicts,
     _direct_candidates,
+    _cz_to_cx_shape,
     _eliminate_corrections,
     _fire_candidates,
-    _fits,
+    _fired,
     _helper_indices,
     _hop_candidates,
     _middles,
@@ -1256,15 +1257,20 @@ def measured_first_inputs(draw) -> Circuit:
 
 
 # The plan's candidate generators as written before they were pruned: every
-# site is built and handed to ``_fits``.  The last is the shift move the plan
-# once had, the reference for the fire move's sites.
+# site is built.  The last is the shift move the plan once had, the
+# reference for the fire move's sites.
+
+
+def commutation_site(rule, kind, gates):
+    """The site of ``gates`` for ``rule``, the commutation identity with G of ``kind``."""
+    return rule, tuple(sorted(gates)), _triangle_shape, kind, ()
 
 
 def unpruned_direct_candidates(circuit, work):
     for u, i, t in work:
         for m, m_idx in _middles(circuit, i, t):
             for h in _helper_indices(circuit, m, t):
-                yield from _fits(apply_cx_commute, circuit, (h, m_idx, u))
+                yield commutation_site(apply_cx_commute, "CX", (h, m_idx, u))
 
 
 def unpruned_mint_candidates(circuit, work):
@@ -1276,7 +1282,7 @@ def unpruned_mint_candidates(circuit, work):
             for c in sorted(set(t_czs) & set(m_czs)):
                 for kt in t_czs[c]:
                     for km in m_czs[c]:
-                        yield from _fits(apply_cz_to_cx, circuit, (kt, km), fresh=t)
+                        yield apply_cz_to_cx, tuple(sorted((kt, km))), _cz_to_cx_shape, t, (t,)
 
 
 def unpruned_fire_candidates(circuit):
@@ -1287,7 +1293,7 @@ def unpruned_fire_candidates(circuit):
             partners = circuit.czs[k]
             for cx_idx, _ in circuit.cxs[m]:
                 for p in partners.get(gates[cx_idx].target, ()):
-                    yield from _fits(apply_cz_commute, circuit, (p, cx_idx, q))
+                    yield commutation_site(apply_cz_commute, "CZ", (p, cx_idx, q))
 
 
 def unpruned_hop_candidates(circuit, work):
@@ -1306,7 +1312,7 @@ def unpruned_hop_candidates(circuit, work):
                 if g.kind == "CZ" and t in g.wires and m not in g.wires:
                     (y,) = set(g.wires) - {t}
                     for p in circuit.czs[m].get(y, ()):
-                        yield from _fits(apply_cz_commute, circuit, (h, q, p))
+                        yield commutation_site(apply_cz_commute, "CZ", (h, q, p))
 
 
 def unpruned_shift_candidates(circuit, work):
@@ -1320,7 +1326,7 @@ def unpruned_shift_candidates(circuit, work):
                 continue
             (y,) = set(g.wires) - {t}
             for e in eaten_by_y.get(y, ()):
-                yield from _fits(apply_cz_commute, circuit, (q, u, e))
+                yield commutation_site(apply_cz_commute, "CZ", (q, u, e))
 
 
 GENERATOR_CASES = [
@@ -1367,10 +1373,13 @@ def every_cx_unwanted(circuit: Circuit) -> list[tuple[int, int, int]]:
 def test_pruned_generators_yield_what_the_unpruned_ones_yield(circuit):
     work = every_cx_unwanted(circuit)
     node = node_of(circuit)
-    assert list(_direct_candidates(node, work)) == list(unpruned_direct_candidates(node, work))
-    assert list(_mint_candidates(node, work)) == list(unpruned_mint_candidates(node, work))
-    assert list(_fire_candidates(node)) == list(unpruned_fire_candidates(node))
-    assert list(_hop_candidates(node, work)) == list(unpruned_hop_candidates(node, work))
+    def fired(sites):
+        return list(_fired(node, sites))
+
+    assert fired(_direct_candidates(node, work)) == fired(unpruned_direct_candidates(node, work))
+    assert fired(_mint_candidates(node, work)) == fired(unpruned_mint_candidates(node, work))
+    assert fired(_fire_candidates(node)) == fired(unpruned_fire_candidates(node))
+    assert fired(_hop_candidates(node, work)) == fired(unpruned_hop_candidates(node, work))
 
 
 def eaten_cz(node: _Node, step) -> int:
@@ -1386,9 +1395,9 @@ def test_a_shift_site_is_a_fire_site_exactly_when_the_cz_it_eats_is_shaped(circu
     # the plan dropped the shift move: the sites of it that fire does not
     # build all eat a CZ that comes before any J on its wires
     node = node_of(circuit)
-    fired = set(_fire_candidates(node))
+    fired = set(_fired(node, _fire_candidates(node)))
     shaped = {q for q, _ in node.shaped}
-    for edit, step in unpruned_shift_candidates(node, every_cx_unwanted(circuit)):
+    for edit, step in _fired(node, unpruned_shift_candidates(node, every_cx_unwanted(circuit))):
         assert ((edit, step) in fired) == (eaten_cz(node, step) in shaped)
 
 
@@ -1396,9 +1405,9 @@ def test_the_shift_site_on_an_entangling_edge_is_no_fire_site():
     # the CZ 1 3 the site eats comes before any J, as an entangling edge does
     circuit = spelled("moo", "CZ 2 3", "CX 1 2", "CZ 1 3")
     node = node_of(circuit)
-    ((_, step),) = unpruned_shift_candidates(node, every_cx_unwanted(circuit))
+    ((_, step),) = _fired(node, unpruned_shift_candidates(node, every_cx_unwanted(circuit)))
     assert eaten_cz(node, step) == 2 and not node.shaped
-    assert not list(_fire_candidates(node))
+    assert not list(_fired(node, _fire_candidates(node)))
 
 
 @functools.cache
@@ -1407,7 +1416,8 @@ def recorded_plan_search() -> tuple[list[int], list[tuple[tuple[Wire, ...], list
     the example1, example2 and budget fixtures, then on the first 21 of the
     30 gflow-only atlas graphs with inputs.  Returns the plan nodes spent on
     each atlas graph without inputs, and for each ``_plan`` call its wires
-    and the gate tuples of the root and of every child it generated."""
+    and the gate tuples of the root and of every child it spliced, which
+    includes the children of sites whose gather check then refuses them."""
     nodes: list[int] = []
     plans: list[tuple[tuple[Wire, ...], list]] = []
     running: list[list] = []  # the children of the _plan call under way
@@ -1473,6 +1483,63 @@ def test_children_share_a_key_exactly_when_they_emit_the_same_text():
         keys = set(children)
         # the text is a function of the key, so equal counts make it one-to-one
         assert len({emit_text(Circuit(wires, gates)) for gates in keys}) == len(keys)
+
+
+def test_the_plan_search_calls_a_rule_only_for_a_child_it_has_not_seen(monkeypatch):
+    # The rules are wrapped by their module names, as the benchmark's tracer
+    # wraps them, so the plan must know each site's shape without reading it
+    # off the rule.  A successful rule call inside the plan search makes a
+    # node, and the nodes it visits are the rules' children, in order.
+    edges = frozenset({(1, 2), (1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)})
+    angles = {v: Angle.exact(2 * k + 1, 8) for k, v in enumerate((2, 3, 4))}
+    graph = OpenGraph((1, 2, 3, 4, 5), edges, frozenset(), frozenset({1, 5}), angles)
+    structure = find_gflow(graph)
+    ext = build_extended(graph, structure)
+    plans = []  # per _plan call: the nodes spent, the rules' children, the nodes visited
+    running: list = []  # the record of the _plan call under way, None in the tail
+    plan, tail, unwanted = oneway.rewrite._plan, oneway.rewrite._tail, oneway.rewrite._unwanted_cxs
+
+    def recording_plan(root, order, targets):
+        plans.append([0, [], []])
+        running.append(plans[-1])
+        try:
+            found = plan(root, order, targets)
+        finally:
+            running.pop()
+        plans[-1][0] = found[2]
+        return found
+
+    def unrecorded_tail(*args):
+        running.append(None)
+        try:
+            return tail(*args)
+        finally:
+            running.pop()
+
+    def visiting(node, *args):
+        running[-1][2].append(node.gates)
+        return unwanted(node, *args)
+
+    def recorded(rule):
+        def call(node, site, *args, **kwargs):
+            edit, step = rule(node, site, *args, **kwargs)
+            if running[-1] is not None:
+                running[-1][1].append(oneway.rewrite._spliced(node.gates, edit))
+            return edit, step
+
+        return call
+
+    for name in ("apply_cz_commute", "apply_cx_commute", "apply_cz_to_cx"):
+        monkeypatch.setattr(oneway.rewrite, name, recorded(getattr(oneway.rewrite, name)))
+    monkeypatch.setattr(oneway.rewrite, "_plan", recording_plan)
+    monkeypatch.setattr(oneway.rewrite, "_tail", unrecorded_tail)
+    monkeypatch.setattr(oneway.rewrite, "_unwanted_cxs", visiting)
+    with pytest.raises(GflowSearchExhausted) as info:
+        simplify_gflow(ext, slice_circuit(ext, structure), structure)
+    assert info.value.nodes == sum(spent for spent, _, _ in plans) == 1900
+    for spent, children, visited in plans:
+        assert len(set(children)) == len(children) == spent
+        assert visited == [ext.gates, *children]
 
 
 def test_rewrite_module_stays_under_the_parser_token_array_step():

@@ -7,6 +7,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
@@ -134,6 +136,7 @@ def test_bench_pairs_alternates_the_trees_and_writes_their_runs(tmp_path, capsys
     assert compile_s["change"]["median"] == 0.019
     assert compile_s["pairs_won"] == {"parent": 0, "change": 2, "tie": 0}
     assert series["summary"]["ok_frac"]["pairs_won"] == {"parent": 0, "change": 0, "tie": 2}
+    assert compile_s["gain_shown"] is True and series["summary"]["ok_frac"]["gain_shown"] is False
     assert set(series["summary"]) == {"compile_s", "ok_frac"}
 
     # a second series is appended; outputs that differ fail the run
@@ -143,3 +146,44 @@ def test_bench_pairs_alternates_the_trees_and_writes_their_runs(tmp_path, capsys
     assert script.main(args) == 1
     first, second = json.loads(out.read_text())["series"]
     assert first == series and second["same_output"] is False and len(second["runs"]) == 2
+
+
+def canned_runs(parent: list[float], change: list[float], name: str = "compile_s") -> list[dict]:
+    """Successful runs whose one metric reads ``parent[k]`` and ``change[k]`` in pair k."""
+    return [
+        {"pair": k, "side": side, "returncode": 0,
+         "result": {"correct": True, "metrics": {name: {"value": value}}}}
+        for k, pair in enumerate(zip(parent, change))
+        for side, value in zip(("parent", "change"), pair)
+    ]
+
+
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]  # median 1.00, IQR 0.035
+
+
+@pytest.mark.parametrize("change, won, shown", [
+    # 10 of 10 pairs, the median 0.90 below 1.00 by more than the IQR 0.04
+    ([0.90] * 10, {"parent": 0, "change": 10, "tie": 0}, True),
+    # 9 of 10 is enough
+    ([0.90] * 9 + [1.10], {"parent": 1, "change": 9, "tie": 0}, True),
+    # a tie is won by neither side, so 9 wins and a tie in 10 pairs still show it ...
+    ([0.90] * 9 + [0.98], {"parent": 0, "change": 9, "tie": 1}, True),
+    # ... but 8 wins and 2 ties do not
+    ([0.90] * 8 + [1.02, 0.98], {"parent": 0, "change": 8, "tie": 2}, False),
+    # 10 of 10 pairs, but the medians differ by less than the parent's IQR
+    ([p - 0.01 for p in PARENT], {"parent": 0, "change": 10, "tie": 0}, False),
+    # every pair a tie
+    (PARENT, {"parent": 0, "change": 0, "tie": 10}, False),
+])
+def test_bench_pairs_shows_a_gain_only_past_nine_in_ten_and_the_parent_iqr(change, won, shown):
+    summarise = load_script("bench_pairs").summarise
+    (s,) = summarise(canned_runs(PARENT, change), {"compile_s": "lower"}).values()
+    assert (s["pairs_won"], s["gain_shown"]) == (won, shown)
+    assert (s["parent"]["q1"], s["parent"]["q3"]) == pytest.approx((0.9825, 1.0175))
+    # the same runs of a metric where higher is better show no gain for the change
+    (s,) = summarise(canned_runs(PARENT, change), {"compile_s": "higher"}).values()
+    assert s["gain_shown"] is False
+    # mirrored about 1, where higher is better, the verdict is the same
+    mirrored = canned_runs([2 - p for p in PARENT], [2 - c for c in change])
+    (s,) = summarise(mirrored, {"compile_s": "higher"}).values()
+    assert s["gain_shown"] is shown
