@@ -7,7 +7,8 @@
 # the repository root and fails unless every circuit passes the benchmark's
 # independent reference check ("correct": true) and the pass prints
 # `# output sha256 SHA256`.  An untraced pass (TRACE 0) shows the tail of
-# its report; a traced one shows its pass counts and `rewrite.rule_calls`.
+# its report; a traced one shows its pass counts, `rewrite.rule_calls` and
+# `rewrite.rule_yield`.
 set -euo pipefail
 
 if [ "$#" -ne 3 ]; then
@@ -22,7 +23,7 @@ python perfbench/run.py --workload "$workload" --seconds 0 --trace "$trace" > "$
 if [ "$trace" = 0 ]; then
   tail -n 12 "$out"
 else
-  grep -E '^(# passes:|# untraced|rewrite\.rule_calls) ' "$out"
+  grep -E '^(# passes:|# untraced|rewrite\.rule_calls|rewrite\.rule_yield) ' "$out"
 fi
 grep -q '"correct": true' "$out" || { echo "$workload: reference check failed"; exit 1; }
 grep -q "^# output sha256 $sha " "$out" || { echo "$workload: output sha256 changed"; exit 1; }

@@ -40,7 +40,9 @@ cancels pairs again and collapses each wire with the J-gate identity.  The
 first path that strips every measured wire is the result; each of its steps
 is applied once and oracle-checked on circuits of at most
 ``_CHECKED_WIDTH`` wires.  Given a flow as singleton correcting sets, the
-engine reproduces ``simplify_flow``'s output byte for byte.
+engine reproduces ``simplify_flow``'s output byte for byte.  A view,
+structure and circuit that do not name the same measured wires are refused
+up front with ValueError, before any search.
 
 A Circuit never changes: each rule applied to one returns a new Circuit.
 Inside the engine every circuit sits in a ``_Node`` with the step that made
@@ -50,16 +52,23 @@ its step, only when the child's gates are new, the tail extends the accepted
 node one step at a time, and the step checks walk that one path back from
 its end, comparing the nodes already built.
 
+Every site the engine builds is a rewrite its rule accepts.  A site is
+(rule, positions, shape, shape argument, rule arguments), and the generator
+that builds it screens it there with the rule's own side conditions: the
+shape, a fresh |+> wire, and gathering unblocked.  A pair of fixed site
+gates that no partner can complete is screened out before any site is
+built.  So the engine handles no refusal: one would be a bug, and it
+surfaces as RewriteError.
+
 Each node does only the work its result depends on.  Its tables come from
-one pass over its gates.  A pair of fixed site gates that no partner can
-complete is screened out before any site is built.  A rule's shape match
-depends only on the site's gates in site order, so one ``simplify_gflow``
-call matches each such gate sequence once per shape: its root node holds
-the memo, and every node below shares it.  The plan search splices each
-remaining site's child from that match, and a child it has already seen
-ends there; a new one goes to its rule, whose gather check is the only one
-the site gets.  The rules are still called by their module names, ``apply_*``,
-looked up at call time.
+one pass over its gates.  A rule's shape match depends only on the site's
+gates in site order, so one ``simplify_gflow`` call matches each such gate
+sequence once per shape: its root node holds the memo, and every node below
+shares it.  The plan search splices each site's child from that match, and
+a child it has already seen ends there; only a new one calls its rule, for
+its step.  The site carries its shape, so it is never read off the rule,
+and the rules are still called by their module names, ``apply_*``, looked
+up at call time.
 """
 
 from __future__ import annotations
@@ -237,31 +246,23 @@ def _gathered(circuit: Circuit, rule: str, site: tuple[int, ...], produced: tupl
 def _matched(circuit: Circuit, site: tuple[int, ...], shape, *args):
     """``shape(gates, *args)`` on the site's gates in site order, once the
     site's positions ascend within the circuit: the gates the rule
-    produces, else RewriteError.  The answer depends on those gates alone,
-    so an engine node keeps it in the memo its search shares, and a repeat
-    returns the same gates or raises the same text."""
+    produces, else RewriteError."""
     if list(site) != sorted(set(site)):
         raise RewriteError(f"site indices must be strictly ascending, got {site}")
     if site and not (0 <= site[0] and site[-1] < len(circuit.gates)):
         raise RewriteError(f"site {site} out of range")
-    hit = _match(circuit, site, shape, *args)
-    if type(hit) is str:
-        raise RewriteError(hit)
-    return hit
+    return _match(circuit, site, shape, *args)
 
 
 def _match(circuit: Circuit, site: tuple[int, ...], shape, *args):
-    """``_matched`` on a site known to ascend within the circuit, with a
-    refusal returned as its text."""
+    """``_matched`` on a site known to ascend within the circuit.  A match
+    depends on the site's gates alone, so an engine node keeps it in the
+    memo its search shares; a refusal raises and is not kept."""
     memo = circuit.matches if type(circuit) is _Node else {}
     key = (shape, tuple(map(circuit.gates.__getitem__, site)), *args)
     hit = memo.get(key)
     if hit is None:
-        try:
-            hit = shape(*key[1:])
-        except RewriteError as exc:
-            hit = str(exc)
-        memo[key] = hit
+        hit = memo[key] = shape(*key[1:])
     return hit
 
 
@@ -736,8 +737,9 @@ def _partner_moves(node: _Node, q: int, movers):
 
 def _partner_sites(rule, kind, node, a, b, partners):
     """The sites (partner, a, b) of ``rule``, the commutation identity
-    with G of ``kind``, that gathering does not plainly block, partners in
-    order.
+    with G of ``kind``, partners in order: each one a site the rule
+    accepts, since a, b and a partner fit the shape and gathering them is
+    unblocked.
 
     Let lo and hi be the earlier and the later of a and b.  Gathering a site
     carries lo past every gate before hi but the partner, a partner before
@@ -778,22 +780,6 @@ def _unblocked_sites(rule, kind, node, a, b, partners, lo, hi, between):
         yield rule, tuple(sorted((p, a, b))), _triangle_shape, kind, ()
 
 
-def _fired(node: _Node, sites):
-    """Each site's rule applied to ``node``, as its edit and step fields,
-    leaving out the sites the rule refuses.
-
-    A site is (rule, positions, shape, shape argument, rule arguments): the
-    caller that builds it knows which identity it is, so the shape is
-    never read off the rule, which may be a wrapper.  The rule's own gather
-    check, a few integer operations on the node's conflict index, is the
-    only one a site gets."""
-    for rule, site, _, _, args in sites:
-        try:
-            yield rule(node, site, *args)
-        except RewriteError:
-            pass
-
-
 def _eliminate_corrections(node: _Node) -> _Node:
     """Strip every correction-shaped CZ, measured wires first as movers.
 
@@ -814,13 +800,14 @@ def _eliminate_corrections(node: _Node) -> _Node:
             return node
         for q, controllers in shaped:
             movers = controllers + [w for w in node.gates[q].wires if w not in controllers]
-            result = next(_fired(node, _partner_moves(node, q, movers)), None)
-            if result is not None:
+            site = next(_partner_moves(node, q, movers), None)
+            if site is not None:
                 break
         else:
             q = shaped[0][0]
             raise RewriteError(f"no commutation partner eliminates {node.gates[q].text()} at {q}")
-        node = node.then(*result)
+        rule, positions, *_, args = site
+        node = node.then(*rule(node, positions, *args))
 
 
 def _unwanted_cxs(node: _Node, order: tuple[int, ...], targets: dict[int, int]) -> list[tuple[int, int, int]]:
@@ -843,21 +830,25 @@ def _direct_candidates(node: _Node, work: list[tuple[int, int, int]]):
 
 
 def _mint_candidates(node: _Node, work: list[tuple[int, int, int]]):
-    """CZ pairs that mint a missing helper CX onto a still-fresh wire.  Wire
-    t is fresh to the site's end only if the site's CZ on t is its first
-    gate and the CZ on m comes before its second: no other site is built."""
+    """CZ pairs that mint a missing helper CX onto a still-fresh wire t,
+    each a site ``apply_cz_to_cx`` accepts.  Its side conditions are
+    checked where the site is built: wire t is |+>-initialised, t is fresh
+    to the site's end only if the site's CZ on t is its first gate and the
+    CZ on m comes before its second, and ``_blocker`` finds nothing.  No
+    other site is built."""
     gates = node.gates
     for u, i, t in work:
         kt, second, *_ = node.gates_on(t) + [len(gates)] * 2
-        if kt == len(gates) or gates[kt].kind != "CZ":
+        if kt == len(gates) or gates[kt].kind != "CZ" or node.wire(t).init != "plus":
             continue
         (c,) = set(gates[kt].wires) - {t}
         for m, _ in _middles(node, i, t):
             if _helper_indices(node, m, t):
                 continue
             for km in node.czs[m].get(c, ()):
-                if km < second:
-                    yield apply_cz_to_cx, (kt, km) if kt < km else (km, kt), _cz_to_cx_shape, t, (t,)
+                site = (kt, km) if kt < km else (km, kt)
+                if km < second and _blocker(node, site) is None:
+                    yield apply_cz_to_cx, site, _cz_to_cx_shape, t, (t,)
 
 
 def _fire_candidates(node: _Node):
@@ -896,9 +887,6 @@ def _tail(node: _Node, order: tuple[int, ...], targets: dict[int, int]) -> _Node
     node = _peephole_pass(node)
     for i in order:
         node = node.then(*apply_jgate(node, i, targets[i]))
-    left = [w.id for w in node.wires if w.terminal == "measured"]  # the wires ascend
-    if left:
-        raise RewriteError(f"wires {left} were not removed")
     return node
 
 
@@ -916,11 +904,13 @@ def _plan(
     partner.  Each node tries the sites of four moves in turn, direct, mint,
     fire and hop.  The plan moves no wire (jgate fires only in the tail), so
     a child is keyed on its gate tuple, spliced from the site's memoised
-    shape match before its rule runs: a seen one is pruned, and only a new
-    one calls the rule, whose gather check decides whether it becomes a
-    node, with its step.  Once no unwanted CX remains, the tail is the goal
-    test.  Returns the end node of the accepted path and None, or the
-    deepest node explored and why the search failed; then the nodes spent.
+    shape match before its rule runs: a seen one is pruned, and a new one
+    becomes a node, with the step its rule returns.  Every site the moves
+    build is one its rule accepts, so the search skips no refusal: a rule
+    that refuses raises RewriteError out of the search, as the bug it is.
+    Once no unwanted CX remains, the tail is the goal test.  Returns the end
+    node of the accepted path and None, or the deepest node explored and why
+    the search failed; then the nodes spent.
     """
     nodes, best = 0, root
     seen = {root.gates}
@@ -944,19 +934,12 @@ def _plan(
             _hop_candidates(c, work),
         )
         for rule, site, shape, arg, args in candidates:
-            produced = _match(c, site, shape, arg)
-            if type(produced) is str:
-                continue
-            gates = _spliced(c.gates, _gather(site, produced))
+            gates = _spliced(c.gates, _gather(site, _match(c, site, shape, arg)))
             known = len(seen)
             seen.add(gates)  # the one hash of the child's gate tuple
             if len(seen) == known:
                 continue
-            try:
-                _, step = rule(c, site, *args)
-            except RewriteError:
-                seen.discard(gates)  # gathering is blocked here, not at every site
-                continue
+            _, step = rule(c, site, *args)
             nodes += 1
             if nodes > _PLAN_BUDGET:
                 raise _PlanBudgetExceeded
@@ -1022,13 +1005,21 @@ def simplify_gflow(
     budget below 1 raises ValueError).  Each gets one plan search; its
     accepted path is the result once every step on at most
     ``_CHECKED_WIDTH`` wires passes the oracle check, and a drifting step
-    fails the designation.  `compile_pattern` calls it only for a gflow
-    (some g(i) of two or more vertices); given a flow's single-vertex sets it
-    takes ``simplify_flow``'s steps, which the tests hold it to.
+    fails the designation.  A view order, correcting sets and measured
+    wires that name different wires raise ValueError before any search.
+    `compile_pattern` calls it only for a gflow (some g(i) of two or more
+    vertices); given a flow's single-vertex sets it takes
+    ``simplify_flow``'s steps, which the tests hold it to.
     """
     if budget is not None and not budget >= 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     order = view.order
+    measured = sorted(w.id for w in circuit.wires if w.terminal == "measured")
+    if sorted(order) != measured or sorted(structure.correcting_sets) != measured:
+        raise ValueError(
+            f"the view orders wires {list(order)} and the structure corrects wires "
+            f"{sorted(structure.correcting_sets)}, but the circuit measures wires {measured}"
+        )
     initial = digest(circuit)
     partial = SimplificationTrace((), initial, initial)
     edges = {g.wires for g in itertools.takewhile(lambda g: g.kind == "CZ", circuit.gates)}

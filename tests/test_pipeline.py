@@ -122,6 +122,20 @@ def test_out_of_range_arguments_are_refused_up_front(kwargs, message):
         compile_pattern(graph, sets, **kwargs)
 
 
+J = Angle.exact(1, 4)
+
+
+@pytest.mark.parametrize("graph, message", [
+    (OpenGraph((1, 2), {(1, 2)}, (), {2}, {}), r"^missing angles for measured vertices \[1\]$"),
+    (OpenGraph((1, 2), {(1, 2), (2, 3)}, (), {2}, {1: J}), "^edge 2-3 uses unknown vertex$"),
+    (OpenGraph((1, 2), {(1, 2)}, (), {2, 5}, {1: J}), "^outputs must be vertices$"),
+])
+def test_a_graph_that_validate_rejects_is_refused_up_front(graph, message):
+    # unchecked, each one reaches the structure search and fails there with a KeyError
+    with pytest.raises(ValueError, match=message):
+        compile_pattern(graph)
+
+
 def path(n: int) -> OpenGraph:
     """The n-vertex path 1-2-...-n, first vertex in, last vertex out."""
     vertices = tuple(range(1, n + 1))

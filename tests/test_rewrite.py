@@ -63,12 +63,14 @@ from oneway.rewrite import (
     _cz_to_cx_shape,
     _eliminate_corrections,
     _fire_candidates,
-    _fired,
+    _gather,
     _helper_indices,
     _hop_candidates,
     _middles,
     _mint_candidates,
     _next_conflict,
+    _partner_moves,
+    _peephole_shape,
     _triangle_shape,
     follow_jgates,
 )
@@ -188,6 +190,12 @@ def spelled(terminals: str, *gates: str) -> Circuit:
     lines = [f"wire {k} plus {'measured' if t == 'm' else 'output'}" for k, t in enumerate(terminals, 1)]
     lines += [f"J(1/4pi) {g[2:]}" if g.startswith("J") else g for g in gates]
     return parse_text("\n".join(lines))
+
+
+def started_as_inputs(circuit: Circuit, *ids: int) -> Circuit:
+    """``circuit`` with the wires ``ids`` started as inputs instead of |+>."""
+    wires = tuple(Wire(w.id, "input", w.terminal) if w.id in ids else w for w in circuit.wires)
+    return Circuit(wires, circuit.gates)
 
 
 def plain_wires(*ids: int) -> tuple[Wire, ...]:
@@ -558,12 +566,17 @@ def produced_or_error(rule, circuit, site, **kw):
 def test_memoised_shape_matches_equal_the_rule_without_the_memo(case):
     circuit, site = case
     pair = site[:2]
-    calls = [(apply_cz_commute, site, {}), (apply_cx_commute, site, {}), (apply_peephole, pair, {})]
-    calls += [(apply_cz_to_cx, pair, {"fresh": w.id}) for w in circuit.wires]
+    # each rule call, with the shape match it makes first
+    calls = [
+        (apply_cz_commute, site, {}, (_triangle_shape, "CZ")),
+        (apply_cx_commute, site, {}, (_triangle_shape, "CX")),
+        (apply_peephole, pair, {}, (_peephole_shape,)),
+    ]
+    calls += [(apply_cz_to_cx, pair, {"fresh": w.id}, (_cz_to_cx_shape, w.id)) for w in circuit.wires]
     node = node_of(circuit)
     # the same gates two positions on, in a node that shares the memo
     shifted = _Node(circuit.wires, (Gate("CZ", (1, 2)),) * 2 + circuit.gates, None, node)
-    for rule, at, kw in calls:
+    for rule, at, kw, _ in calls:
         want = produced_or_error(rule, circuit, at, **kw)
         assert produced_or_error(rule, node, at, **kw) == want  # the memo fills
         assert produced_or_error(rule, node, at, **kw) == want  # and answers
@@ -571,7 +584,17 @@ def test_memoised_shape_matches_equal_the_rule_without_the_memo(case):
         assert produced_or_error(rule, shifted, moved, **kw) == produced_or_error(
             rule, Circuit(circuit.wires, shifted.gates), moved, **kw
         )
-    assert node.matches is shifted.matches and len(node.matches) == len(calls)
+
+    def matches(at, shape, *args) -> bool:
+        try:
+            shape(tuple(circuit.gates[k] for k in at), *args)
+        except RewriteError:
+            return False
+        return True
+
+    # the memo keeps each match once, and no refusal
+    assert node.matches is shifted.matches
+    assert len(node.matches) == sum(matches(at, *shape) for _, at, _, shape in calls)
 
 
 def teleport_wires() -> tuple[Wire, ...]:
@@ -1064,17 +1087,41 @@ def test_a_tail_that_cannot_clear_a_correction_cz_fails_the_designation():
         simplify_gflow(ext, slice_circuit(ext, structure), structure)
 
 
-def test_gflow_names_a_measured_wire_the_view_leaves_out():
-    # two flow pairs, 1 onto 2 and 3 onto 4; a view that omits wire 3 strips
-    # wire 1 only, and the tail refuses to return wire 3 still measured
+@pytest.fixture()
+def no_engine_node(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("simplify_gflow built an engine node")
+
+    monkeypatch.setattr(oneway.rewrite, "_Node", refuse)
+
+
+def test_gflow_names_a_measured_wire_the_view_leaves_out(no_engine_node):
+    # two flow pairs, 1 onto 2 and 3 onto 4; a view that omits wire 3 is
+    # refused before any search
     graph = OpenGraph(
         vertices=(1, 2, 3, 4), edges=((1, 2), (3, 4)), inputs=(), outputs=(2, 4),
         angles={1: Angle.exact(1, 4), 3: Angle.exact(1, 2)},
     )
     structure = validate_gflow(graph, {1: frozenset({2}), 3: frozenset({4})})
     ext = build_extended(graph, structure)
-    with pytest.raises(GflowSearchExhausted, match=r"exhausted after 1 attempts: wires \[3\] were not removed$"):
+    message = (r"^the view orders wires \[1\] and the structure corrects wires \[1, 3\], "
+               r"but the circuit measures wires \[1, 3\]$")
+    with pytest.raises(ValueError, match=message):
         simplify_gflow(ext, TimeSlicedView((1,)), structure)
+
+
+def test_gflow_refuses_a_view_or_structure_of_other_wires_up_front(no_engine_node):
+    structure, ext, view = fixture_pipeline("example1")
+    # a view that orders a wire the circuit lacks, which has no correcting set
+    message = r"^the view orders wires \[1, 3, 99\] and the structure corrects wires \[1, 3\], "
+    with pytest.raises(ValueError, match=message):
+        simplify_gflow(ext, TimeSlicedView(view.order + (99,)), structure)
+    # another graph's structure: path3's sets correct wires 1 and 2
+    path3, _, _ = fixture_pipeline("path3")
+    _, ext, view = fixture_pipeline("strip2x3")
+    message = r"the structure corrects wires \[1, 2\], but the circuit measures wires \[1, 2, 4, 5\]$"
+    with pytest.raises(ValueError, match=message):
+        simplify_gflow(ext, view, path3)
 
 
 def test_step_checks_catch_a_drifting_step(monkeypatch):
@@ -1257,8 +1304,18 @@ def measured_first_inputs(draw) -> Circuit:
 
 
 # The plan's candidate generators as written before they were pruned: every
-# site is built.  The last is the shift move the plan once had, the
-# reference for the fire move's sites.
+# site is built, including sites their rule refuses.  The last is the shift
+# move the plan once had, the reference for the fire move's sites.
+
+
+def applied(node: _Node, sites):
+    """Each site's rule applied to ``node``, as its edit and step fields,
+    leaving out the sites the rule refuses."""
+    for rule, site, _, _, args in sites:
+        try:
+            yield rule(node, site, *args)
+        except RewriteError:
+            pass
 
 
 def commutation_site(rule, kind, gates):
@@ -1343,6 +1400,10 @@ GENERATOR_CASES = [
     spelled("ooo", "CX 1 2", "CX 2 3", "CX 1 3"),
     # a mint: wire 2 is fresh up to the CZ 3 4, and its second gate comes after
     spelled("oooo", "CZ 2 4", "CZ 3 4", "CX 1 3", "CX 1 2"),
+    # no mint onto wire 2: it is fresh, but an input, not |+>
+    started_as_inputs(spelled("oooo", "CZ 2 4", "CZ 3 4", "CX 1 3", "CX 1 2"), 2),
+    # no mint onto wire 2 or 3: the J 4 blocks gathering the CZ 2 4 to the CZ 3 4
+    spelled("oooo", "CZ 2 4", "J 4", "CZ 3 4", "CX 1 3", "CX 1 2"),
     # screened before any site: the one conflict of the CX 1 2 before the
     # correction CZ 1 3 is the CX 3 1, which is no partner
     spelled("moo", "J 1", "CX 1 2", "CX 3 1", "CZ 1 3", "CZ 2 3"),
@@ -1354,10 +1415,18 @@ GENERATOR_CASES = [
 ]
 
 
+@st.composite
+def with_some_inputs(draw, circuits) -> Circuit:
+    """A drawn circuit with some of its wires, maybe none, started as inputs."""
+    circuit = draw(circuits)
+    return started_as_inputs(circuit, *draw(st.sets(st.sampled_from([w.id for w in circuit.wires]))))
+
+
 def on_generator_cases(test):
-    """Run ``test`` on ``GENERATOR_CASES``, then on 300 drawn circuits."""
+    """Run ``test`` on ``GENERATOR_CASES``, then on 300 drawn circuits, some
+    of whose wires are inputs."""
     test = settings(deadline=None, max_examples=300)(
-        given(st.one_of(measured_first_inputs(), eliminator_inputs()))(test)
+        given(with_some_inputs(st.one_of(measured_first_inputs(), eliminator_inputs())))(test)
     )
     for circuit in reversed(GENERATOR_CASES):
         test = example(circuit)(test)
@@ -1374,12 +1443,38 @@ def test_pruned_generators_yield_what_the_unpruned_ones_yield(circuit):
     work = every_cx_unwanted(circuit)
     node = node_of(circuit)
     def fired(sites):
-        return list(_fired(node, sites))
+        return list(applied(node, sites))
 
     assert fired(_direct_candidates(node, work)) == fired(unpruned_direct_candidates(node, work))
     assert fired(_mint_candidates(node, work)) == fired(unpruned_mint_candidates(node, work))
     assert fired(_fire_candidates(node)) == fired(unpruned_fire_candidates(node))
     assert fired(_hop_candidates(node, work)) == fired(unpruned_hop_candidates(node, work))
+
+
+def assert_the_rules_accept_every_site(node: _Node) -> None:
+    """The rule of every site that the engine's generators build on
+    ``node``, with every CX unwanted and every CZ a correction to move,
+    accepts it, with the edit that the site's own shape match gives."""
+    work = every_cx_unwanted(node)
+    sites = itertools.chain(
+        _direct_candidates(node, work),
+        _mint_candidates(node, work),
+        _fire_candidates(node),
+        _hop_candidates(node, work),
+        *(_partner_moves(node, q, g.wires) for q, g in enumerate(node.gates) if g.kind == "CZ"),
+    )
+    for rule, site, shape, arg, args in sites:
+        try:
+            edit, _ = rule(node, site, *args)
+        except RewriteError as exc:
+            text = emit_text(Circuit(node.wires, node.gates))
+            pytest.fail(f"{rule.__name__} refuses its site {site} ({exc}) on\n{text}")
+        assert edit == _gather(site, shape(tuple(map(node.gates.__getitem__, site)), arg))
+
+
+@on_generator_cases
+def test_the_rules_accept_every_site_the_generators_build(circuit):
+    assert_the_rules_accept_every_site(node_of(circuit))
 
 
 def eaten_cz(node: _Node, step) -> int:
@@ -1395,9 +1490,9 @@ def test_a_shift_site_is_a_fire_site_exactly_when_the_cz_it_eats_is_shaped(circu
     # the plan dropped the shift move: the sites of it that fire does not
     # build all eat a CZ that comes before any J on its wires
     node = node_of(circuit)
-    fired = set(_fired(node, _fire_candidates(node)))
+    fired = set(applied(node, _fire_candidates(node)))
     shaped = {q for q, _ in node.shaped}
-    for edit, step in _fired(node, unpruned_shift_candidates(node, every_cx_unwanted(circuit))):
+    for edit, step in applied(node, unpruned_shift_candidates(node, every_cx_unwanted(circuit))):
         assert ((edit, step) in fired) == (eaten_cz(node, step) in shaped)
 
 
@@ -1405,9 +1500,9 @@ def test_the_shift_site_on_an_entangling_edge_is_no_fire_site():
     # the CZ 1 3 the site eats comes before any J, as an entangling edge does
     circuit = spelled("moo", "CZ 2 3", "CX 1 2", "CZ 1 3")
     node = node_of(circuit)
-    ((_, step),) = _fired(node, unpruned_shift_candidates(node, every_cx_unwanted(circuit)))
+    ((_, step),) = applied(node, unpruned_shift_candidates(node, every_cx_unwanted(circuit)))
     assert eaten_cz(node, step) == 2 and not node.shaped
-    assert not list(_fired(node, _fire_candidates(node)))
+    assert not list(applied(node, _fire_candidates(node)))
 
 
 @functools.cache
@@ -1416,8 +1511,8 @@ def recorded_plan_search() -> tuple[list[int], list[tuple[tuple[Wire, ...], list
     the example1, example2 and budget fixtures, then on the first 21 of the
     30 gflow-only atlas graphs with inputs.  Returns the plan nodes spent on
     each atlas graph without inputs, and for each ``_plan`` call its wires
-    and the gate tuples of the root and of every child it spliced, which
-    includes the children of sites whose gather check then refuses them."""
+    and the gate tuples of the root and of every child it spliced, each one
+    a node or a repeat of one."""
     nodes: list[int] = []
     plans: list[tuple[tuple[Wire, ...], list]] = []
     running: list[list] = []  # the children of the _plan call under way
@@ -1474,6 +1569,13 @@ def test_plan_nodes_per_gflow_only_graph_are_pinned():
     # differently from their emitted text moves these counts
     nodes, _ = recorded_plan_search()
     assert nodes == [0, 31, 45, 0, 0, 120, 1280, 1900, 437, 1642]
+
+
+def test_the_rules_accept_every_site_the_generators_build_on_the_plan_nodes():
+    _, plans = recorded_plan_search()
+    for wires, children in plans:
+        for gates in dict.fromkeys(children):
+            assert_the_rules_accept_every_site(_Node(wires, gates))
 
 
 def test_children_share_a_key_exactly_when_they_emit_the_same_text():

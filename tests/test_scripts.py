@@ -59,6 +59,7 @@ TRACED_REPORT = """\
 # untraced pass 0.019920 s wall, traced 0.020292 s; span self-times sum to 0.020174 s
 rewrite.s                        0.0193 s
 rewrite.rule_calls               0 count
+rewrite.rule_yield               0 ratio
 {"correct": true, "attempted": 4, "failed": 0}
 """
 
@@ -83,6 +84,7 @@ def test_bench_check_shows_a_traced_pass_and_refuses_a_changed_digest(tmp_path):
         "# passes: 1 untraced, 1 traced",
         "# untraced pass 0.019920 s wall, traced 0.020292 s; span self-times sum to 0.020174 s",
         "rewrite.rule_calls               0 count",
+        "rewrite.rule_yield               0 ratio",
     ]
     run = check(sha)
     assert run.returncode == 0 and run.stdout.splitlines() == shown
