@@ -4,8 +4,10 @@ Wires mirror graph vertices and carry their preparation (input state or |+>)
 and fate (output or measured).  Gates are kept in program order, left to
 right.  Gates and wires are validated tuples: each checks its fields when it
 is built (a pickled one too, when it loads), and ``==`` is type-strict, so a
-gate equals no plain tuple and no wire.  The time-sliced view holds the
-layer order of the measured wires, read off the correction structure alone.
+gate equals no plain tuple and no wire.  A circuit checks that its gates use
+only its declared wires, again when it loads from a pickle.  The time-sliced
+view holds the layer order of the measured wires, read off the correction
+structure alone.
 This module knows nothing of the extended circuit's layout (entangling CZs,
 then per round J gates and their corrections): the extend module writes it,
 and only the rewrite module reads it back.
@@ -135,6 +137,10 @@ class Circuit:
             if not ids.issuperset(g.wires):
                 raise ValueError(f"gate {g.text()} uses undeclared wire")
 
+    def __reduce__(self):
+        # Rebuild through the constructor, so a loaded circuit is checked again.
+        return (Circuit, (self.wires, self.gates))
+
     def wire(self, wire_id: int) -> Wire:
         for w in self.wires:
             if w.id == wire_id:
@@ -193,6 +199,8 @@ def parse_text(text: str) -> Circuit:
         fields = line.split()
         try:
             if fields[0] == "wire":
+                if len(fields) != 4:
+                    raise ValueError("wire line needs an id, an init and a terminal")
                 _, wid, init, terminal = fields
                 wires.append(Wire(int(wid), init, terminal))
             elif fields[0].startswith("J(") and fields[0].endswith(")"):
@@ -201,6 +209,8 @@ def parse_text(text: str) -> Circuit:
                 expr, wid = fields[0][2:-1], fields[1]
                 gates.append(Gate("J", (int(wid),), Angle.parse(expr)))
             elif fields[0] in ("CZ", "CX"):
+                if len(fields) != 3:
+                    raise ValueError(f"{fields[0]} line needs exactly two wires")
                 kind, a, b = fields
                 gates.append(Gate(kind, (int(a), int(b))))
             else:

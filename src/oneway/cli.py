@@ -5,7 +5,7 @@ Exit codes are part of the contract:
   2 unreadable or unparsable input, an option value out of range, or an
     output file that cannot be written
   3 no determinism structure (no flow, no gflow, or supplied sets invalid)
-  4 verification failure or shape/cap mismatch
+  4 verification failure, shape/cap mismatch, or simplification failed
   5 special-CX designation search exhausted
 """
 

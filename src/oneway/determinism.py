@@ -151,6 +151,14 @@ def validate_gflow(
     return ["correcting sets induce a cyclic measurement order"] if structure is None else structure
 
 
+def _layer_of(graph: OpenGraph, layers: tuple[frozenset[int], ...]) -> dict[int, int]:
+    """Each measured vertex's layer index; ValueError unless ``layers`` partition the measured vertices."""
+    layer_of = {v: depth for depth, layer in enumerate(layers) for v in layer}
+    if layer_of.keys() != graph.measured or sum(map(len, layers)) != len(layer_of):
+        raise ValueError(f"layers must partition the measured vertices {sorted(graph.measured)}")
+    return layer_of
+
+
 def _structure_problems(graph: OpenGraph, structure: CorrectionStructure) -> list[str]:
     """What is wrong with ``structure`` on ``graph``, layers as given; empty when nothing is.
 
@@ -163,10 +171,10 @@ def _structure_problems(graph: OpenGraph, structure: CorrectionStructure) -> lis
     problems = _set_problems(graph, sets)
     if problems:
         return problems
-    measured = graph.measured
-    layer_of = {v: depth for depth, layer in enumerate(structure.layers) for v in layer}
-    if layer_of.keys() != measured or sum(map(len, structure.layers)) != len(measured):
-        return [f"layers must partition the measured vertices {sorted(measured)}"]
+    try:
+        layer_of = _layer_of(graph, structure.layers)
+    except ValueError as exc:
+        return [str(exc)]
     for i, gset in sorted(sets.items()):
         d = layer_of[i]  # an output has no layer: it comes after every round
         early = [k for k in gset | odd_neighborhood(graph, gset) if layer_of.get(k, d + 1) <= d and k != i]

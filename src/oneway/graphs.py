@@ -2,8 +2,8 @@
 
 Vertices are small non-negative integers.  Edges are stored as sorted pairs.
 Every non-output vertex carries a measurement angle; outputs never do.
-Construction only normalises; call validate() for a report, or use
-parse_graph, which rejects broken files.
+Construction normalises, then refuses a graph that breaks any of these
+rules with ValueError, so every OpenGraph that exists is well-formed.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .angles import Angle
 
 __all__ = [
     "OpenGraph",
-    "validate",
     "odd_neighborhood",
     "parse_graph",
     "parse_graph_with_sets",
@@ -41,6 +40,32 @@ class OpenGraph:
         )
         object.__setattr__(self, "inputs", frozenset(self.inputs))
         object.__setattr__(self, "outputs", frozenset(self.outputs))
+        problems: list[str] = []
+        vs = set(self.vertices)
+        if any(v < 0 for v in vs):
+            problems.append("vertex ids must be non-negative integers")
+        for a, b in sorted(self.edges):
+            if a == b:
+                problems.append(f"self-loop on {a}")
+            elif a not in vs or b not in vs:
+                problems.append(f"edge {a}-{b} uses unknown vertex")
+        if not self.inputs <= vs:
+            problems.append("inputs must be vertices")
+        if not self.outputs <= vs:
+            problems.append("outputs must be vertices")
+        missing = self.measured - set(self.angles)
+        if missing:
+            problems.append(f"missing angles for measured vertices {sorted(missing)}")
+        extra = set(self.angles) - self.measured
+        if extra:
+            problems.append(f"angles given for unmeasured vertices {sorted(extra)}")
+        if problems:
+            raise ValueError("; ".join(problems))
+
+    def __reduce__(self):
+        # Rebuild through the constructor, so a loaded graph is checked
+        # again and the cached neighbors and measured do not travel.
+        return (OpenGraph, (self.vertices, self.edges, self.inputs, self.outputs, self.angles))
 
     @cached_property
     def neighbors(self) -> dict[int, frozenset[int]]:
@@ -53,31 +78,6 @@ class OpenGraph:
     @cached_property
     def measured(self) -> frozenset[int]:
         return frozenset(self.vertices) - self.outputs
-
-
-def validate(graph: OpenGraph) -> list[str]:
-    """Invariant report; empty list means the graph is well-formed."""
-    problems: list[str] = []
-    vs = set(graph.vertices)
-    if any(v < 0 for v in vs):
-        problems.append("vertex ids must be non-negative integers")
-    for a, b in sorted(graph.edges):
-        if a == b:
-            problems.append(f"self-loop on {a}")
-        elif a not in vs or b not in vs:
-            problems.append(f"edge {a}-{b} uses unknown vertex")
-    if not graph.inputs <= vs:
-        problems.append("inputs must be vertices")
-    if not graph.outputs <= vs:
-        problems.append("outputs must be vertices")
-    measured = vs - graph.outputs
-    missing = measured - set(graph.angles)
-    if missing:
-        problems.append(f"missing angles for measured vertices {sorted(missing)}")
-    extra = set(graph.angles) - measured
-    if extra:
-        problems.append(f"angles given for unmeasured vertices {sorted(extra)}")
-    return problems
 
 
 def odd_neighborhood(graph: OpenGraph, subset: frozenset[int] | set[int]) -> frozenset[int]:
@@ -100,7 +100,7 @@ def odd_neighborhood(graph: OpenGraph, subset: frozenset[int] | set[int]) -> fro
 
 
 def parse_graph(text: str) -> OpenGraph:
-    """Read the key/value graph format, rejecting invalid graphs.
+    """Read the key/value graph format; an invalid graph is refused as OpenGraph refuses it.
 
     Keys: vertices, edges (``a-b`` pairs), inputs, outputs,
     angles (``v=expr`` pairs), correcting_sets (``v={a,b}`` pairs, optional;
@@ -193,11 +193,7 @@ def parse_graph_with_sets(text: str) -> tuple[OpenGraph, dict[int, frozenset[int
     angles = assigned("angles", angle)
     sets = assigned("correcting_sets", correcting_set) if "correcting_sets" in fields else None
 
-    graph = OpenGraph(vertices, frozenset(edges), inputs, outputs, angles)
-    problems = validate(graph)
-    if problems:
-        raise ValueError("; ".join(problems))
-    return graph, sets
+    return OpenGraph(vertices, frozenset(edges), inputs, outputs, angles), sets
 
 
 def emit_graph(graph: OpenGraph, sets: dict[int, frozenset[int]] | None = None) -> str:

@@ -11,7 +11,7 @@ import numpy as np
 from .circuits import Circuit, slice_circuit
 from .determinism import CorrectionStructure, find_flow, find_gflow, validate_gflow
 from .extend import build_extended
-from .graphs import OpenGraph, validate
+from .graphs import OpenGraph
 from .rewrite import (
     FlowSimplifyError, GflowSearchExhausted, SimplificationTrace, follow_jgates, simplify_flow,
     simplify_gflow,
@@ -73,9 +73,9 @@ def compile_pattern(
 
     ``budget`` caps the designation attempts; ``tol``, ``max_wires`` and ``seed``
     set the verification.  An out-of-range ``budget``, ``tol``, ``max_wires`` or
-    ``seed`` raises ``ValueError``, worded as the CLI refuses it, and so does a
-    graph that ``graphs.validate`` rejects, with its problems as ``parse_graph``
-    words them; every failure to compile raises ``CompileError``.
+    ``seed`` raises ``ValueError``, worded as the CLI refuses it; every failure
+    to compile raises ``CompileError``.  ``graph`` needs no check: an OpenGraph
+    is well-formed once built.
     """
     if budget is not None and not budget >= 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -87,9 +87,6 @@ def compile_pattern(
         raise ValueError(f"max_wires must be at least 1, got {max_wires}")
     if not seed >= 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    problems = validate(graph)
-    if problems:
-        raise ValueError("; ".join(problems))
     if sets is not None:
         structure = validate_gflow(graph, sets)
         if isinstance(structure, list):

@@ -1,5 +1,6 @@
 """CLI behavior: output text and the exit-code contract."""
 
+import itertools
 import os
 import pathlib
 import subprocess
@@ -28,8 +29,16 @@ outputs: 1
 angles: 2=1/4pi 3=1/4pi
 """
 
-# README's `oneway compile fixtures/path3.graph`
-PATH3_COMPACT = "wire 3 input output\nJ(1/4pi) 3\nJ(1/2pi) 3\n"
+README = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def readme_output(command: str) -> str:
+    """The lines README shows under ``$ command``, up to a blank line or the fence."""
+    lines = README.split(f"\n$ {command}\n", 1)[1].splitlines()
+    return "".join(f"{line}\n" for line in itertools.takewhile(lambda s: s and s != "```", lines))
+
+
+PATH3_COMPACT = readme_output("oneway compile fixtures/path3.graph")
 
 
 @pytest.fixture()
@@ -89,6 +98,16 @@ def test_unreadable_or_malformed_input_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith("error: line 6: unknown key 'correcting_set'\n")
+
+
+def test_readme_shows_what_the_cli_prints(fixtures_dir, monkeypatch, capsys):
+    monkeypatch.chdir(fixtures_dir.parent)  # README's commands run from the repository root
+    assert main(["flow", "fixtures/example2.graph"]) == 0
+    assert capsys.readouterr().out == readme_output("oneway flow fixtures/example2.graph")
+    # the Library snippet prints the compact circuit's wire count and the deviation
+    exec(README.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0], {})
+    wires, deviation = capsys.readouterr().out.split()
+    assert wires == "1" and float(deviation) <= 1e-9
 
 
 def test_compile_path3(fixtures_dir, tmp_path, capsys):
@@ -319,6 +338,18 @@ def test_verify_parse_error_exits_2(tmp_path, capsys):
     bad.write_text("wire 1 input output\nJ(nan) 1\n")
     assert main(["verify", str(bad), str(ok)]) == 2
     assert "line 2: angle must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, need", [
+    ("CX 1", "CX line needs exactly two wires"),
+    ("wire 1 plus", "wire line needs an id, an init and a terminal"),
+    ("CZ 1 2 3", "CZ line needs exactly two wires"),
+])
+def test_verify_says_what_a_short_or_long_line_needs(tmp_path, line, need, capsys):
+    bad = tmp_path / "bad.circuit"
+    bad.write_text(f"wire 1 input output\nwire 2 plus measured\n{line}\n")
+    assert main(["verify", str(bad), str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: line 3: {need}\n"
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ from oneway import (
     odd_neighborhood,
     parse_graph,
     parse_graph_with_sets,
-    validate,
 )
 
 
@@ -46,24 +45,43 @@ def test_neighbors_and_measured():
 
 @pytest.mark.parametrize("outputs", [(), (3,), (3, 4), (1, 2, 3, 4)])
 def test_measured_is_computed_once(outputs):
-    g = square(outputs=outputs, angles={})
+    g = square(outputs=outputs, angles={v: Angle.exact(0) for v in (1, 2, 3, 4) if v not in outputs})
     first = g.measured
     assert first == frozenset(g.vertices) - g.outputs
     assert g.measured is first
 
 
 def test_validate_reports_each_problem():
-    ok = square()
-    assert validate(ok) == []
-    assert "self-loop on 2" in validate(square(edges=((1, 2), (2, 2))))[0]
-    assert any("unknown vertex" in p for p in validate(square(edges=((1, 9),))))
-    assert any("missing angles" in p for p in validate(square(angles={})))
-    assert any(
-        "unmeasured" in p
-        for p in validate(
-            square(angles={1: Angle.exact(0), 2: Angle.exact(0), 3: Angle.exact(0)})
-        )
-    )
+    square()  # well-formed, so it builds
+    with pytest.raises(ValueError, match="^self-loop on 2"):
+        square(edges=((1, 2), (2, 2)))
+    with pytest.raises(ValueError, match="unknown vertex"):
+        square(edges=((1, 9),))
+    with pytest.raises(ValueError, match="missing angles"):
+        square(angles={})
+    with pytest.raises(ValueError, match="unmeasured"):
+        square(angles={1: Angle.exact(0), 2: Angle.exact(0), 3: Angle.exact(0)})
+
+
+J = Angle.exact(1, 4)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (((1, 2), {(1, 2)}, (), {2}, {}), r"^missing angles for measured vertices \[1\]$"),
+    (((1, 2), {(1, 2), (2, 3)}, (), {2}, {1: J}), "^edge 2-3 uses unknown vertex$"),
+    (((1, 2), {(1, 2)}, {7}, {2}, {1: J}), "^inputs must be vertices$"),
+    (((1, 2), {(1, 2)}, (), {2, 5}, {1: J}), "^outputs must be vertices$"),
+    (((1, 2), {(1, 2), (1, 1)}, (), {2}, {1: J}), "^self-loop on 1$"),
+    (((-1, 2), {(-1, 2)}, (), {2}, {-1: J}), "^vertex ids must be non-negative integers$"),
+    (((1, 2), {(1, 2)}, (), {2}, {1: J, 2: J}), r"^angles given for unmeasured vertices \[2\]$"),
+    (((1, 2), {(2, 2)}, (), {2, 5}, {}),
+     r"^self-loop on 2; outputs must be vertices; missing angles for measured vertices \[1\]$"),
+])
+def test_an_invalid_graph_cannot_be_built(fields, message):
+    # unchecked, such a graph reaches the structure search, the extended circuit
+    # or the pattern simulation and fails there with a KeyError or a numpy error
+    with pytest.raises(ValueError, match=message):
+        OpenGraph(*fields)
 
 
 def test_odd_neighborhood_small_cases():

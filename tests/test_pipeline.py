@@ -126,14 +126,15 @@ J = Angle.exact(1, 4)
 
 
 @pytest.mark.parametrize("graph, message", [
-    (OpenGraph((1, 2), {(1, 2)}, (), {2}, {}), r"^missing angles for measured vertices \[1\]$"),
-    (OpenGraph((1, 2), {(1, 2), (2, 3)}, (), {2}, {1: J}), "^edge 2-3 uses unknown vertex$"),
-    (OpenGraph((1, 2), {(1, 2)}, (), {2, 5}, {1: J}), "^outputs must be vertices$"),
+    (((1, 2), {(1, 2)}, (), {2}, {}), r"^missing angles for measured vertices \[1\]$"),
+    (((1, 2), {(1, 2), (2, 3)}, (), {2}, {1: J}), "^edge 2-3 uses unknown vertex$"),
+    (((1, 2), {(1, 2)}, (), {2, 5}, {1: J}), "^outputs must be vertices$"),
 ])
 def test_a_graph_that_validate_rejects_is_refused_up_front(graph, message):
-    # unchecked, each one reaches the structure search and fails there with a KeyError
+    # ``graph`` holds OpenGraph's fields.  Unchecked, each graph would reach the
+    # structure search and fail there with a KeyError; it cannot even be built.
     with pytest.raises(ValueError, match=message):
-        compile_pattern(graph)
+        compile_pattern(OpenGraph(*graph))
 
 
 def path(n: int) -> OpenGraph:

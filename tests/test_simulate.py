@@ -211,6 +211,10 @@ def test_run_pattern_input_validation(path3):
         run_pattern(path3, structure, np.ones(4), {1: 0, 2: 0})
     with pytest.raises(WireCapError):
         run_pattern(path3, structure, np.array([1.0, 0.0]), {1: 0, 2: 0}, cap=2)
+    # layers that leave vertex 2 out would leave it in the state, unmeasured
+    short = CorrectionStructure(structure.correcting_sets, structure.layers[:-1])
+    with pytest.raises(ValueError, match=r"^layers must partition the measured vertices \[1, 2\]$"):
+        run_pattern(path3, short, np.array([1.0, 0.0]), {1: 0, 2: 0})
 
 
 @st.composite

@@ -1,6 +1,6 @@
 """Gate, Wire and RewriteStep against test-local copies of the frozen
-dataclasses they replaced, and the single-vertex odd neighbourhood against
-the counting loop."""
+dataclasses they replaced, a loaded graph or circuit checked as a built one
+is, and the single-vertex odd neighbourhood against the counting loop."""
 
 import copy
 import pickle
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oneway import Angle, Gate, OpenGraph, RewriteStep, Wire, odd_neighborhood
+from oneway import Angle, Circuit, Gate, OpenGraph, RewriteStep, Wire, odd_neighborhood
 from oneway.circuits import _StrictTuple
 
 
@@ -168,6 +168,23 @@ def test_loading_or_replacing_a_gate_validates_it_again():
         Wire(1, "plus", "output")._replace(init="zero")
     assert Gate("CZ", (1, 2))._replace(wires=(5, 3)) == Gate("CZ", (3, 5))
     assert Gate._make(["CX", (4, 2), None]) == Gate("CX", (4, 2))
+
+
+def test_loading_a_graph_or_a_circuit_builds_it_again():
+    J = Angle.exact(1, 4)
+    graph = OpenGraph((1, 2, 3), {(1, 2), (2, 3)}, {1}, {3}, {1: J, 2: J})
+    graph.neighbors, graph.measured  # cached on the instance, not pickled
+    circuit = Circuit((Wire(1, "input", "output"), Wire(2, "plus", "measured")), (Gate("CZ", (1, 2)),))
+    for value, edge, tampered, message in [
+        (graph, b"K\x02K\x03\x86", b"K\x02K\x09\x86", "^edge 2-9 uses unknown vertex$"),
+        (circuit, b"K\x01K\x02\x86", b"K\x01K\x07\x86", "^gate CZ 1 7 uses undeclared wire$"),
+    ]:
+        payload = pickle.dumps(value)
+        assert pickle.loads(payload) == value and copy.deepcopy(value) == value
+        assert edge in payload  # the graph's edge 2-3, the circuit's CZ 1 2
+        with pytest.raises(ValueError, match=message):
+            pickle.loads(payload.replace(edge, tampered))
+    assert b"neighbors" not in pickle.dumps(graph) and b"measured" not in pickle.dumps(graph)
 
 
 @given(st.integers(-50, 50), st.integers(-12, 12).filter(bool))
