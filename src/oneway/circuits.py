@@ -131,8 +131,9 @@ class Circuit:
         object.__setattr__(self, "wires", tuple(sorted(self.wires)))
         object.__setattr__(self, "gates", tuple(self.gates))
         ids = {w.id for w in self.wires}
-        if len(ids) != len(self.wires):
-            raise ValueError("duplicate wire ids")
+        if len(ids) != len(self.wires):  # the sorted wires put a repeated id next to itself
+            dup = next(a.id for a, b in zip(self.wires, self.wires[1:]) if a.id == b.id)
+            raise ValueError(f"duplicate wire id {dup}")
         for g in self.gates:
             if not ids.issuperset(g.wires):
                 raise ValueError(f"gate {g.text()} uses undeclared wire")

@@ -1,17 +1,21 @@
 """Flow and generalised-flow search on open graphs.
 
 A correction structure assigns each measured vertex i a correcting set g(i)
-with i in Odd(g(i)), every other member of g(i) and of Odd(g(i)) measured
-strictly later (or an output).  Flow is the special case g(i) = {f(i)}: a
-single member, which i in Odd(g(i)) makes a neighbor.  That case defines a
-structure's ``kind``, read off its sets whether a search found them or a
-graph file supplied them.  Layers come from longest paths in the induced precedence
-DAG, so they are as coarse as the structure allows.
+with i in Odd(g(i)) but not in g(i), no input in g(i), and every other
+member of g(i) and of Odd(g(i)) measured strictly later (or an output): a
+gflow.  ``CorrectionStructure`` checks this once, when it is made, and
+derives its layers from longest paths in the induced precedence DAG, so
+they are as coarse as the structure allows.  Flow is the special case
+g(i) = {f(i)}: a single member, which i in Odd(g(i)) makes a neighbor.  That
+case defines a structure's ``kind``, read off its sets whether a search
+found them or a graph file supplied them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .graphs import OpenGraph, odd_neighborhood
 
@@ -25,8 +29,30 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CorrectionStructure:
-    correcting_sets: dict[int, frozenset[int]]
-    layers: tuple[frozenset[int], ...]
+    """Correcting sets that form a gflow of ``graph``, and the layers they induce.
+
+    The constructor keeps a read-only copy of the sets, each a frozenset,
+    and derives ``layers``.  Sets that do not form a gflow raise one
+    ValueError that joins every problem by "; ", in the words
+    ``validate_gflow`` returns them.
+    """
+
+    graph: OpenGraph
+    correcting_sets: Mapping[int, frozenset[int]]
+    layers: tuple[frozenset[int], ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        sets = {i: frozenset(g) if isinstance(g, (set, frozenset)) else g for i, g in self.correcting_sets.items()}
+        problems = _set_problems(self.graph, sets)
+        layers = None if problems else _layering(self.graph, sets)
+        if layers is None:
+            raise ValueError("; ".join(problems or ["correcting sets induce a cyclic measurement order"]))
+        object.__setattr__(self, "correcting_sets", MappingProxyType(sets))
+        object.__setattr__(self, "layers", layers)
+
+    def __reduce__(self):
+        # Rebuild through the constructor, so a loaded structure is checked again.
+        return (CorrectionStructure, (self.graph, dict(self.correcting_sets)))
 
     @property
     def kind(self) -> str:
@@ -73,10 +99,10 @@ def _layering(graph: OpenGraph, sets: dict[int, frozenset[int]]) -> tuple[frozen
     return tuple(frozenset(layer) for layer in layers)
 
 
-def _structure(graph: OpenGraph, sets: dict[int, frozenset[int]]) -> CorrectionStructure | None:
-    """``sets`` with their layering; None if they induce a cyclic order."""
-    layers = _layering(graph, sets)
-    return None if layers is None else CorrectionStructure(sets, layers)
+def _require_graph(graph: OpenGraph, structure: CorrectionStructure) -> None:
+    """ValueError unless ``structure`` was made for ``graph``."""
+    if structure.graph != graph:
+        raise ValueError("structure invalid for graph: it was made for another graph")
 
 
 def find_flow(graph: OpenGraph) -> CorrectionStructure | None:
@@ -110,7 +136,7 @@ def find_flow(graph: OpenGraph) -> CorrectionStructure | None:
         if not progress:
             return None
 
-    return _structure(graph, {i: frozenset({j}) for i, j in f.items()})
+    return CorrectionStructure(graph, {i: frozenset({j}) for i, j in f.items()})
 
 
 def _set_problems(graph: OpenGraph, sets: dict[int, frozenset[int]]) -> list[str]:
@@ -125,6 +151,9 @@ def _set_problems(graph: OpenGraph, sets: dict[int, frozenset[int]]) -> list[str
         )
         return problems
     for i, gset in sorted(sets.items()):
+        if not isinstance(gset, frozenset):  # the constructor made every set one
+            problems.append(f"g({i}) is a {type(gset).__name__}, not a set")
+            continue
         if not gset:
             problems.append(f"g({i}) is empty")
             continue
@@ -141,46 +170,13 @@ def _set_problems(graph: OpenGraph, sets: dict[int, frozenset[int]]) -> list[str
 
 
 def validate_gflow(
-    graph: OpenGraph, sets: dict[int, frozenset[int]]
+    graph: OpenGraph, sets: Mapping[int, frozenset[int]]
 ) -> CorrectionStructure | list[str]:
     """Check user-supplied correcting sets; structure on success, problems on failure."""
-    problems = _set_problems(graph, sets)
-    if problems:
-        return problems
-    structure = _structure(graph, dict(sets))
-    return ["correcting sets induce a cyclic measurement order"] if structure is None else structure
-
-
-def _layer_of(graph: OpenGraph, layers: tuple[frozenset[int], ...]) -> dict[int, int]:
-    """Each measured vertex's layer index; ValueError unless ``layers`` partition the measured vertices."""
-    layer_of = {v: depth for depth, layer in enumerate(layers) for v in layer}
-    if layer_of.keys() != graph.measured or sum(map(len, layers)) != len(layer_of):
-        raise ValueError(f"layers must partition the measured vertices {sorted(graph.measured)}")
-    return layer_of
-
-
-def _structure_problems(graph: OpenGraph, structure: CorrectionStructure) -> list[str]:
-    """What is wrong with ``structure`` on ``graph``, layers as given; empty when nothing is.
-
-    The per-set checks of ``validate_gflow``, then the order condition of
-    the gflow definition, in one pass that lays out no layering of its own:
-    the layers partition the measured vertices, and every measured member
-    of (g(i) | Odd(g(i))) \\ {i} lies in a layer strictly after i's.
-    """
-    sets = structure.correcting_sets
-    problems = _set_problems(graph, sets)
-    if problems:
-        return problems
     try:
-        layer_of = _layer_of(graph, structure.layers)
+        return CorrectionStructure(graph, sets)
     except ValueError as exc:
-        return [str(exc)]
-    for i, gset in sorted(sets.items()):
-        d = layer_of[i]  # an output has no layer: it comes after every round
-        early = [k for k in gset | odd_neighborhood(graph, gset) if layer_of.get(k, d + 1) <= d and k != i]
-        if early:
-            problems.append(f"g({i}) needs {sorted(early)} measured after {i}")
-    return problems
+        return str(exc).split("; ")  # no problem's own text holds "; "
 
 
 def find_gflow(graph: OpenGraph) -> CorrectionStructure | None:
@@ -211,7 +207,7 @@ def find_gflow(graph: OpenGraph) -> CorrectionStructure | None:
                 pending.discard(i)
                 done.add(i)
 
-    return _structure(graph, sets)
+    return CorrectionStructure(graph, sets)
 
 
 def _solve_correcting_set(

@@ -3,14 +3,17 @@
 Vertices are small non-negative integers.  Edges are stored as sorted pairs.
 Every non-output vertex carries a measurement angle; outputs never do.
 Construction normalises, then refuses a graph that breaks any of these
-rules with ValueError, so every OpenGraph that exists is well-formed.
+rules with ValueError, so every OpenGraph that exists is well-formed.  It
+keeps a read-only copy of the angles, so the caller's dict cannot undo that.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
+from types import MappingProxyType
 
 from .angles import Angle
 
@@ -29,7 +32,7 @@ class OpenGraph:
     edges: frozenset[tuple[int, int]]
     inputs: frozenset[int]
     outputs: frozenset[int]
-    angles: dict[int, Angle] = field(default_factory=dict)
+    angles: Mapping[int, Angle] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", tuple(sorted(set(self.vertices))))
@@ -40,6 +43,7 @@ class OpenGraph:
         )
         object.__setattr__(self, "inputs", frozenset(self.inputs))
         object.__setattr__(self, "outputs", frozenset(self.outputs))
+        object.__setattr__(self, "angles", MappingProxyType(dict(self.angles)))
         problems: list[str] = []
         vs = set(self.vertices)
         if any(v < 0 for v in vs):
@@ -62,10 +66,13 @@ class OpenGraph:
         if problems:
             raise ValueError("; ".join(problems))
 
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.edges, self.inputs, self.outputs, frozenset(self.angles.items())))
+
     def __reduce__(self):
         # Rebuild through the constructor, so a loaded graph is checked
         # again and the cached neighbors and measured do not travel.
-        return (OpenGraph, (self.vertices, self.edges, self.inputs, self.outputs, self.angles))
+        return (OpenGraph, (self.vertices, self.edges, self.inputs, self.outputs, dict(self.angles)))
 
     @cached_property
     def neighbors(self) -> dict[int, frozenset[int]]:

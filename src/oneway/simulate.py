@@ -43,7 +43,7 @@ import numpy as np
 
 from .angles import Angle
 from .circuits import Circuit, j_matrix
-from .determinism import CorrectionStructure, _layer_of
+from .determinism import CorrectionStructure, _require_graph
 from .graphs import OpenGraph, odd_neighborhood
 
 __all__ = [
@@ -279,12 +279,12 @@ def run_pattern(
     """Simulate the raw pattern: entangle, measure with forced outcomes, correct.
 
     ``outcomes`` forces 0 or 1 on each measured vertex; anything else is
-    refused, and so are layers that do not partition the measured vertices.
-    The correcting sets are taken as given, unchecked.  A forced outcome of 1
-    on vertex i triggers the correcting-set operator: X hits on g(i), Z hits
-    on its odd neighborhood.  Hits on not-yet-measured vertices fold into
-    adapted angles (-1)^r theta + t pi; hits on outputs are applied at the end
-    as X^r Z^t.
+    refused, and so is a structure made for another graph.  The structure
+    checked itself when it was made, so its layers are run as they stand.
+    A forced outcome of 1 on vertex i triggers the correcting-set operator:
+    X hits on g(i), Z hits on its odd neighborhood.  Hits on not-yet-measured
+    vertices fold into adapted angles (-1)^r theta + t pi; hits on outputs
+    are applied at the end as X^r Z^t.
     """
     n = len(graph.vertices)
     if n > cap:
@@ -294,7 +294,7 @@ def run_pattern(
     for v, r in sorted(outcomes.items()):
         if r not in (0, 1):
             raise ValueError(f"forced outcome {r!r} on vertex {v} is neither 0 nor 1")
-    _layer_of(graph, structure.layers)  # a vertex left out would stay in the state unmeasured
+    _require_graph(graph, structure)
 
     input_state = np.asarray(input_state, dtype=complex).reshape(-1)
     if input_state.shape != (2 ** len(graph.inputs),):

@@ -2,7 +2,7 @@ import pathlib
 
 import pytest
 
-from oneway import Angle, OpenGraph, parse_graph_with_sets
+from oneway import Angle, CorrectionStructure, OpenGraph, parse_graph_with_sets
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -15,6 +15,15 @@ def fixtures_dir() -> pathlib.Path:
 def load_fixture(name: str):
     """Parse fixtures/<name>.graph into (OpenGraph, sets-or-None)."""
     return parse_graph_with_sets((FIXTURES / f"{name}.graph").read_text())
+
+
+def unchecked_structure(graph: OpenGraph, sets: dict, layers: tuple) -> CorrectionStructure:
+    """A CorrectionStructure that skips its constructor's check, so a test can
+    run a pattern that is not deterministic and show that it fails."""
+    structure = object.__new__(CorrectionStructure)
+    for name, value in (("graph", graph), ("correcting_sets", sets), ("layers", layers)):
+        object.__setattr__(structure, name, value)
+    return structure
 
 
 def cluster_strip(n: int) -> OpenGraph:

@@ -16,7 +16,6 @@ import pytest
 
 from oneway import (
     Angle,
-    CorrectionStructure,
     GflowSearchExhausted,
     OpenGraph,
     SimplificationTrace,
@@ -35,7 +34,7 @@ from oneway import (
 )
 from oneway.cli import main as cli_main
 from _oracle import cx_on, cz_on, j_of, plus_embedding
-from conftest import cluster_strip, load_fixture
+from conftest import cluster_strip, load_fixture, unchecked_structure
 
 COMPILE_TRACES: list[SimplificationTrace] = []
 
@@ -239,7 +238,7 @@ def test_broken_correcting_sets_are_flagged():
     graph, sets = load_fixture("broken")
     assert isinstance(validate_gflow(graph, sets), list)
     # forcing the structure through anyway must expose outcome dependence
-    structure = CorrectionStructure(sets, (frozenset({1}), frozenset({3})))
+    structure = unchecked_structure(graph, sets, (frozenset({1}), frozenset({3})))
     state = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     states = [
         run_pattern(graph, structure, state, dict(zip((1, 3), bits))).amplitudes

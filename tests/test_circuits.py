@@ -56,8 +56,10 @@ def test_circuit_sorts_wires_and_checks_ids():
     assert c.wire(2).init == "plus"
     with pytest.raises(KeyError):
         c.wire(3)
-    with pytest.raises(ValueError, match="duplicate wire"):
+    with pytest.raises(ValueError, match="^duplicate wire id 1$"):
         Circuit((Wire(1, "plus", "output"), Wire(1, "plus", "output")), ())
+    with pytest.raises(ValueError, match="^duplicate wire id 3$"):
+        Circuit((Wire(3, "plus", "output"), Wire(2, "plus", "output"), Wire(3, "input", "measured")), ())
     with pytest.raises(ValueError, match="undeclared wire"):
         Circuit((Wire(1, "plus", "output"),), (Gate("CZ", (1, 2)),))
 

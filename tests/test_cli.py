@@ -340,6 +340,13 @@ def test_verify_parse_error_exits_2(tmp_path, capsys):
     assert "line 2: angle must be finite" in capsys.readouterr().err
 
 
+def test_verify_names_a_wire_declared_twice(tmp_path, capsys):
+    twice = tmp_path / "twice.circuit"
+    twice.write_text("wire 1 input output\nwire 2 plus measured\nwire 1 plus output\n")
+    assert main(["verify", str(twice), str(twice)]) == 2
+    assert capsys.readouterr().err == "error: duplicate wire id 1\n"
+
+
 @pytest.mark.parametrize("line, need", [
     ("CX 1", "CX line needs exactly two wires"),
     ("wire 1 plus", "wire line needs an id, an init and a terminal"),

@@ -8,6 +8,8 @@ under test, so agreement over all small graphs is meaningful evidence.
 
 import dataclasses
 import itertools
+import pickle
+import re
 
 import networkx as nx
 import pytest
@@ -16,14 +18,17 @@ from hypothesis import strategies as st
 
 from oneway import (
     Angle,
+    CompileError,
     CorrectionStructure,
     OpenGraph,
+    build_extended,
+    compile_pattern,
     find_flow,
     find_gflow,
     odd_neighborhood,
+    run_pattern,
     validate_gflow,
 )
-from oneway.determinism import _structure
 from conftest import load_fixture
 
 
@@ -119,7 +124,7 @@ def test_fixture_correcting_sets_validate(example1, example2):
 
 
 def test_kind_is_read_off_the_correcting_sets(path3, example1, example2):
-    assert [f.name for f in dataclasses.fields(CorrectionStructure)] == ["correcting_sets", "layers"]
+    assert [f.name for f in dataclasses.fields(CorrectionStructure)] == ["graph", "correcting_sets", "layers"]
     assert find_flow(path3).kind == "flow"
     for graph, sets in (example1, example2, load_fixture("budget")):
         assert validate_gflow(graph, sets).kind == "gflow"
@@ -129,8 +134,8 @@ def test_kind_is_read_off_the_correcting_sets(path3, example1, example2):
     assert supplied.kind == "flow"
     # with nothing measured every set is trivially a single vertex
     bare = OpenGraph((1, 2), frozenset({(1, 2)}), frozenset({1}), frozenset({1, 2}), {})
-    assert find_flow(bare) == validate_gflow(bare, {}) == CorrectionStructure({}, ())
-    assert CorrectionStructure({}, ()).kind == "flow"
+    assert find_flow(bare) == validate_gflow(bare, {}) == CorrectionStructure(bare, {})
+    assert CorrectionStructure(bare, {}).kind == "flow" and CorrectionStructure(bare, {}).layers == ()
 
 
 def test_example2_needs_gflow(example2):
@@ -140,27 +145,139 @@ def test_example2_needs_gflow(example2):
     assert found is not None
 
 
-def test_validate_gflow_failure_modes(example1):
-    graph, good = example1
-    assert validate_gflow(graph, {1: good[1]}) == [
-        "correcting sets must cover exactly the measured vertices [1, 3], got [1]"
-    ]
-    problems = validate_gflow(graph, {1: frozenset(), 3: good[3]})
-    assert problems == ["g(1) is empty"]
-    problems = validate_gflow(graph, {1: frozenset({3}), 3: good[3]})
-    assert any("touches input" in p for p in problems)
-    problems = validate_gflow(graph, {1: frozenset({1, 2}), 3: good[3]})
-    assert any("its own vertex" in p for p in problems)
-    problems = validate_gflow(graph, {1: frozenset({99}), 3: good[3]})
-    assert problems == ["g(1) contains unknown vertices"]
-    problems = validate_gflow(graph, {1: frozenset({2, 5}), 3: good[3]})
-    assert problems == ["vertex 1 is not in the odd neighborhood of g(1)"]
-
-
 def test_validate_gflow_rejects_cyclic_order(example1):
     graph, _ = example1
     problems = validate_gflow(graph, {1: frozenset({2}), 3: frozenset({4})})
     assert problems == ["correcting sets induce a cyclic measurement order"]
+
+
+# Each case's sets on example1 (inputs 1 and 3, both measured; outputs 2, 4
+# and 5), and the problems validate_gflow words for them.
+REFUSED = {
+    "not covering the measured vertices": (
+        {1: {2}},
+        ["correcting sets must cover exactly the measured vertices [1, 3], got [1]"],
+    ),
+    "an empty set": ({1: set(), 3: {4, 5}}, ["g(1) is empty"]),
+    "an unknown member": ({1: {99}, 3: {4, 5}}, ["g(1) contains unknown vertices"]),
+    "an input member": (
+        {1: {3}, 3: {4, 5}},
+        ["g(1) touches input vertices [3]", "vertex 1 is not in the odd neighborhood of g(1)"],
+    ),
+    "its own vertex": (
+        {1: {1, 2}, 3: {4, 5}},
+        ["g(1) touches input vertices [1]", "g(1) contains its own vertex"],
+    ),
+    "i outside Odd(g(i))": ({1: {2, 5}, 3: {4, 5}}, ["vertex 1 is not in the odd neighborhood of g(1)"]),
+    "a cyclic order": ({1: {2}, 3: {4}}, ["correcting sets induce a cyclic measurement order"]),
+    "list-valued members": ({1: [2], 3: [4, 5]}, ["g(1) is a list, not a set", "g(3) is a list, not a set"]),
+}
+
+
+def test_validate_gflow_failure_modes(example1):
+    graph, _ = example1
+    for case, (sets, problems) in REFUSED.items():
+        assert validate_gflow(graph, sets) == problems, case
+        # the constructor refuses the sets in the same words, and so does a compile
+        with pytest.raises(ValueError, match="^" + re.escape("; ".join(problems)) + "$"):
+            CorrectionStructure(graph, sets)
+        with pytest.raises(CompileError, match=re.escape("supplied correcting sets invalid: " + "; ".join(problems))):
+            compile_pattern(graph, sets)
+
+
+def test_a_structure_keeps_its_own_copy_and_loads_through_the_constructor(example1):
+    graph, good = example1
+    sets = {i: set(gset) for i, gset in good.items()}
+    structure = CorrectionStructure(graph, sets)
+    extended = build_extended(graph, structure)
+    sets[1].add(99)
+    del sets[3]
+    assert structure.correcting_sets == good
+    assert all(type(gset) is frozenset for gset in structure.correcting_sets.values())
+    with pytest.raises(TypeError):
+        structure.correcting_sets[1] = frozenset({1})
+    assert build_extended(graph, structure) == extended
+
+    payload = pickle.dumps(structure, protocol=4)
+    assert pickle.loads(payload) == structure
+    g3 = b"K\x03(K\x04K\x05\x91"  # g(3) = {4, 5}, tampered to {2}
+    assert payload.count(g3) == 1
+    with pytest.raises(ValueError, match="^correcting sets induce a cyclic measurement order$"):
+        pickle.loads(payload.replace(g3, b"K\x03(K\x02K\x02\x91"))
+
+
+def measured_in_order(graph, structure):
+    """The gflow definition's order condition, read directly off the layers:
+    i lies before every measured vertex of g(i) and of Odd(g(i)) but i."""
+    depth = {v: d for d, layer in enumerate(structure.layers) for v in layer}
+    for i, gset in structure.correcting_sets.items():
+        odd = {v for v in graph.vertices if len(graph.neighbors[v] & gset) % 2}
+        if any(depth[k] <= depth[i] for k in (gset | odd) - {i} if k in depth):
+            return False
+    return True
+
+
+def is_gflow(graph, sets):
+    """The gflow definition, stated directly: one set of vertices per
+    measured vertex i, holding no input and not i, with i in its odd
+    neighbourhood, and some order that measures i before every other
+    measured member of g(i) and of Odd(g(i))."""
+    if set(sets) != graph.measured:
+        return False
+    order = nx.DiGraph()
+    order.add_nodes_from(graph.measured)
+    for i, gset in sets.items():
+        if not isinstance(gset, (set, frozenset)) or not gset <= set(graph.vertices):
+            return False
+        odd = {v for v in graph.vertices if len(graph.neighbors[v] & gset) % 2}
+        if i in gset or gset & graph.inputs or i not in odd:
+            return False
+        order.add_edges_from((i, k) for k in (gset | odd) - {i} if k in graph.measured)
+    return nx.is_directed_acyclic_graph(order)
+
+
+@seed(27)
+@settings(deadline=None, max_examples=200)
+@given(st.integers(2, 6), st.floats(0.2, 0.8), st.randoms(use_true_random=False))
+def test_validate_gflow_accepts_exactly_the_gflows(n, density, rng):
+    vertices = tuple(range(1, n + 1))
+    edges = [pair for pair in itertools.combinations(vertices, 2) if rng.random() < density]
+    outs = rng.sample(vertices, rng.randint(1, n - 1))
+    ins = rng.sample(vertices, rng.randint(0, 2))
+    angles = {v: Angle.exact(1, 4) for v in vertices if v not in outs}
+    graph = OpenGraph(vertices, frozenset(edges), frozenset(ins), frozenset(outs), angles)
+    measured = sorted(graph.measured)
+    candidates = [
+        {i: frozenset(rng.sample(vertices, rng.randint(0, 2))) for i in measured} for _ in range(6)
+    ]
+    # sets that pass every condition but the order, which alone then decides
+    local = {
+        i: [
+            frozenset(c)
+            for r in range(1, n)
+            for c in itertools.combinations(sorted(set(vertices) - graph.inputs - {i}), r)
+            if i in odd_neighborhood(graph, frozenset(c))
+        ]
+        for i in measured
+    }
+    if all(local.values()):
+        candidates += [{i: rng.choice(local[i]) for i in measured} for _ in range(3)]
+    found = find_gflow(graph)
+    if found is not None:
+        candidates.append(found.correcting_sets)
+        if measured:  # one member toggled in one set: a near miss, or another gflow
+            i = rng.choice(measured)
+            candidates.append({**found.correcting_sets, i: found.correcting_sets[i] ^ {rng.choice(vertices)}})
+    for sets in candidates:
+        result = validate_gflow(graph, sets)
+        assert isinstance(result, CorrectionStructure) == is_gflow(graph, sets), (graph, sets, result)
+        if isinstance(result, list):
+            continue
+        assert sorted(v for layer in result.layers for v in layer) == measured
+        assert measured_in_order(graph, result)
+        build_extended(graph, result)
+        outcomes = {i: rng.randint(0, 1) for i in measured}
+        run_pattern(graph, result, [1.0] + [0.0] * (2 ** len(graph.inputs) - 1), outcomes)
 
 
 def test_layers_respect_the_definition():
@@ -267,7 +384,7 @@ def full_system_gflow(graph):
         sets.update(solved)
         pending -= set(solved)
         done |= set(solved)
-    return _structure(graph, sets)
+    return CorrectionStructure(graph, sets)
 
 
 def test_find_gflow_equals_the_full_system_solver_on_the_atlas():

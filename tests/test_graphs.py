@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from oneway import (
     Angle,
     OpenGraph,
+    build_extended,
     emit_graph,
+    find_flow,
     odd_neighborhood,
     parse_graph,
     parse_graph_with_sets,
@@ -82,6 +84,21 @@ def test_an_invalid_graph_cannot_be_built(fields, message):
     # or the pattern simulation and fails there with a KeyError or a numpy error
     with pytest.raises(ValueError, match=message):
         OpenGraph(*fields)
+
+
+def test_a_graph_keeps_its_own_angles_and_hashes_by_value():
+    a = {1: J, 2: J}
+    g = OpenGraph((1, 2, 3), {(1, 2), (2, 3)}, {1}, {3}, a)
+    del a[2]  # the caller's dict; the graph keeps its own copy
+    assert g.angles == {1: J, 2: J}
+    assert [gate.text() for gate in build_extended(g, find_flow(g)).gates if gate.kind == "J"] == [
+        "J(1/4pi) 1", "J(1/4pi) 2",
+    ]
+    with pytest.raises(TypeError):
+        g.angles[2] = Angle.exact(0)
+    twin = OpenGraph((3, 2, 1), {(2, 1), (3, 2)}, {1}, {3}, {2: J, 1: J})
+    assert twin == g and hash(twin) == hash(g)
+    assert len({g, twin, square()}) == 2
 
 
 def test_odd_neighborhood_small_cases():

@@ -1,7 +1,10 @@
 """compile_pattern: the one compile sequence, its result and its failures."""
 
+from collections import Counter
+
 import pytest
 
+import oneway.determinism
 import oneway.pipeline
 from oneway import (
     Angle, CompileError, FlowSimplifyError, OpenGraph, StateVector, build_extended, compile_pattern, emit_text,
@@ -31,6 +34,26 @@ def test_no_structure_is_code_3():
     with pytest.raises(CompileError, match="supplied correcting sets invalid:") as info:
         compile_pattern(graph, sets)
     assert info.value.code == 3
+
+
+def test_one_compile_checks_its_structure_once(monkeypatch):
+    calls = Counter()
+    for name in ("_set_problems", "_layering"):
+        def counted(*args, _real=getattr(oneway.determinism, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(oneway.determinism, name, counted)
+    # supplied sets and a found flow, compiled and verified, and a found gflow
+    # whose designation search exhausts after the structure was built
+    for name, supplied in (("example1", True), ("path3", False), ("example2", False)):
+        graph, sets = load_fixture(name)
+        calls.clear()
+        try:
+            compile_pattern(graph, sets if supplied else None)
+        except CompileError as exc:
+            assert (name, exc.code) == ("example2", 5)
+        assert calls == {"_set_problems": 1, "_layering": 1}, name
 
 
 def test_too_wide_to_verify_is_code_4():

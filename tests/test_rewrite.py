@@ -713,7 +713,7 @@ def test_replay_diverges_on_a_different_circuit():
         graph.vertices, graph.edges, graph.inputs, graph.outputs,
         {1: Angle.exact(1, 2), 2: Angle.exact(1, 2)},
     )
-    other = build_extended(bent, structure)
+    other = build_extended(bent, find_flow(bent))
     with pytest.raises(RewriteError, match="replay diverged"):
         replay(other, trace.steps)
     with pytest.raises(RewriteError, match="unknown rule"):
@@ -1008,14 +1008,13 @@ def test_flow_layout_mutants_are_refused_or_compile_faithfully(name):
 
 
 def test_simplify_flow_refuses_a_circuit_off_the_flow_layout():
-    structure, ext, view = fixture_pipeline("path3")
-    # the rounds swapped: CX 1 2 then corrects wire 1 after wire 2 is measured
-    swapped = CorrectionStructure(structure.correcting_sets, structure.layers[::-1])
-    # built by hand, since build_extended refuses the swapped layers:
+    _, ext, view = fixture_pipeline("path3")
+    # the rounds swapped: CX 1 2 then corrects wire 1 after wire 2 is measured.
+    # Built by hand, since no structure orders them so:
     # CZ 1 2, CZ 2 3, then J 2 and CX 2 3, then J 1, CX 1 2 and CZ 1 3
     early = Circuit(ext.wires, ext.gates[:2] + ext.gates[5:] + ext.gates[2:5])
     with pytest.raises(FlowSimplifyError, match=r"^CX 1 2 is not the correction of a causal flow$"):
-        simplify_flow(early, slice_circuit(early, swapped))
+        simplify_flow(early, TimeSlicedView((2, 1)))
     with pytest.raises(FlowSimplifyError, match=r"^the J gates measure \[1, 2\], not the order \[2, 1\]$"):
         simplify_flow(ext, TimeSlicedView((2, 1)))
     for w2, message in [
@@ -1067,8 +1066,10 @@ def test_gflow_without_an_injective_designation_says_so():
 
 def test_gflow_wire_without_a_neighbour_in_its_set_is_named():
     _, ext, view = fixture_pipeline("path3")
-    # correcting sets that miss every neighbour of wire 1
-    foreign = CorrectionStructure({1: frozenset({3}), 2: frozenset({3})}, (frozenset({1}), frozenset({2})))
+    # a gflow of another graph on path3's vertices, 1-2 and 1-3, whose g(1)
+    # misses every path3 neighbour of wire 1
+    star = OpenGraph((1, 2, 3), {(1, 2), (1, 3)}, (), {3}, {1: Angle.exact(1, 4), 2: Angle.exact(1, 2)})
+    foreign = CorrectionStructure(star, {1: frozenset({3}), 2: frozenset({1})})
     with pytest.raises(GflowSearchExhausted, match="0 attempts: wire 1 has no graph neighbour"):
         simplify_gflow(ext, view, foreign)
 

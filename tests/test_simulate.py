@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from oneway import (
     Angle,
     Circuit,
-    CorrectionStructure,
     Gate,
     OpenGraph,
     ProjectionError,
@@ -30,6 +29,7 @@ from oneway import (
     validate_gflow,
 )
 from oneway.simulate import _j
+from conftest import load_fixture, unchecked_structure
 from _oracle import PLUS, cx_on, cz_on, j_of, j_on, plus_embedding
 from test_determinism import all_small_open_graphs
 
@@ -157,7 +157,8 @@ def test_run_pattern_refuses_an_outcome_of_zero_amplitude():
     # vertex 1 touches nothing, so it is measured as it is given: |-> has no
     # overlap with the J(0) outcome 0, <+|
     graph = OpenGraph(vertices=(1, 2), edges=(), inputs=(1,), outputs=(2,), angles={1: Angle.exact(0)})
-    structure = CorrectionStructure({1: frozenset({2})}, (frozenset({1}),))
+    # g(1) = {2} misses vertex 1's odd neighbourhood, so no constructor accepts it
+    structure = unchecked_structure(graph, {1: frozenset({2})}, (frozenset({1}),))
     minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
     with pytest.raises(ProjectionError, match="^outcome 0 on vertex 1 has zero amplitude$"):
         run_pattern(graph, structure, minus, {1: 0})
@@ -189,10 +190,8 @@ def test_run_pattern_agrees_with_extended_isometry(path3):
 
 
 def test_run_pattern_flags_broken_sets():
-    from conftest import load_fixture
-
     graph, sets = load_fixture("broken")
-    structure = CorrectionStructure(sets, (frozenset({1}), frozenset({3})))
+    structure = unchecked_structure(graph, sets, (frozenset({1}), frozenset({3})))
     state = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     base = run_pattern(graph, structure, state, {1: 0, 3: 0}).amplitudes
     flipped = run_pattern(graph, structure, state, {1: 1, 3: 0}).amplitudes
@@ -211,10 +210,10 @@ def test_run_pattern_input_validation(path3):
         run_pattern(path3, structure, np.ones(4), {1: 0, 2: 0})
     with pytest.raises(WireCapError):
         run_pattern(path3, structure, np.array([1.0, 0.0]), {1: 0, 2: 0}, cap=2)
-    # layers that leave vertex 2 out would leave it in the state, unmeasured
-    short = CorrectionStructure(structure.correcting_sets, structure.layers[:-1])
-    with pytest.raises(ValueError, match=r"^layers must partition the measured vertices \[1, 2\]$"):
-        run_pattern(path3, short, np.array([1.0, 0.0]), {1: 0, 2: 0})
+    # a structure of another graph is refused, though it measures the same vertices
+    other = OpenGraph(path3.vertices, path3.edges, path3.inputs, path3.outputs, {1: Angle.exact(0), 2: Angle.exact(0)})
+    with pytest.raises(ValueError, match=r"^structure invalid for graph: it was made for another graph$"):
+        run_pattern(path3, find_flow(other), np.array([1.0, 0.0]), {1: 0, 2: 0})
 
 
 @st.composite
