@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -60,8 +61,15 @@ class Angle:
         return Angle(float_radians=float(value))
 
     @staticmethod
+    @functools.lru_cache(maxsize=1024)
     def parse(token: str) -> Angle:
-        """Parse ``p/qpi`` (rational multiple of pi) or a decimal radian value."""
+        """Parse ``p/qpi`` (rational multiple of pi) or a decimal radian value.
+
+        A repeated token returns the same Angle, from a bounded cache, so a
+        pattern's few distinct angles are parsed, hashed and formatted once
+        each.  A token that does not parse raises on every call, since the
+        cache keeps only results.
+        """
         m = _RATIONAL.match(token)
         if m:
             return Angle.exact(int(m.group(1)), int(m.group(2)))

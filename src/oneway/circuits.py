@@ -138,6 +138,10 @@ class Circuit:
             if not ids.issuperset(g.wires):
                 raise ValueError(f"gate {g.text()} uses undeclared wire")
 
+    # Not a field: emit_text keeps the circuit's text here, formatted once,
+    # outside ==, hash and repr; __reduce__ rebuilds without it.
+    _text = None
+
     def __reduce__(self):
         # Rebuild through the constructor, so a loaded circuit is checked again.
         return (Circuit, (self.wires, self.gates))
@@ -185,9 +189,12 @@ def slice_circuit(circuit: Circuit, structure: CorrectionStructure) -> TimeSlice
 
 
 def emit_text(circuit: Circuit) -> str:
-    lines = [f"wire {w.id} {w.init} {w.terminal}" for w in circuit.wires]
-    lines.extend(map(Gate.text, circuit.gates))
-    return "\n".join(lines) + "\n"
+    """The circuit's text, formatted on the first call and kept on the circuit."""
+    if circuit._text is None:
+        lines = [f"wire {w.id} {w.init} {w.terminal}" for w in circuit.wires]
+        lines.extend(map(Gate.text, circuit.gates))
+        object.__setattr__(circuit, "_text", "\n".join(lines) + "\n")
+    return circuit._text
 
 
 def parse_text(text: str) -> Circuit:

@@ -470,8 +470,9 @@ def follow_jgates(steps: tuple[RewriteStep, ...] | list[RewriteStep], wires: lis
 def _read_flow(circuit: Circuit, order: tuple[int, ...]):
     """Read ``build_extended``'s flow layout off ``circuit`` in one pass.
 
-    Returns the leading CZs' wire pairs (the graph edges), the graph
-    neighbours, f, and the positions of each measured wire's J and CX.  A
+    Returns the leading CZs' wire pairs (the graph edges), the other
+    neighbours of f(i) for each measured i, ascending, as its CZs name them,
+    f, and the positions of each measured wire's J and CX.  A
     circuit laid out any other way, or whose rounds do not make f a causal
     flow measured in ``order``, raises FlowSimplifyError.
     """
@@ -500,6 +501,7 @@ def _read_flow(circuit: Circuit, order: tuple[int, ...]):
     # each round: its J gates in ascending wire order, then per wire i its CX
     # onto f(i) and its CZs onto the other neighbours of f(i)
     f: dict[int, int] = {}
+    others: dict[int, list[int]] = {}
     layer_of: dict[int, int] = {}
     j_at: dict[int, int] = {}
     cx_at: dict[int, int] = {}
@@ -520,8 +522,9 @@ def _read_flow(circuit: Circuit, order: tuple[int, ...]):
                 raise off_layout(p)
             t = wires[p][1]
             f[i], cx_at[i] = t, p
+            others[i] = ks = sorted(nbrs[t] - {i})
             p += 1
-            for k in sorted(nbrs[t] - {i}):
+            for k in ks:
                 if p == n or kinds[p] != "CZ" or wires[p] != ((i, k) if i < k else (k, i)):
                     raise off_layout(p)
                 p += 1
@@ -536,10 +539,11 @@ def _read_flow(circuit: Circuit, order: tuple[int, ...]):
     plus = {w.id for w in circuit.wires if w.init == "plus"}
     for i, t in f.items():
         # f(i) and its other neighbours come in later rounds, which also makes f injective
-        later = (nbrs[t] - {i}) | {t}
-        if i not in nbrs[t] or t not in plus or any(layer_of.get(k, rounds) <= layer_of[i] for k in later):
+        at = layer_of[i]
+        if (i not in nbrs[t] or t not in plus or layer_of.get(t, rounds) <= at
+                or any(layer_of.get(k, rounds) <= at for k in others[i])):
             raise FlowSimplifyError(f"CX {i} {t} is not the correction of a causal flow")
-    return edges, nbrs, f, j_at, cx_at
+    return edges, others, f, j_at, cx_at
 
 
 def simplify_flow(circuit: Circuit, view: TimeSlicedView) -> tuple[Circuit, SimplificationTrace]:
@@ -560,7 +564,7 @@ def simplify_flow(circuit: Circuit, view: TimeSlicedView) -> tuple[Circuit, Simp
     relabelling.  It checks no step; the pipeline's final oracle check
     covers the result.
     """
-    edges, nbrs, f, j_at, cx_at = _read_flow(circuit, view.order)
+    edges, others, f, j_at, cx_at = _read_flow(circuit, view.order)
     gates, order = circuit.gates, view.order
 
     image = set(f.values())
@@ -576,7 +580,7 @@ def simplify_flow(circuit: Circuit, view: TimeSlicedView) -> tuple[Circuit, Simp
     for i in order:
         t = f[i]
         out.append(Gate("J", (chain[i],), gates[j_at[i]].angle))
-        out.extend(Gate("CZ", (chain[t], chain[k])) for k in sorted(nbrs[t] - {i}) if k in live)
+        out.extend(Gate("CZ", (chain[t], chain[k])) for k in others[i] if k in live)
         live.add(t)
     compact = Circuit(tuple(Wire(chain[w.id], w.init, "output") for w in starts), tuple(out))
 
@@ -594,10 +598,8 @@ def simplify_flow(circuit: Circuit, view: TimeSlicedView) -> tuple[Circuit, Simp
 
     steps = []
     for i in order:
-        t, cx = f[i], gates[cx_at[i]]
-        for q in range(cx_at[i] + len(nbrs[t]) - 1, cx_at[i], -1):  # its correction CZs, right to left
-            a, b = gates[q].wires
-            k = b if a == i else a
+        t, cx, ks = f[i], gates[cx_at[i]], others[i]
+        for q, k in zip(range(cx_at[i] + len(ks), cx_at[i], -1), reversed(ks)):  # its correction CZs, right to left
             e = (t, k) if t < k else (k, t)
             c, x, z = 2 * q, cx_key[i], edge_key[e]
             pz, px, pc = bisect_left(keys, z), bisect_left(keys, x), bisect_left(keys, c)

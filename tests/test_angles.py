@@ -74,3 +74,37 @@ def test_text_round_trips_exact_angles(p, q):
 def test_text_round_trips_float_angles(r):
     a = Angle.radians(r)
     assert Angle.parse(a.text()) == a
+
+
+def test_parse_returns_one_shared_angle_per_token():
+    Angle.parse.cache_clear()
+    first = Angle.parse("3/8pi")
+    first.text()
+    hash(first)
+    again = Angle.parse("3/8pi")
+    assert again is first
+    # its hash and text were computed once, on the shared value
+    assert "_hash" in vars(again) and "_text" in vars(again)
+    assert Angle.parse("0.5") is Angle.parse("0.5")
+    assert Angle.parse("6/16pi") == first  # another token of the same value is parsed on its own
+
+
+@pytest.mark.parametrize("bad", ["pi", "1/0pi", "x", "nan"])
+def test_parse_refuses_garbage_on_every_call(bad):
+    for _ in range(3):
+        misses = Angle.parse.cache_info().misses
+        with pytest.raises(ValueError):
+            Angle.parse(bad)
+        assert Angle.parse.cache_info().misses == misses + 1  # parsed again, not served
+
+
+def test_the_parse_cache_is_bounded():
+    Angle.parse.cache_clear()
+    bound = Angle.parse.cache_info().maxsize
+    assert bound is not None
+    first = Angle.parse("1/3pi")
+    for k in range(bound + 10):
+        Angle.parse(f"{k}/{bound + 20}pi")
+    assert Angle.parse.cache_info().currsize == bound
+    evicted = Angle.parse("1/3pi")
+    assert evicted == first and evicted is not first

@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 
 import numpy as np
@@ -173,3 +174,45 @@ def test_a_pickled_gate_drops_its_cached_hash():
     assert not hasattr(copy, "__dict__")  # a gate keeps no per-instance state
     assert "_hash" not in vars(copy.angle)
     assert hash(copy) == hash(gate)
+
+
+def test_a_circuit_is_formatted_once(monkeypatch):
+    circuit = Circuit(
+        (Wire(1, "input", "measured"), Wire(2, "plus", "output")),
+        (Gate("CZ", (1, 2)), Gate("J", (1,), Angle.exact(1, 4)), Gate("CX", (1, 2))),
+    )
+    calls = []
+    text = Gate.text
+    monkeypatch.setattr(Gate, "text", lambda gate: calls.append(gate) or text(gate))
+    first = emit_text(circuit)
+    assert len(calls) == 3
+    assert emit_text(circuit) is first and digest(circuit) == digest(circuit)
+    assert len(calls) == 3
+    assert first == "wire 1 input measured\nwire 2 plus output\nCZ 1 2\nJ(1/4pi) 1\nCX 1 2\n"
+
+
+@given(circuits())
+def test_the_cached_text_leaves_equality_hash_and_repr_alone(circuit):
+    twin = Circuit(circuit.wires, circuit.gates)
+    emit_text(circuit)
+    assert "_text" in vars(circuit) and "_text" not in vars(twin)
+    assert twin == circuit
+    assert hash(twin) == hash(circuit)
+    assert repr(twin) == repr(circuit)
+
+
+@given(circuits())
+def test_the_cached_text_does_not_travel_through_pickle(circuit):
+    text = emit_text(circuit)
+    copy = pickle.loads(pickle.dumps(circuit))
+    assert copy == circuit
+    assert "_text" not in vars(copy)
+    assert emit_text(copy) == text
+
+
+@given(circuits())
+def test_digest_is_the_sha256_prefix_of_the_text(circuit):
+    fresh = Circuit(circuit.wires, circuit.gates)
+    d = digest(fresh)  # formats the circuit, then reads the kept text
+    assert d == hashlib.sha256(emit_text(fresh).encode()).hexdigest()[:16]
+    assert digest(circuit) == d

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import oneway.determinism
 from oneway import (
     Angle,
     CompileError,
@@ -29,7 +30,7 @@ from oneway import (
     run_pattern,
     validate_gflow,
 )
-from conftest import load_fixture
+from conftest import cluster_strip, load_fixture
 
 
 def brute_force_has_flow(graph: OpenGraph) -> bool:
@@ -72,6 +73,15 @@ def all_small_open_graphs(max_vertices=5):
                     for k, v in enumerate(v for v in vertices if v not in outs)
                 }
                 yield OpenGraph(vertices, frozenset(edges), frozenset(), frozenset(outs), angles)
+
+
+def atlas_with_inputs():
+    """Every connected graph of 2 to 5 vertices, every output subset short of
+    all vertices and every non-empty input subset."""
+    for graph in all_small_open_graphs():
+        for r in range(1, len(graph.vertices) + 1):
+            for ins in itertools.combinations(graph.vertices, r):
+                yield OpenGraph(graph.vertices, graph.edges, frozenset(ins), graph.outputs, graph.angles)
 
 
 def test_find_flow_agrees_with_brute_force_everywhere():
@@ -172,6 +182,25 @@ REFUSED = {
     "a cyclic order": ({1: {2}, 3: {4}}, ["correcting sets induce a cyclic measurement order"]),
     "list-valued members": ({1: [2], 3: [4, 5]}, ["g(1) is a list, not a set", "g(3) is a list, not a set"]),
 }
+
+
+def test_a_key_that_does_not_sort_with_ints_is_reported(example1):
+    graph, _ = example1
+    assert validate_gflow(graph, {1: {2}, "a": {3}}) == [
+        "correcting sets must cover exactly the measured vertices [1, 3], got [1, 'a']"
+    ]
+
+
+def test_equal_structures_hash_equal_and_key_a_dict(example1):
+    graph, sets = example1
+    structure = validate_gflow(graph, sets)
+    twin = CorrectionStructure(graph, {i: set(gset) for i, gset in sets.items()})
+    assert twin == structure and hash(twin) == hash(structure)
+    assert hash(pickle.loads(pickle.dumps(structure))) == hash(structure)
+    other = CorrectionStructure(graph, {**sets, 3: frozenset({2, 5})})
+    assert other != structure
+    keyed = {structure: "supplied", other: "other"}
+    assert keyed[twin] == "supplied" and len(keyed) == 2
 
 
 def test_validate_gflow_failure_modes(example1):
@@ -408,3 +437,85 @@ def test_find_gflow_equals_the_full_system_solver_on_random_open_graphs(n, densi
     angles = {v: Angle.exact(1, 4) for v in vertices if v not in outs}
     graph = OpenGraph(vertices, frozenset(edges), frozenset(ins), frozenset(outs), angles)
     assert find_gflow(graph) == full_system_gflow(graph)
+
+
+# find_flow as it was before it kept a count of pending neighbours: each round
+# sorts every safely late, unclaimed non-input vertex and scans them all.
+def full_scan_flow(graph):
+    """The structure it finds, or None, and the number of correctors scanned."""
+    done, claimed, f, scanned = set(graph.outputs), set(), {}, 0
+    pending = set(graph.measured)
+    while pending:
+        progress = False
+        scan = sorted(done - graph.inputs - claimed)
+        scanned += len(scan)
+        for j in scan:
+            candidates = [i for i in graph.neighbors[j] if i in pending and graph.neighbors[j] - {i} <= done]
+            if len(candidates) != 1:
+                continue
+            i = candidates[0]
+            f[i] = j
+            claimed.add(j)
+            done.add(i)
+            pending.discard(i)
+            progress = True
+        if not progress:
+            return None, scanned
+    return CorrectionStructure(graph, {i: frozenset({j}) for i, j in f.items()}), scanned
+
+
+def assert_same_flow(graph):
+    """find_flow's result is the full scan's, sets and layers; returns it."""
+    found, (expected, _) = find_flow(graph), full_scan_flow(graph)
+    assert found == expected, (sorted(graph.edges), sorted(graph.inputs), sorted(graph.outputs))
+    assert found is None or found.layers == expected.layers
+    return found
+
+
+def test_find_flow_equals_the_full_scan_on_the_atlas():
+    results = [assert_same_flow(graph) for graph in all_small_open_graphs(max_vertices=6)]
+    found = sum(r is not None for r in results)
+    assert len(results) > 7000 and 0 < found < len(results)
+
+
+def test_find_flow_equals_the_full_scan_on_the_atlas_with_inputs():
+    assert sum(assert_same_flow(graph) is not None for graph in atlas_with_inputs()) == 5377
+
+
+@seed(28)
+@settings(deadline=None, max_examples=300)
+@given(st.integers(2, 16), st.floats(0.05, 0.6), st.randoms(use_true_random=False))
+def test_find_flow_equals_the_full_scan_on_random_open_graphs(n, density, rng):
+    vertices = tuple(range(1, n + 1))
+    edges = [pair for pair in itertools.combinations(vertices, 2) if rng.random() < density]
+    outs = rng.sample(vertices, rng.randint(1, n - 1))
+    ins = rng.sample(vertices, rng.randint(1, min(n, 4)))
+    angles = {v: Angle.exact(1, 4) for v in vertices if v not in outs}
+    assert_same_flow(OpenGraph(vertices, frozenset(edges), frozenset(ins), frozenset(outs), angles))
+
+
+def triangle_strip(n: int) -> OpenGraph:
+    """A path 1..n, input 1 and output n, with an output n + k over each edge
+    k-(k + 1).  Each such output stays safely late and unclaimed from the
+    start, so a full scan sorts more of them every round."""
+    over = {(k, n + k) for k in range(1, n)} | {(k + 1, n + k) for k in range(1, n)}
+    outputs = frozenset({n, *range(n + 1, 2 * n)})
+    angles = {v: Angle.exact(1, 4) for v in range(1, n)}
+    return OpenGraph(range(1, 2 * n), frozenset({(k, k + 1) for k in range(1, n)} | over), {1}, outputs, angles)
+
+
+@pytest.mark.parametrize("family", [cluster_strip, triangle_strip])
+def test_find_flow_scans_each_vertex_at_most_once(monkeypatch, family):
+    """A deterministic work count, not a timing: every corrector find_flow
+    scans leaves its heap once, so the count grows linearly with the graph.
+    On the triangle strips the full scan's count grows quadratically."""
+    popped = []
+    heappop = oneway.determinism.heappop
+    monkeypatch.setattr(oneway.determinism, "heappop", lambda heap: popped.append(1) or heappop(heap))
+    for n in (64, 128, 256, 512, 1024):
+        graph = family(n)
+        popped.clear()
+        assert find_flow(graph) is not None
+        assert len(popped) <= len(graph.vertices)
+    if family is triangle_strip:  # where the count tells the two searches apart
+        assert full_scan_flow(triangle_strip(1024))[1] > 200 * full_scan_flow(triangle_strip(64))[1]

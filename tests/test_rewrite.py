@@ -78,7 +78,7 @@ from oneway.simulate import basis_column_order
 from _oracle import cx_on, cz_on, j_of, j_on, plus_embedding
 from conftest import cluster_strip, load_fixture
 from test_acceptance import atlas_gflow_only_graphs
-from test_determinism import all_small_open_graphs
+from test_determinism import all_small_open_graphs, atlas_with_inputs
 
 TRIPLES = list(itertools.permutations((1, 2, 3)))
 
@@ -897,15 +897,6 @@ def test_simplify_flow_enters_no_part_of_the_engine(monkeypatch):
     compact, trace = simplify_flow(ext, view)
     text = emit_text(compact) + trace_text(trace)
     assert hashlib.sha256(text.encode()).hexdigest() == FIXTURE_DIGESTS["strip2x3"]
-
-
-def atlas_with_inputs():
-    """Every connected graph of 2 to 5 vertices, every output subset short of
-    all vertices and every non-empty input subset."""
-    for graph in all_small_open_graphs():
-        for r in range(1, len(graph.vertices) + 1):
-            for ins in itertools.combinations(graph.vertices, r):
-                yield OpenGraph(graph.vertices, graph.edges, frozenset(ins), graph.outputs, graph.angles)
 
 
 def atlas_flows_with_inputs():
