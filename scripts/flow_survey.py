@@ -42,6 +42,8 @@ def main() -> int:
     args = parser.parse_args()
     if args.max_vertices > 7:
         parser.error("the graph atlas stops at 7 vertices")
+    if args.max_vertices < 2:
+        parser.error("the smallest connected open graph has 2 vertices")
 
     tally: Counter[tuple[int, str]] = Counter()
     for graph in open_graphs(args.max_vertices):

@@ -5,9 +5,10 @@ and fate (output or measured).  Gates are kept in program order, left to
 right.  Gates and wires are validated tuples: each checks its fields when it
 is built (a pickled one too, when it loads), and ``==`` is type-strict, so a
 gate equals no plain tuple and no wire.  A circuit checks that its gates use
-only its declared wires, again when it loads from a pickle.  The time-sliced
-view holds the layer order of the measured wires, read off the correction
-structure alone.
+only its declared wires, again when it loads from a pickle.
+The measurement order is the correction structure's ``order``;
+``slice_circuit`` returns it unchanged, for perfbench's staged run, which
+times that call as the slice stage.
 This module knows nothing of the extended circuit's layout (entangling CZs,
 then per round J gates and their corrections): the extend module writes it,
 and only the rewrite module reads it back.
@@ -28,7 +29,6 @@ __all__ = [
     "Gate",
     "Wire",
     "Circuit",
-    "TimeSlicedView",
     "j_matrix",
     "slice_circuit",
     "emit_text",
@@ -164,28 +164,10 @@ def j_matrix(angle: Angle | float) -> np.ndarray:
     return np.array([[1.0, phase], [1.0, -phase]], dtype=complex) / np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class TimeSlicedView:
-    """The layer order the two simplify entry points read beside an
-    extended circuit.
-
-    ``order`` lists the measured wires layer by layer, ascending within a
-    layer; ``simplify_flow`` requires it to be the order of the circuit's J
-    gates.  It follows from the structure alone, so a single
-    ``simplify(extended, structure)`` entry (ROADMAP item 1) deletes this view
-    together with ``slice_circuit``.
-    """
-
-    order: tuple[int, ...]
-
-
-def slice_circuit(circuit: Circuit, structure: CorrectionStructure) -> TimeSlicedView:
-    """The layer order of ``structure``'s measured wires.
-
-    It reads nothing of ``circuit``, which stays a parameter only for the
-    callers that pass it; ROADMAP item 1 deletes this function.
-    """
-    return TimeSlicedView(tuple(i for layer in structure.layers for i in sorted(layer)))
+def slice_circuit(circuit: Circuit, structure: CorrectionStructure) -> tuple[int, ...]:
+    """``structure.order``; ``circuit`` is not read.  Kept only because
+    perfbench's staged run calls it."""
+    return structure.order
 
 
 def emit_text(circuit: Circuit) -> str:

@@ -61,8 +61,8 @@ def _load_graph(path: str) -> tuple[OpenGraph, dict[int, frozenset[int]] | None]
     return parse_graph_with_sets(_read(path))
 
 
-def _format_layers(layers: tuple[frozenset[int], ...]) -> str:
-    return " ".join("{" + ",".join(str(v) for v in sorted(layer)) + "}" for layer in layers)
+def _format_layers(layers: tuple[tuple[int, ...], ...]) -> str:
+    return " ".join("{" + ",".join(map(str, layer)) + "}" for layer in layers)
 
 
 def cmd_flow(args: argparse.Namespace) -> int:

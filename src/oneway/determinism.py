@@ -13,6 +13,7 @@ found them or a graph file supplied them.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -30,24 +31,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CorrectionStructure:
-    """Correcting sets that form a gflow of ``graph``, and the layers they induce.
+    """Correcting sets that form a gflow of ``graph``, and the order they induce.
 
     The constructor keeps a read-only copy of the sets, each a frozenset,
-    and derives ``layers``.  Sets that do not form a gflow raise one
-    ValueError that joins every problem by "; ", in the words
-    ``validate_gflow`` returns them.
+    and derives ``layers``, each an ascending tuple.  ``order`` joins them:
+    the one measurement order that the extended circuit, the compact circuit
+    and the simulated pattern follow.  Sets that do not form a gflow raise
+    one ValueError that joins every problem by "; "; its ``problems`` lists
+    them, in the words ``validate_gflow`` returns.
     """
 
     graph: OpenGraph
     correcting_sets: Mapping[int, frozenset[int]]
-    layers: tuple[frozenset[int], ...] = field(init=False)
+    layers: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self) -> None:
         sets = {i: frozenset(g) if isinstance(g, (set, frozenset)) else g for i, g in self.correcting_sets.items()}
         problems = _set_problems(self.graph, sets)
         layers = None if problems else _layering(self.graph, sets)
         if layers is None:
-            raise ValueError("; ".join(problems or ["correcting sets induce a cyclic measurement order"]))
+            problems = problems or ["correcting sets induce a cyclic measurement order"]
+            exc = ValueError("; ".join(problems))
+            exc.problems = problems
+            raise exc
         object.__setattr__(self, "correcting_sets", MappingProxyType(sets))
         object.__setattr__(self, "layers", layers)
 
@@ -64,9 +70,15 @@ class CorrectionStructure:
         """Flow when every correcting set is a single vertex, g(i) = {f(i)}; else gflow."""
         return "flow" if all(len(gset) == 1 for gset in self.correcting_sets.values()) else "gflow"
 
+    @property
+    def order(self) -> tuple[int, ...]:
+        """The measured vertices layer by layer: the order every round is measured in."""
+        return tuple(itertools.chain.from_iterable(self.layers))
 
-def _layering(graph: OpenGraph, sets: dict[int, frozenset[int]]) -> tuple[frozenset[int], ...] | None:
-    """Longest-path layering of the precedence DAG; None if it has a cycle.
+
+def _layering(graph: OpenGraph, sets: dict[int, frozenset[int]]) -> tuple[tuple[int, ...], ...] | None:
+    """Longest-path layering of the precedence DAG, each layer ascending;
+    None if it has a cycle.
 
     i must precede every measured vertex in (g(i) | Odd(g(i))) \\ {i}.
     """
@@ -106,10 +118,10 @@ def _layering(graph: OpenGraph, sets: dict[int, frozenset[int]]) -> tuple[frozen
     if not measured:
         return ()
     top = max(depth.values())
-    layers = [set() for _ in range(top + 1)]
-    for v, d in depth.items():
-        layers[top - d].add(v)  # deepest suffix measured last
-    return tuple(frozenset(layer) for layer in layers)
+    layers = [[] for _ in range(top + 1)]
+    for v in sorted(depth):  # so each layer ascends
+        layers[top - depth[v]].append(v)  # deepest suffix measured last
+    return tuple(map(tuple, layers))
 
 
 def _require_graph(graph: OpenGraph, structure: CorrectionStructure) -> None:
@@ -205,7 +217,7 @@ def validate_gflow(
     try:
         return CorrectionStructure(graph, sets)
     except ValueError as exc:
-        return str(exc).split("; ")  # no problem's own text holds "; "
+        return exc.problems
 
 
 def find_gflow(graph: OpenGraph) -> CorrectionStructure | None:

@@ -45,10 +45,9 @@ def build_extended(graph: OpenGraph, structure: CorrectionStructure) -> Circuit:
 
     gates: list[Gate] = [Gate("CZ", edge) for edge in sorted(graph.edges)]
     for layer in structure.layers:
-        ordered = sorted(layer)
-        for i in ordered:
+        for i in layer:
             gates.append(Gate("J", (i,), graph.angles[i]))
-        for i in ordered:
+        for i in layer:
             for j in sorted(structure.correcting_sets[i]):
                 gates.extend(correction_block(graph, i, j))
     return Circuit(wires, tuple(gates))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, slice_circuit
+from .circuits import Circuit
 from .determinism import CorrectionStructure, find_flow, find_gflow, validate_gflow
 from .extend import build_extended
 from .graphs import OpenGraph
@@ -70,6 +70,8 @@ def compile_pattern(
     The structure's ``kind``, read off its sets, picks the simplifier: sets
     that are all single vertices (a flow, found or supplied) compile in closed
     form by ``simplify_flow``, any other sets by the ``simplify_gflow`` search.
+    Both take the structure's ``order``, which is also the one the extended
+    circuit and the spot check's pattern measure in.
 
     ``budget`` caps the designation attempts; ``tol``, ``max_wires`` and ``seed``
     set the verification.  An out-of-range ``budget``, ``tol``, ``max_wires`` or
@@ -97,12 +99,11 @@ def compile_pattern(
             raise CompileError(3, "graph admits neither flow nor gflow")
 
     extended = build_extended(graph, structure)
-    view = slice_circuit(extended, structure)
     try:
         if structure.kind == "flow":
-            compact, trace = simplify_flow(extended, view)
+            compact, trace = simplify_flow(extended, structure.order)
         else:
-            compact, trace = simplify_gflow(extended, view, structure, budget=budget)
+            compact, trace = simplify_gflow(extended, structure.order, structure, budget=budget)
     except GflowSearchExhausted as exc:
         raise CompileError(5, str(exc), extended, exc.partial) from exc
     except FlowSimplifyError as exc:

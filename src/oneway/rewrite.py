@@ -33,16 +33,16 @@ circuit, writes the compact circuit in closed form and derives the trace
 from that fixed schedule, calling no rule.
 
 The rewrite engine serves ``simplify_gflow``.  It is given, for each
-measured wire in layer order, the graph neighbours in g(i) it may teleport
-onto.  For each injective designation a depth-first search cancels every CX
-off the designation, then a fixed tail cancels pairs, clears correction CZs,
+measured wire in the structure's order, the graph neighbours in g(i) it may
+teleport onto.  For each injective designation a depth-first search cancels
+every CX off the designation, then a fixed tail cancels pairs, clears correction CZs,
 cancels pairs again and collapses each wire with the J-gate identity.  The
 first path that strips every measured wire is the result; each of its steps
 is applied once and oracle-checked on circuits of at most
 ``_CHECKED_WIDTH`` wires.  Given a flow as singleton correcting sets, the
-engine reproduces ``simplify_flow``'s output byte for byte.  A view,
-structure and circuit that do not name the same measured wires are refused
-up front with ValueError, before any search.
+engine reproduces ``simplify_flow``'s output byte for byte.  An order other
+than the structure's, or a structure and circuit that do not name the same
+measured wires, is refused up front with ValueError, before any search.
 
 A Circuit never changes: each rule applied to one returns a new Circuit.
 Inside the engine every circuit sits in a ``_Node`` with the step that made
@@ -74,13 +74,12 @@ up at call time.
 from __future__ import annotations
 
 import itertools
-import math
 from bisect import bisect_left, insort
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .circuits import Circuit, Gate, TimeSlicedView, Wire, _StrictTuple, digest
+from .circuits import Circuit, Gate, Wire, _StrictTuple, digest
 from .determinism import CorrectionStructure
 
 __all__ = [
@@ -103,6 +102,7 @@ __all__ = [
 
 _TOL = 1e-9  # the per-step oracle checks' deviation bound
 _PLAN_BUDGET = 4000  # search nodes per designation
+_ATTEMPT_CAP = 10_000  # designations tried when no budget is given
 _CHECKED_WIDTH = 12  # the widest circuit the per-step oracle checks compare
 _PRODUCED = {"jgate": 1, "peephole-cancel": 0, "cz-commute": 2, "cx-commute": 2, "cz-to-cx": 2}  # gates per step
 
@@ -546,26 +546,28 @@ def _read_flow(circuit: Circuit, order: tuple[int, ...]):
     return edges, others, f, j_at, cx_at
 
 
-def simplify_flow(circuit: Circuit, view: TimeSlicedView) -> tuple[Circuit, SimplificationTrace]:
+def simplify_flow(circuit: Circuit, order: tuple[int, ...]) -> tuple[Circuit, SimplificationTrace]:
     """Strip every measured wire of a flow-built extended circuit, without search.
 
-    Under a causal flow f the identities leave a closed form: one wire per
-    chain s, f(s), f(f(s)), ..., named by its output and started as s is;
-    the CZs of the edges between chain starts; then, for each measured i in
-    layer order, J(angle of i) on its chain followed by a CZ from f(i)'s
-    chain to the chain of each other neighbour k of f(i) that is already
-    live (a chain start, or f of a wire measured before i), k ascending.
+    ``order`` is the flow's ``structure.order``, in which the circuit's J
+    gates must measure.  Under a causal flow f the identities leave a closed
+    form: one wire per chain s, f(s), f(f(s)), ..., named by its output and
+    started as s is; the CZs of the edges between chain starts; then, for
+    each measured i in ``order``, J(angle of i) on its chain followed by a
+    CZ from f(i)'s chain to the chain of each other neighbour k of f(i) that
+    is already live (a chain start, or f of a wire measured before i), k
+    ascending.
 
     The trace is the one the engine takes on such a circuit, whose schedule
-    is fixed: for each measured i in layer order, one cz-commute per
+    is fixed: for each measured i in ``order``, one cz-commute per
     correction CZ i k, right to left, moving the edge CZ f(i) k past the CX
-    i f(i); then, in layer order, one jgate per measured wire.  Positions
+    i f(i); then, in ``order``, one jgate per measured wire.  Positions
     are read off order keys by bisection, each key once per step, with no
     relabelling.  It checks no step; the pipeline's final oracle check
     covers the result.
     """
-    edges, others, f, j_at, cx_at = _read_flow(circuit, view.order)
-    gates, order = circuit.gates, view.order
+    edges, others, f, j_at, cx_at = _read_flow(circuit, order)
+    gates = circuit.gates
 
     image = set(f.values())
     starts = [w for w in circuit.wires if w.id not in image]
@@ -990,7 +992,7 @@ def _check_path(end: _Node) -> tuple[_Node, str | None]:
 
 def simplify_gflow(
     circuit: Circuit,
-    view: TimeSlicedView,
+    order: tuple[int, ...],
     structure: CorrectionStructure,
     *,
     budget: int | None = None,
@@ -1001,27 +1003,26 @@ def simplify_gflow(
     partner, a graph neighbour in g(i), read off the circuit's leading CZs,
     which ``build_extended`` lays out as the graph's edges); the engine
     cancels the others with the CX-triangle identity, minting helpers from
-    CZ pairs where needed.  Designations, one partner per wire in layer
-    order, are tried injectively in product order of the ascending candidate
-    lists, at most ``budget`` of them (default: all, capped at 10000; a
-    budget below 1 raises ValueError).  Each gets one plan search; its
-    accepted path is the result once every step on at most
+    CZ pairs where needed.  Designations, one partner per wire in
+    ``order``, are tried injectively in product order of the ascending
+    candidate lists, at most ``budget`` of them (default: all, capped at
+    ``_ATTEMPT_CAP``; a budget below 1 raises ValueError).  Each gets one
+    plan search; its accepted path is the result once every step on at most
     ``_CHECKED_WIDTH`` wires passes the oracle check, and a drifting step
-    fails the designation.  A view order, correcting sets and measured
-    wires that name different wires raise ValueError before any search.
+    fails the designation.  ``order`` must be ``structure.order``, and the
+    structure must correct the wires the circuit measures; else ValueError,
+    before any search.
     `compile_pattern` calls it only for a gflow (some g(i) of two or more
     vertices); given a flow's single-vertex sets it takes
     ``simplify_flow``'s steps, which the tests hold it to.
     """
     if budget is not None and not budget >= 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
-    order = view.order
+    if tuple(order) != structure.order:
+        raise ValueError(f"the order {list(order)} is not the structure's order {list(structure.order)}")
     measured = sorted(w.id for w in circuit.wires if w.terminal == "measured")
-    if sorted(order) != measured or sorted(structure.correcting_sets) != measured:
-        raise ValueError(
-            f"the view orders wires {list(order)} and the structure corrects wires "
-            f"{sorted(structure.correcting_sets)}, but the circuit measures wires {measured}"
-        )
+    if sorted(order) != measured:
+        raise ValueError(f"the structure corrects wires {sorted(order)}, but the circuit measures wires {measured}")
     initial = digest(circuit)
     partial = SimplificationTrace((), initial, initial)
     edges = {g.wires for g in itertools.takewhile(lambda g: g.kind == "CZ", circuit.gates)}
@@ -1031,7 +1032,7 @@ def simplify_gflow(
         if not cand:
             raise GflowSearchExhausted(0, partial, f"wire {i} has no graph neighbour in its correcting set")
         candidates.append(cand)
-    cap = min(math.prod(map(len, candidates)), 10_000) if budget is None else budget
+    cap = _ATTEMPT_CAP if budget is None else budget
 
     root = _Node(circuit.wires, circuit.gates)  # every designation's search starts here
     attempts = nodes = 0

@@ -55,7 +55,6 @@ __all__ = [
     "circuit_isometry",
     "max_deviation",
     "run_pattern",
-    "measured_wire_reduced_states",
 ]
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -207,24 +206,6 @@ def circuit_isometry(circuit: Circuit, cap: int = 14) -> Isometry:
     return Isometry(matrix / norms, input_wires, output_wires)
 
 
-def measured_wire_reduced_states(circuit: Circuit, cap: int = 14) -> dict[int, np.ndarray]:
-    """Reduced density matrix of each measured wire just before readout.
-
-    Input wires are averaged over the uniform mixture of basis states, which
-    is enough to certify that corrections disentangle the measured wires: a
-    deterministic circuit leaves each of them exactly in |+><+|.
-    """
-    psi, input_wires = _evolved_tensor(circuit, cap)
-    batch = 2 ** len(input_wires)
-    out: dict[int, np.ndarray] = {}
-    for a, w in enumerate(circuit.wires):
-        if w.terminal != "measured":
-            continue
-        moved = psi.reshape(1 << a, 2, -1).transpose(1, 0, 2).reshape(2, -1)
-        out[w.id] = (moved @ moved.conj().T) / batch
-    return out
-
-
 def basis_column_order(
     natural_wires: tuple[int, ...] | list[int], logical_wires: list[int]
 ) -> np.ndarray:
@@ -280,7 +261,7 @@ def run_pattern(
 
     ``outcomes`` forces 0 or 1 on each measured vertex; anything else is
     refused, and so is a structure made for another graph.  The structure
-    checked itself when it was made, so its layers are run as they stand.
+    checked itself when it was made, so its order is run as it stands.
     A forced outcome of 1 on vertex i triggers the correcting-set operator:
     X hits on g(i), Z hits on its odd neighborhood.  Hits on not-yet-measured
     vertices fold into adapted angles (-1)^r theta + t pi; hits on outputs
@@ -310,26 +291,25 @@ def run_pattern(
     x_hits = {v: 0 for v in graph.vertices}
     z_hits = {v: 0 for v in graph.vertices}
 
-    for layer in structure.layers:
-        for i in sorted(layer):
-            theta = graph.angles[i].to_radians()
-            adapted = (-1.0) ** (x_hits[i] % 2) * theta + (z_hits[i] % 2) * math.pi
-            # Row r = outcomes[i] of j_matrix(adapted): (<0| + (-1)^r e^{i adapted} <1|) / sqrt 2.
-            phase = cmath.exp(1j * adapted) * _SQRT_HALF
-            row = ((_SQRT_HALF, -phase if outcomes[i] else phase),)
-            a = bisect_left(present, i)
-            psi = np.matmul(row, psi.reshape(1 << a, 2, -1))
-            present.pop(a)
-            norm = math.sqrt(np.vdot(psi, psi).real)
-            if norm < 1e-9:
-                raise ProjectionError(f"outcome {outcomes[i]} on vertex {i} has zero amplitude")
-            psi /= norm
-            psi = psi.reshape(-1)
-            if outcomes[i]:
-                for v in structure.correcting_sets[i]:
-                    x_hits[v] += 1
-                for v in odd_neighborhood(graph, structure.correcting_sets[i]) - {i}:
-                    z_hits[v] += 1
+    for i in structure.order:
+        theta = graph.angles[i].to_radians()
+        adapted = (-1.0) ** (x_hits[i] % 2) * theta + (z_hits[i] % 2) * math.pi
+        # Row r = outcomes[i] of j_matrix(adapted): (<0| + (-1)^r e^{i adapted} <1|) / sqrt 2.
+        phase = cmath.exp(1j * adapted) * _SQRT_HALF
+        row = ((_SQRT_HALF, -phase if outcomes[i] else phase),)
+        a = bisect_left(present, i)
+        psi = np.matmul(row, psi.reshape(1 << a, 2, -1))
+        present.pop(a)
+        norm = math.sqrt(np.vdot(psi, psi).real)
+        if norm < 1e-9:
+            raise ProjectionError(f"outcome {outcomes[i]} on vertex {i} has zero amplitude")
+        psi /= norm
+        psi = psi.reshape(-1)
+        if outcomes[i]:
+            for v in structure.correcting_sets[i]:
+                x_hits[v] += 1
+            for v in odd_neighborhood(graph, structure.correcting_sets[i]) - {i}:
+                z_hits[v] += 1
 
     # X^x Z^z on each output: Z negates its 1 half, then X swaps its halves.
     for v in sorted(graph.outputs):

@@ -28,7 +28,6 @@ from oneway import (
     max_deviation,
     run_pattern,
     simplify_gflow,
-    slice_circuit,
     trace_text,
     validate_gflow,
 )
@@ -163,7 +162,7 @@ def test_gflow_only_atlas_coverage_is_pinned():
         structure = find_gflow(graph)
         ext = build_extended(graph, structure)
         try:
-            compact, trace = simplify_gflow(ext, slice_circuit(ext, structure), structure)
+            compact, trace = simplify_gflow(ext, structure.order, structure)
         except GflowSearchExhausted as exc:
             texts.update((str(exc) + trace_text(exc.partial)).encode())
         else:

@@ -105,7 +105,7 @@ def test_flow_on_path():
     s = find_flow(g)
     assert s is not None and s.kind == "flow"
     assert s.correcting_sets == {1: frozenset({2}), 2: frozenset({3})}
-    assert s.layers == (frozenset({1}), frozenset({2}))
+    assert s.layers == ((1,), (2,)) and s.order == (1, 2)
     assert {v: d for d, layer in enumerate(s.layers) for v in layer}[2] == 1
 
 
@@ -191,6 +191,14 @@ def test_a_key_that_does_not_sort_with_ints_is_reported(example1):
     ]
 
 
+def test_a_problem_whose_text_holds_the_separator_stays_one_problem(example1):
+    graph, _ = example1
+    problem = "correcting sets must cover exactly the measured vertices [1, 3], got [1, 'x; y']"
+    assert validate_gflow(graph, {1: {2}, "x; y": {3}}) == [problem]
+    with pytest.raises(ValueError, match="^" + re.escape(problem) + "$"):
+        CorrectionStructure(graph, {1: {2}, "x; y": {3}})
+
+
 def test_equal_structures_hash_equal_and_key_a_dict(example1):
     graph, sets = example1
     structure = validate_gflow(graph, sets)
@@ -228,7 +236,9 @@ def test_a_structure_keeps_its_own_copy_and_loads_through_the_constructor(exampl
     assert build_extended(graph, structure) == extended
 
     payload = pickle.dumps(structure, protocol=4)
-    assert pickle.loads(payload) == structure
+    loaded = pickle.loads(payload)
+    assert loaded == structure
+    assert loaded.layers == structure.layers == ((1,), (3,)) and loaded.order == structure.order == (1, 3)
     g3 = b"K\x03(K\x04K\x05\x91"  # g(3) = {4, 5}, tampered to {2}
     assert payload.count(g3) == 1
     with pytest.raises(ValueError, match="^correcting sets induce a cyclic measurement order$"):
@@ -332,7 +342,7 @@ def test_layering_a_long_chain_does_not_recurse():
         {i: Angle.exact(1, 4) for i in range(1, n)},
     )
     structure = validate_gflow(graph, {i: frozenset({i + 1}) for i in range(1, n)})
-    assert structure.layers == tuple(frozenset({i}) for i in range(1, n))
+    assert structure.layers == tuple((i,) for i in range(1, n))
 
 
 def test_flow_implies_gflow():

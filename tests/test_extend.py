@@ -5,7 +5,8 @@ construction rules: edge CZs first, then per round a J gate per measured
 vertex followed by one block per correcting-set member (CX onto the member,
 CZs onto the member's other neighbors).  The layout checks hold for every
 extended circuit, since build_extended is the only code that makes one: the
-rewrite engine reads the layer order and the graph neighbours off it.
+rewrite engine reads the graph neighbours off it, and the J gates measure in
+the structure's order.
 """
 
 import itertools
@@ -16,7 +17,6 @@ from oneway import (
     Angle,
     Gate,
     OpenGraph,
-    TimeSlicedView,
     build_extended,
     correction_block,
     find_flow,
@@ -66,22 +66,30 @@ def fixture_structures():
         yield graph, validate_gflow(graph, sets) if sets is not None else find_flow(graph)
 
 
+def assert_measures_in_order(structure, ext):
+    """Each layer is an ascending tuple, ``order`` joins the layers, and the
+    extended circuit's J gates measure in ``order``."""
+    assert all(type(layer) is tuple and list(layer) == sorted(layer) for layer in structure.layers)
+    assert structure.order == tuple(i for layer in structure.layers for i in layer)
+    assert tuple(g.wires[0] for g in ext.gates if g.kind == "J") == structure.order
+
+
 def assert_extended_layout(graph, structure):
     ext = build_extended(graph, structure)
+    assert_measures_in_order(structure, ext)
     gates = ext.gates
     edges = sorted(graph.edges)
     assert gates[: len(edges)] == tuple(Gate("CZ", e) for e in edges)
     pos = len(edges)
     for layer in structure.layers:
-        js = sorted(layer)
-        assert gates[pos : pos + len(js)] == tuple(Gate("J", (i,), graph.angles[i]) for i in js)
-        pos += len(js)
+        assert gates[pos : pos + len(layer)] == tuple(Gate("J", (i,), graph.angles[i]) for i in layer)
+        pos += len(layer)
         while pos < len(gates) and gates[pos].kind != "J":
             g = gates[pos]
             if g.kind == "CX":
                 assert g.control in layer, g.text()
             else:
-                assert set(g.wires) & layer, g.text()
+                assert set(g.wires) & set(layer), g.text()
             pos += 1
     assert pos == len(gates)
     for w in ext.wires:
@@ -104,15 +112,14 @@ def test_extended_layout_on_the_atlas():
     assert checked > 500
 
 
-def test_view_holds_the_layer_order():
+def test_slice_circuit_returns_the_structures_order():
     for graph, structure in fixture_structures():
-        view = slice_circuit(build_extended(graph, structure), structure)
-        assert view.order == tuple(i for layer in structure.layers for i in sorted(layer))
+        ext = build_extended(graph, structure)
+        assert slice_circuit(ext, structure) == structure.order
 
     graph, _ = load_fixture("path3")
     structure = find_flow(graph)
-    view = slice_circuit(build_extended(graph, structure), structure)
-    assert view == TimeSlicedView((1, 2))
+    assert slice_circuit(build_extended(graph, structure), structure) == (1, 2)
 
 
 def test_build_rejects_mismatched_structure(example1):
@@ -149,6 +156,6 @@ def test_build_accepts_every_atlas_structure_in_its_derived_order():
     structures = 0
     for graph, structure in atlas_structures():
         assert measured_in_order(graph, structure)
-        build_extended(graph, structure)
+        assert_measures_in_order(structure, build_extended(graph, structure))
         structures += 1
     assert structures == 11572

@@ -66,7 +66,7 @@ def test_too_wide_to_verify_is_code_4():
 
 
 def test_a_failed_flow_simplification_is_code_4(monkeypatch):
-    def refuse(circuit, view):
+    def refuse(circuit, order):
         raise FlowSimplifyError("off the layout")
 
     monkeypatch.setattr(oneway.pipeline, "simplify_flow", refuse)

@@ -50,11 +50,9 @@ from oneway import (
     replay,
     simplify_flow,
     simplify_gflow,
-    slice_circuit,
     trace_text,
     validate_gflow,
 )
-from oneway.circuits import TimeSlicedView
 from oneway.rewrite import (
     _Node,
     _blocker,
@@ -681,12 +679,12 @@ def path3_pipeline():
     graph, _ = load_fixture("path3")
     structure = find_flow(graph)
     ext = build_extended(graph, structure)
-    return graph, structure, ext, slice_circuit(ext, structure)
+    return graph, structure, ext, structure.order
 
 
 def test_simplify_flow_on_a_path():
-    _, _, ext, view = path3_pipeline()
-    compact, trace = simplify_flow(ext, view)
+    _, _, ext, order = path3_pipeline()
+    compact, trace = simplify_flow(ext, order)
     assert emit_text(compact) == "wire 3 input output\nJ(1/4pi) 3\nJ(1/2pi) 3\n"
     assert [s.rule for s in trace.steps] == ["cz-commute", "jgate", "jgate"]
     assert max_deviation(circuit_isometry(ext), circuit_isometry(compact)) <= 1e-9
@@ -695,8 +693,8 @@ def test_simplify_flow_on_a_path():
 
 
 def test_replay_reproduces_the_compact_circuit():
-    _, _, ext, view = path3_pipeline()
-    compact, trace = simplify_flow(ext, view)
+    _, _, ext, order = path3_pipeline()
+    compact, trace = simplify_flow(ext, order)
     again = replay(ext, trace.steps)
     assert again == compact
     assert digest(again) == trace.final_digest
@@ -707,7 +705,7 @@ def test_replay_diverges_on_a_different_circuit():
     graph, _ = load_fixture("path3")
     structure = find_flow(graph)
     ext = build_extended(graph, structure)
-    _, trace = simplify_flow(ext, slice_circuit(ext, structure))
+    _, trace = simplify_flow(ext, structure.order)
 
     bent = OpenGraph(
         graph.vertices, graph.edges, graph.inputs, graph.outputs,
@@ -748,7 +746,7 @@ def flow_compile(graph: OpenGraph):
     structure = find_flow(graph)
     assert structure is not None
     ext = build_extended(graph, structure)
-    compact, trace = simplify_flow(ext, slice_circuit(ext, structure))
+    compact, trace = simplify_flow(ext, structure.order)
     assert not any(w.terminal == "measured" for w in compact.wires)
     assert len(compact.wires) == len(graph.outputs)
     for step in trace.steps:
@@ -792,14 +790,14 @@ def test_simplify_flow_rejects_multi_target_corrections(example1):
     structure = validate_gflow(graph, sets)
     ext = build_extended(graph, structure)
     with pytest.raises(FlowSimplifyError, match="flow needs 1"):
-        simplify_flow(ext, slice_circuit(ext, structure))
+        simplify_flow(ext, structure.order)
 
 
 def test_simplify_gflow_strips_every_measured_wire(example1):
     graph, sets = example1
     structure = validate_gflow(graph, sets)
     ext = build_extended(graph, structure)
-    compact, trace = simplify_gflow(ext, slice_circuit(ext, structure), structure)
+    compact, trace = simplify_gflow(ext, structure.order, structure)
     assert len(compact.wires) == 3
     assert sum(s.rule == "jgate" for s in trace.steps) == 2
     for step in trace.steps:
@@ -812,17 +810,17 @@ def test_simplify_gflow_budget_exhaustion():
     graph, sets = load_fixture("budget")
     structure = validate_gflow(graph, sets)
     ext = build_extended(graph, structure)
-    view = slice_circuit(ext, structure)
+    order = structure.order
 
     with pytest.raises(GflowSearchExhausted) as info:
-        simplify_gflow(ext, view, structure, budget=1)
+        simplify_gflow(ext, order, structure, budget=1)
     exhausted = info.value
     assert exhausted.attempts == 1
     assert exhausted.partial.steps
     assert exhausted.partial.initial_digest == digest(ext)
     assert digest(replay(ext, exhausted.partial.steps)) == exhausted.partial.final_digest
 
-    compact, _ = simplify_gflow(ext, view, structure)
+    compact, _ = simplify_gflow(ext, order, structure)
     assert len(compact.wires) == len(graph.outputs)
     assert max_deviation(circuit_isometry(ext), circuit_isometry(compact)) <= 1e-9
 
@@ -830,9 +828,9 @@ def test_simplify_gflow_budget_exhaustion():
 @pytest.mark.parametrize("budget", [0, -3])
 def test_simplify_gflow_refuses_a_budget_below_one(budget):
     # worded as compile_pattern and the CLI refuse it, before any search
-    structure, ext, view = fixture_pipeline("budget")
+    structure, ext, order = fixture_pipeline("budget")
     with pytest.raises(ValueError, match=f"^budget must be at least 1, got {budget}$"):
-        simplify_gflow(ext, view, structure, budget=budget)
+        simplify_gflow(ext, order, structure, budget=budget)
 
 
 # sha256 of emit_text(compact) + trace_text(trace) per fixture: any change to
@@ -850,16 +848,16 @@ def fixture_pipeline(name: str):
     graph, sets = load_fixture(name)
     structure = validate_gflow(graph, sets) if sets is not None else find_flow(graph)
     ext = build_extended(graph, structure)
-    return structure, ext, slice_circuit(ext, structure)
+    return structure, ext, structure.order
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_DIGESTS))
 def test_fixture_circuits_and_traces_are_byte_identical(name):
-    structure, ext, view = fixture_pipeline(name)
+    structure, ext, order = fixture_pipeline(name)
     if structure.kind == "flow":
-        compact, trace = simplify_flow(ext, view)
+        compact, trace = simplify_flow(ext, order)
     else:
-        compact, trace = simplify_gflow(ext, view, structure)
+        compact, trace = simplify_gflow(ext, order, structure)
     text = emit_text(compact) + trace_text(trace)
     assert hashlib.sha256(text.encode()).hexdigest() == FIXTURE_DIGESTS[name]
 
@@ -882,7 +880,7 @@ def test_strip_circuits_and_traces_are_byte_identical(n):
     graph = cluster_strip(n)
     structure = find_flow(graph)
     ext = build_extended(graph, structure)
-    compact, trace = simplify_flow(ext, slice_circuit(ext, structure))
+    compact, trace = simplify_flow(ext, structure.order)
     assert len(compact.wires) == 2
     text = emit_text(compact) + trace_text(trace)
     assert hashlib.sha256(text.encode()).hexdigest() == STRIP_DIGESTS[n]
@@ -893,8 +891,8 @@ def test_simplify_flow_enters_no_part_of_the_engine(monkeypatch):
     rules = [name for name in oneway.rewrite.__all__ if name.startswith("apply_")]
     for name in ["simplify_gflow", "_plan", "_tail", *rules]:
         monkeypatch.setattr(oneway.rewrite, name, None)
-    structure, ext, view = fixture_pipeline("strip2x3")
-    compact, trace = simplify_flow(ext, view)
+    structure, ext, order = fixture_pipeline("strip2x3")
+    compact, trace = simplify_flow(ext, order)
     text = emit_text(compact) + trace_text(trace)
     assert hashlib.sha256(text.encode()).hexdigest() == FIXTURE_DIGESTS["strip2x3"]
 
@@ -912,7 +910,7 @@ def test_flow_atlas_with_inputs_is_byte_identical():
     count = 0
     texts = hashlib.sha256()
     for structure, ext in atlas_flows_with_inputs():
-        compact, trace = simplify_flow(ext, slice_circuit(ext, structure))
+        compact, trace = simplify_flow(ext, structure.order)
         texts.update((emit_text(compact) + trace_text(trace)).encode())
         count += 1
     assert count == 5377
@@ -954,9 +952,9 @@ def test_simplify_flow_is_the_engine_given_the_flow(pattern):
     graph, sets = pattern
     structure = validate_gflow(graph, sets)
     ext = build_extended(graph, structure)
-    view = slice_circuit(ext, structure)
-    compact, trace = simplify_flow(ext, view)
-    assert (compact, trace) == simplify_gflow(ext, view, structure)
+    order = structure.order
+    compact, trace = simplify_flow(ext, order)
+    assert (compact, trace) == simplify_gflow(ext, order, structure)
     assert replay(ext, trace.steps) == compact
 
 
@@ -983,12 +981,12 @@ def layout_mutants(ext: Circuit):
 
 @pytest.mark.parametrize("name", ["path3", "strip2x3"])
 def test_flow_layout_mutants_are_refused_or_compile_faithfully(name):
-    structure, ext, view = fixture_pipeline(name)
+    structure, ext, order = fixture_pipeline(name)
     refused = 0
     for gates in layout_mutants(ext):
         mutant = Circuit(ext.wires, tuple(gates))
         try:
-            compact, trace = simplify_flow(mutant, view)
+            compact, trace = simplify_flow(mutant, order)
         except FlowSimplifyError:
             refused += 1
             continue
@@ -999,28 +997,28 @@ def test_flow_layout_mutants_are_refused_or_compile_faithfully(name):
 
 
 def test_simplify_flow_refuses_a_circuit_off_the_flow_layout():
-    _, ext, view = fixture_pipeline("path3")
+    _, ext, order = fixture_pipeline("path3")
     # the rounds swapped: CX 1 2 then corrects wire 1 after wire 2 is measured.
     # Built by hand, since no structure orders them so:
     # CZ 1 2, CZ 2 3, then J 2 and CX 2 3, then J 1, CX 1 2 and CZ 1 3
     early = Circuit(ext.wires, ext.gates[:2] + ext.gates[5:] + ext.gates[2:5])
     with pytest.raises(FlowSimplifyError, match=r"^CX 1 2 is not the correction of a causal flow$"):
-        simplify_flow(early, TimeSlicedView((2, 1)))
+        simplify_flow(early, (2, 1))
     with pytest.raises(FlowSimplifyError, match=r"^the J gates measure \[1, 2\], not the order \[2, 1\]$"):
-        simplify_flow(ext, TimeSlicedView((2, 1)))
+        simplify_flow(ext, (2, 1))
     for w2, message in [
         (Wire(2, "plus", "output"), r"^wire 2 is output, but a J measures it$"),
         (Wire(2, "input", "measured"), r"^CX 1 2 is not the correction of a causal flow$"),
     ]:
         with pytest.raises(FlowSimplifyError, match=message):
-            simplify_flow(Circuit(tuple(w2 if w.id == 2 else w for w in ext.wires), ext.gates), view)
+            simplify_flow(Circuit(tuple(w2 if w.id == 2 else w for w in ext.wires), ext.gates), order)
     dropped = Circuit(ext.wires, ext.gates[:4] + ext.gates[5:])  # the correction CZ 1 3
     with pytest.raises(FlowSimplifyError, match=r"^gate J\(1/2pi\) 2 at 4 is off the flow layout"):
-        simplify_flow(dropped, view)
+        simplify_flow(dropped, order)
     # one round measures wires 1 and 2 of two flow pairs, but its J gates descend
     descending = spelled("mmoo", "CZ 1 3", "CZ 2 4", "J 2", "J 1", "CX 1 3", "CX 2 4")
     with pytest.raises(FlowSimplifyError, match=r"^gate J\(1/4pi\) 1 at 3 is off the flow layout"):
-        simplify_flow(descending, TimeSlicedView((1, 2)))
+        simplify_flow(descending, (1, 2))
 
 
 def test_eliminator_names_a_correction_cz_it_cannot_move():
@@ -1048,7 +1046,7 @@ def test_gflow_without_an_injective_designation_says_so():
     structure = find_gflow(graph)
     ext = build_extended(graph, structure)
     with pytest.raises(GflowSearchExhausted) as info:
-        simplify_gflow(ext, slice_circuit(ext, structure), structure)
+        simplify_gflow(ext, structure.order, structure)
     assert info.value.attempts == 0
     assert info.value.partial.steps == ()
     assert "exhausted after 0 attempts: no injective designation" in str(info.value)
@@ -1056,13 +1054,14 @@ def test_gflow_without_an_injective_designation_says_so():
 
 
 def test_gflow_wire_without_a_neighbour_in_its_set_is_named():
-    _, ext, view = fixture_pipeline("path3")
+    _, ext, _ = fixture_pipeline("path3")
     # a gflow of another graph on path3's vertices, 1-2 and 1-3, whose g(1)
-    # misses every path3 neighbour of wire 1
+    # misses every path3 neighbour of wire 1; it measures wire 2 first
     star = OpenGraph((1, 2, 3), {(1, 2), (1, 3)}, (), {3}, {1: Angle.exact(1, 4), 2: Angle.exact(1, 2)})
     foreign = CorrectionStructure(star, {1: frozenset({3}), 2: frozenset({1})})
+    assert foreign.order == (2, 1)
     with pytest.raises(GflowSearchExhausted, match="0 attempts: wire 1 has no graph neighbour"):
-        simplify_gflow(ext, view, foreign)
+        simplify_gflow(ext, foreign.order, foreign)
 
 
 def test_a_tail_that_cannot_clear_a_correction_cz_fails_the_designation():
@@ -1076,7 +1075,7 @@ def test_a_tail_that_cannot_clear_a_correction_cz_fails_the_designation():
     ext = build_extended(graph, structure)
     message = "^gflow designation search exhausted after 1 attempts: no commutation partner eliminates CZ 2 4 at 5$"
     with pytest.raises(GflowSearchExhausted, match=message):
-        simplify_gflow(ext, slice_circuit(ext, structure), structure)
+        simplify_gflow(ext, structure.order, structure)
 
 
 @pytest.fixture()
@@ -1087,8 +1086,8 @@ def no_engine_node(monkeypatch):
     monkeypatch.setattr(oneway.rewrite, "_Node", refuse)
 
 
-def test_gflow_names_a_measured_wire_the_view_leaves_out(no_engine_node):
-    # two flow pairs, 1 onto 2 and 3 onto 4; a view that omits wire 3 is
+def test_gflow_refuses_an_order_that_leaves_a_measured_wire_out(no_engine_node):
+    # two flow pairs, 1 onto 2 and 3 onto 4; an order that omits wire 3 is
     # refused before any search
     graph = OpenGraph(
         vertices=(1, 2, 3, 4), edges=((1, 2), (3, 4)), inputs=(), outputs=(2, 4),
@@ -1096,28 +1095,34 @@ def test_gflow_names_a_measured_wire_the_view_leaves_out(no_engine_node):
     )
     structure = validate_gflow(graph, {1: frozenset({2}), 3: frozenset({4})})
     ext = build_extended(graph, structure)
-    message = (r"^the view orders wires \[1\] and the structure corrects wires \[1, 3\], "
-               r"but the circuit measures wires \[1, 3\]$")
-    with pytest.raises(ValueError, match=message):
-        simplify_gflow(ext, TimeSlicedView((1,)), structure)
+    with pytest.raises(ValueError, match=r"^the order \[1\] is not the structure's order \[1, 3\]$"):
+        simplify_gflow(ext, (1,), structure)
 
 
-def test_gflow_refuses_a_view_or_structure_of_other_wires_up_front(no_engine_node):
-    structure, ext, view = fixture_pipeline("example1")
-    # a view that orders a wire the circuit lacks, which has no correcting set
-    message = r"^the view orders wires \[1, 3, 99\] and the structure corrects wires \[1, 3\], "
-    with pytest.raises(ValueError, match=message):
-        simplify_gflow(ext, TimeSlicedView(view.order + (99,)), structure)
-    # another graph's structure: path3's sets correct wires 1 and 2
+def test_gflow_refuses_an_order_other_than_the_structures(no_engine_node):
+    # example1 measures wire 1, then wire 3; the other permutation of them
+    # is refused, though it names the same wires
+    structure, ext, order = fixture_pipeline("example1")
+    assert order == (1, 3)
+    with pytest.raises(ValueError, match=r"^the order \[3, 1\] is not the structure's order \[1, 3\]$"):
+        simplify_gflow(ext, (3, 1), structure)
+
+
+def test_gflow_refuses_an_order_or_structure_of_other_wires_up_front(no_engine_node):
+    structure, ext, order = fixture_pipeline("example1")
+    # an order with a wire the circuit lacks, which has no correcting set
+    with pytest.raises(ValueError, match=r"^the order \[1, 3, 99\] is not the structure's order \[1, 3\]$"):
+        simplify_gflow(ext, order + (99,), structure)
+    # another graph's structure, in its own order: path3's sets correct wires 1 and 2
     path3, _, _ = fixture_pipeline("path3")
-    _, ext, view = fixture_pipeline("strip2x3")
-    message = r"the structure corrects wires \[1, 2\], but the circuit measures wires \[1, 2, 4, 5\]$"
+    _, ext, _ = fixture_pipeline("strip2x3")
+    message = r"^the structure corrects wires \[1, 2\], but the circuit measures wires \[1, 2, 4, 5\]$"
     with pytest.raises(ValueError, match=message):
-        simplify_gflow(ext, view, path3)
+        simplify_gflow(ext, path3.order, path3)
 
 
 def test_step_checks_catch_a_drifting_step(monkeypatch):
-    structure, ext, view = fixture_pipeline("example1")
+    structure, ext, order = fixture_pipeline("example1")
     good_jgate = oneway.rewrite.apply_jgate
 
     def bent_jgate(node, i, j):
@@ -1130,7 +1135,7 @@ def test_step_checks_catch_a_drifting_step(monkeypatch):
 
     monkeypatch.setattr(oneway.rewrite, "apply_jgate", bent_jgate)
     with pytest.raises(GflowSearchExhausted, match="drifted") as info:
-        simplify_gflow(ext, view, structure)
+        simplify_gflow(ext, order, structure)
     partial = info.value.partial
     assert partial.steps and partial.steps[-1].rule != "jgate"
     assert digest(replay(ext, partial.steps)) == partial.final_digest
@@ -1141,8 +1146,8 @@ def test_final_oracle_check_catches_a_drifting_flow_compile(monkeypatch):
     # a compact circuit whose every J is bent to J(1/3pi)
     good = oneway.pipeline.simplify_flow
 
-    def bent(circuit, view):
-        compact, trace = good(circuit, view)
+    def bent(circuit, order):
+        compact, trace = good(circuit, order)
         gates = tuple(Gate("J", g.wires, Angle.exact(1, 3)) if g.kind == "J" else g for g in compact.gates)
         return Circuit(compact.wires, gates), trace
 
@@ -1163,7 +1168,7 @@ def test_step_checks_pass_on_a_strip_wider_than_the_checked_width(monkeypatch):
     graph = cluster_strip(8)
     structure = validate_gflow(graph, find_flow(graph).correcting_sets)
     ext = build_extended(graph, structure)
-    compact, trace = simplify_gflow(ext, slice_circuit(ext, structure), structure)
+    compact, trace = simplify_gflow(ext, structure.order, structure)
     text = emit_text(compact) + trace_text(trace)
     assert hashlib.sha256(text.encode()).hexdigest() == STRIP_DIGESTS[8]
     assert 0 < len(calls) < len(trace.steps) + 1
@@ -1177,9 +1182,9 @@ def test_step_checks_read_the_search_path(name, monkeypatch):
         graph = cluster_strip(8)
         structure = validate_gflow(graph, find_flow(graph).correcting_sets)
         ext = build_extended(graph, structure)
-        view = slice_circuit(ext, structure)
+        order = structure.order
     else:
-        structure, ext, view = fixture_pipeline(name)
+        structure, ext, order = fixture_pipeline(name)
     paths = []
     check_path = oneway.rewrite._check_path
 
@@ -1191,7 +1196,7 @@ def test_step_checks_read_the_search_path(name, monkeypatch):
             return check_path(end)
 
     monkeypatch.setattr(oneway.rewrite, "_check_path", watched)
-    compact, trace = simplify_gflow(ext, view, structure)
+    compact, trace = simplify_gflow(ext, order, structure)
     (path,) = paths
     assert tuple(node.step for node in path[1:]) == trace.steps
     # by induction, the k-th node holds replay(ext, trace.steps[:k])
@@ -1201,14 +1206,14 @@ def test_step_checks_read_the_search_path(name, monkeypatch):
     assert circuit_of(path[-1]) == compact
 
 
-def assert_trace_replays(structure, ext: Circuit, view) -> None:
+def assert_trace_replays(structure, ext: Circuit, order) -> None:
     """Simplify ``ext``; replaying the trace, or an exhausted search's partial
     trace, must rebuild the compact circuit or reach the partial digest."""
     try:
         if structure.kind == "flow":
-            compact, trace = simplify_flow(ext, view)
+            compact, trace = simplify_flow(ext, order)
         else:
-            compact, trace = simplify_gflow(ext, view, structure)
+            compact, trace = simplify_gflow(ext, order, structure)
     except GflowSearchExhausted as exc:
         compact, trace = None, exc.partial
     replayed = replay(ext, trace.steps)
@@ -1226,7 +1231,7 @@ def test_traces_replay_on_the_strips(n):
     graph = cluster_strip(n)
     structure = find_flow(graph)
     ext = build_extended(graph, structure)
-    assert_trace_replays(structure, ext, slice_circuit(ext, structure))
+    assert_trace_replays(structure, ext, structure.order)
 
 
 ATLAS = list(all_small_open_graphs())
@@ -1238,7 +1243,7 @@ def test_traces_replay_on_the_atlas(graph):
     structure = find_flow(graph) or find_gflow(graph)
     assume(structure is not None)
     ext = build_extended(graph, structure)
-    assert_trace_replays(structure, ext, slice_circuit(ext, structure))
+    assert_trace_replays(structure, ext, structure.order)
 
 
 @st.composite
@@ -1536,7 +1541,7 @@ def recorded_plan_search() -> tuple[list[int], list[tuple[tuple[Wire, ...], list
     def gflow_input(graph):
         structure = find_gflow(graph)
         ext = build_extended(graph, structure)
-        return structure, ext, slice_circuit(ext, structure)
+        return structure, ext, structure.order
 
     inputs = [gflow_input(graph) for graph in atlas_gflow_only_graphs()]
     atlas = len(inputs)
@@ -1547,10 +1552,10 @@ def recorded_plan_search() -> tuple[list[int], list[tuple[tuple[Wire, ...], list
         mp.setattr(oneway.rewrite, "_plan", recording_plan)
         mp.setattr(oneway.rewrite, "_spliced", recording_spliced)
         mp.setattr(oneway.rewrite, "_tail", unrecorded_tail)
-        for structure, ext, view in inputs:
+        for structure, ext, order in inputs:
             nodes.append(0)
             try:
-                simplify_gflow(ext, view, structure)
+                simplify_gflow(ext, order, structure)
             except GflowSearchExhausted as exc:
                 assert exc.nodes == nodes[-1]
     return nodes[:atlas], plans
@@ -1629,7 +1634,7 @@ def test_the_plan_search_calls_a_rule_only_for_a_child_it_has_not_seen(monkeypat
     monkeypatch.setattr(oneway.rewrite, "_tail", unrecorded_tail)
     monkeypatch.setattr(oneway.rewrite, "_unwanted_cxs", visiting)
     with pytest.raises(GflowSearchExhausted) as info:
-        simplify_gflow(ext, slice_circuit(ext, structure), structure)
+        simplify_gflow(ext, structure.order, structure)
     assert info.value.nodes == sum(spent for spent, _, _ in plans) == 1900
     for spent, children, visited in plans:
         assert len(set(children)) == len(children) == spent

@@ -38,6 +38,20 @@ def test_flow_survey_runs(monkeypatch, capsys):
         assert flow + gflow_only + neither == total > 0
 
 
+@pytest.mark.parametrize("bound, why", [
+    ("1", "the smallest connected open graph has 2 vertices"),
+    ("-3", "the smallest connected open graph has 2 vertices"),
+    ("8", "the graph atlas stops at 7 vertices"),
+])
+def test_flow_survey_refuses_a_bound_outside_the_atlas(bound, why, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["flow_survey.py", "--max-vertices", bound])
+    with pytest.raises(SystemExit) as info:
+        load_script("flow_survey").main()
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.endswith(f"error: {why}\n")
+
+
 def test_gflow_only_digest_checks_its_expectation(monkeypatch, capsys):
     script = load_script("gflow_only_digest")
     cheap = script.graphsets.gflow_only(range(2, 6))[:5]  # the ones whose plan search is short

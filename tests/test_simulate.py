@@ -23,7 +23,6 @@ from oneway import (
     find_gflow,
     j_matrix,
     max_deviation,
-    measured_wire_reduced_states,
     parse_graph,
     run_pattern,
     validate_gflow,
@@ -90,12 +89,18 @@ def test_isometry_errors():
 
 
 def test_reduced_states_witness_determinism(example1):
+    # the corrections disentangle every measured wire: averaged over the
+    # input basis states, each ends exactly in |+><+|
     graph, sets = example1
-    structure = validate_gflow(graph, sets)
-    ext = build_extended(graph, structure)
+    ext = build_extended(graph, validate_gflow(graph, sets))
+    states = lifted_states(ext)
     plus_proj = np.outer(PLUS, PLUS.conj())
-    for wire, rho in measured_wire_reduced_states(ext).items():
-        assert rho == pytest.approx(plus_proj, abs=1e-12), wire
+    measured = [a for a, w in enumerate(ext.wires) if w.terminal == "measured"]
+    assert [ext.wires[a].id for a in measured] == [1, 3]
+    for a in measured:
+        moved = states.reshape(1 << a, 2, -1).transpose(1, 0, 2).reshape(2, -1)
+        rho = moved @ moved.conj().T / states.shape[1]
+        assert rho == pytest.approx(plus_proj, abs=1e-12), ext.wires[a].id
 
 
 def test_basis_column_order_small_cases():
@@ -240,8 +245,9 @@ def dense_circuits(draw):
     return Circuit(wires, tuple(gates))
 
 
-def lifted_isometry(circuit):
-    """The circuit's unnormalized isometry from test-local kron matrices."""
+def lifted_states(circuit):
+    """The circuit's final state on every wire, one column per input basis
+    state, from test-local kron matrices."""
     order = tuple(w.id for w in circuit.wires)
     program = np.eye(2 ** len(order), dtype=complex)
     for g in circuit.gates:
@@ -256,7 +262,12 @@ def lifted_isometry(circuit):
         if w.init == "plus":
             program = program @ plus_embedding(w.id, register)
             register = tuple(v for v in register if v != w.id)
-    register = order
+    return program
+
+
+def lifted_isometry(circuit):
+    """The circuit's unnormalized isometry from test-local kron matrices."""
+    program, register = lifted_states(circuit), tuple(w.id for w in circuit.wires)
     for w in circuit.wires:
         if w.terminal == "measured":
             program = plus_embedding(w.id, register).conj().T @ program
