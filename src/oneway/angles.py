@@ -34,9 +34,12 @@ class Angle:
                 object.__setattr__(self, "pi_multiple", Fraction(p) % 2)
         elif not math.isfinite(self.float_radians):
             raise ValueError(f"angle must be finite, got {self.float_radians} radians")
+        object.__setattr__(self, "_radians", self.float_radians if p is None else math.pi * float(self.pi_multiple))
 
     # Not fields: __hash__ keeps the hash here on first use, because hashing
-    # a Fraction is slow, and text() keeps its string, formatted once.
+    # a Fraction is slow, and text() keeps its string, formatted once; the
+    # constructor keeps to_radians()'s value in _radians, since the simulator
+    # reads it for every measured vertex of every run.
     _hash = None
     _text = None
 
@@ -46,8 +49,8 @@ class Angle:
         return self._hash
 
     def __reduce__(self):
-        # Rebuild from the fields, so the cached hash and text do not
-        # travel: the hash of None can differ between processes.
+        # Rebuild from the fields, so the cached hash, text and radians do
+        # not travel: the hash of None can differ between processes.
         return (Angle, (self.pi_multiple, self.float_radians))
 
     @staticmethod
@@ -80,10 +83,7 @@ class Angle:
         return Angle.radians(value)
 
     def to_radians(self) -> float:
-        if self.pi_multiple is not None:
-            return math.pi * float(self.pi_multiple)
-        assert self.float_radians is not None
-        return self.float_radians
+        return self._radians
 
     def text(self) -> str:
         if self._text is None:

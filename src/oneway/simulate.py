@@ -4,10 +4,14 @@ The simulator owns one contiguous state array per run.  Wire order is
 big-endian throughout: the first wire in a listing is the most significant
 bit of the state index, so the wire at position ``a`` of ``n`` is the middle
 axis of ``psi.reshape(2**a, 2, -1)``.  A J gate is one ``matmul`` on that
-view, and projecting or measuring a wire is one ``matmul`` with a one-row
-bra (or a sum of the two halves for <+|).
+view.  A circuit projects its measured wires onto <+| last wire first, each
+by the sum of its two halves and one scale, so every isometry rounds the
+same from run to run; measuring a vertex of a pattern is one ``matmul``
+with a 2-vector bra.
 
-CZ and CX take one of two paths, chosen by the size of the state:
+CZ and CX take one of two paths, chosen once per run by the size of the
+state (no gate changes it, and a pattern makes all its CZs before it
+measures):
 
 - up to ``_TABLE_MAX`` (2**10) amplitudes, one numpy call on a cached,
   read-only, full-length table: a CZ multiplies by a +-1 sign vector, a CX
@@ -93,11 +97,14 @@ def _start_state(amplitudes: np.ndarray, is_input: list[bool], batch: int) -> np
     """Flat product state: ``amplitudes`` on the input wires, |+> on the rest.
 
     ``amplitudes`` holds 2**k * batch entries, big-endian over the k input
-    wires and then the batch index.  The result is a fresh array, so the
+    wires and then the batch index; with no input wire its one entry is
+    spread over every |+> by one fill.  The result is a fresh array, so the
     kernels may change it in place.
     """
-    shape = [2 if inp else 1 for inp in is_input] + [batch]
     scale = _SQRT_HALF ** is_input.count(False)
+    if True not in is_input:
+        return np.full(1 << len(is_input), amplitudes.reshape(-1)[0] * scale, dtype=complex)
+    shape = [2 if inp else 1 for inp in is_input] + [batch]
     psi = np.empty((2,) * len(is_input) + (batch,), dtype=complex)
     np.multiply(amplitudes.reshape(shape), scale, out=psi)
     return psi.reshape(-1)
@@ -112,14 +119,16 @@ def _negate_cz_block(psi: np.ndarray, a: int, b: int) -> None:
     np.negative(block, out=block)
 
 
-def _reverse_cx_block(psi: np.ndarray, c: int, t: int) -> None:
-    """CX, control at position c, target at t: reverse the target axis of the control-1 block."""
+def _reverse_cx_block(psi: np.ndarray, c: int, t: int) -> np.ndarray:
+    """CX, control at position c, target at t: reverse the target axis of the
+    control-1 block in place; returns ``psi``."""
     if c < t:
         block = psi.reshape(1 << c, 2, 1 << (t - c - 1), 2, -1)[:, 1]
         block[...] = block[:, :, ::-1]
     else:
         block = psi.reshape(1 << t, 2, 1 << (c - t - 1), 2, -1)[:, :, :, 1]
         block[...] = block[:, ::-1]
+    return psi
 
 
 # Unbounded caches over a finite domain: sizes up to _TABLE_MAX and their position pairs.
@@ -141,42 +150,22 @@ def _cx_sources(size: int, c: int, t: int) -> np.ndarray:
     return sources
 
 
-def _apply_cz(psi: np.ndarray, a: int, b: int) -> None:
-    """CZ on the wires at positions a < b, in place."""
-    if psi.size <= _TABLE_MAX:
-        psi *= _cz_signs(psi.size, a, b)
-    else:
-        _negate_cz_block(psi, a, b)
+def _kernels(size: int):
+    """The CZ and CX kernels for states of ``size`` amplitudes, picked once per run.
 
+    ``cz(psi, a, b)`` (positions a < b) changes ``psi`` in place;
+    ``cx(psi, c, t)`` returns the new state, a gather or ``psi`` itself.
+    """
+    if size > _TABLE_MAX:
+        return _negate_cz_block, _reverse_cx_block
 
-def _apply_cx(psi: np.ndarray, c: int, t: int) -> np.ndarray:
-    """CX, control at position c, target at t; returns the new state (a gather or ``psi`` itself)."""
-    if psi.size <= _TABLE_MAX:
-        return psi[_cx_sources(psi.size, c, t)]
-    _reverse_cx_block(psi, c, t)
-    return psi
+    def cz(psi: np.ndarray, a: int, b: int) -> None:
+        psi *= _cz_signs(size, a, b)
 
+    def cx(psi: np.ndarray, c: int, t: int) -> np.ndarray:
+        return psi[_cx_sources(size, c, t)]
 
-def _evolved_tensor(circuit: Circuit, cap: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Flat state after all gates, (2,)*n + (2**k,) in C order, one column per input word."""
-    n = len(circuit.wires)
-    if n > cap:
-        raise WireCapError(f"{n} wires exceeds the simulation cap {cap}")
-    axis_of = {w.id: k for k, w in enumerate(circuit.wires)}
-    is_input = [w.init == "input" for w in circuit.wires]
-    input_wires = tuple(w.id for w in circuit.wires if w.init == "input")
-    batch = 1 << len(input_wires)
-
-    psi = _start_state(np.eye(batch, dtype=complex), is_input, batch)
-    for gate in circuit.gates:
-        if gate.kind == "J":
-            view = psi.reshape(1 << axis_of[gate.wires[0]], 2, -1)
-            psi = np.matmul(_j(gate.angle), view).reshape(-1)
-        elif gate.kind == "CZ":
-            _apply_cz(psi, axis_of[gate.wires[0]], axis_of[gate.wires[1]])
-        else:
-            psi = _apply_cx(psi, axis_of[gate.wires[0]], axis_of[gate.wires[1]])
-    return psi, input_wires
+    return cz, cx
 
 
 def circuit_isometry(circuit: Circuit, cap: int = 14) -> Isometry:
@@ -186,24 +175,42 @@ def circuit_isometry(circuit: Circuit, cap: int = 14) -> Isometry:
     disentangled in |+>, so the <+| projection loses no amplitude; columns
     are renormalized anyway and a tiny norm is reported as an error.
     """
-    psi, input_wires = _evolved_tensor(circuit, cap)
-    output_wires = tuple(w.id for w in circuit.wires if w.terminal == "output")
+    wires = circuit.wires
+    n = len(wires)
+    if n > cap:
+        raise WireCapError(f"{n} wires exceeds the simulation cap {cap}")
+    axis_of = {w.id: k for k, w in enumerate(wires)}
+    is_input = [w.init == "input" for w in wires]
+    input_wires = tuple(w.id for w in wires if w.init == "input")
+    output_wires = tuple(w.id for w in wires if w.terminal == "output")
+    batch = 1 << len(input_wires)
+
+    psi = _start_state(np.eye(batch, dtype=complex), is_input, batch)
+    cz, cx = _kernels(psi.size)
+    for gate in circuit.gates:
+        kind, on = gate.kind, gate.wires
+        if kind == "J":
+            psi = np.matmul(_j(gate.angle), psi.reshape(1 << axis_of[on[0]], 2, -1)).reshape(-1)
+        elif kind == "CZ":
+            cz(psi, axis_of[on[0]], axis_of[on[1]])
+        else:
+            psi = cx(psi, axis_of[on[0]], axis_of[on[1]])
 
     # Last wire first, so the positions still to project stay put.
-    for a in reversed(range(len(circuit.wires))):
-        if circuit.wires[a].terminal == "measured":
+    for a in reversed(range(n)):
+        if wires[a].terminal == "measured":
             view = psi.reshape(1 << a, 2, -1)
             psi = view[:, 0] + view[:, 1]
             psi *= _SQRT_HALF
-    matrix = psi.reshape(2 ** len(output_wires), 2 ** len(input_wires))
+    matrix = psi.reshape(1 << len(output_wires), batch)
 
     # np.linalg.norm(matrix, axis=0), computed as it does, without its dispatch
     norms = np.sqrt(np.add.reduce((matrix.conj() * matrix).real, axis=0))
-    if np.any(norms < 1e-9):
-        raise ProjectionError(
-            f"measured-wire projection collapsed a column (min norm {norms.min():.3g})"
-        )
-    return Isometry(matrix / norms, input_wires, output_wires)
+    least = norms[norms.argmin()]  # norms.min(), without its Python wrapper
+    if least < 1e-9:
+        raise ProjectionError(f"measured-wire projection collapsed a column (min norm {least:.3g})")
+    matrix /= norms
+    return Isometry(matrix, input_wires, output_wires)
 
 
 def basis_column_order(
@@ -220,6 +227,9 @@ def basis_column_order(
         raise ValueError(f"wire sets differ: {natural_wires} vs {logical_wires}")
     n = len(logical_wires)
     pos = {w: k for k, w in enumerate(natural_wires)}
+    if len(pos) < n:
+        repeated = next(w for k, w in enumerate(natural_wires) if w in natural_wires[:k])
+        raise ValueError(f"repeated wire {repeated}")
     # natural index of every basis state, one axis per natural wire, read with
     # the axes in logical order
     return np.arange(1 << n).reshape((2,) * n).transpose([pos[w] for w in logical_wires]).reshape(-1)
@@ -237,17 +247,31 @@ def max_deviation(
     a: Isometry | StateVector | np.ndarray,
     b: Isometry | StateVector | np.ndarray,
 ) -> float:
-    """Max entrywise deviation after aligning global phase on a's biggest entry."""
+    """Max entrywise deviation after aligning global phase on a's biggest entry.
+
+    Never NaN, so a check ``dev > tol`` fails closed: when ``a`` is all zero
+    the deviation is b's largest magnitude, since no phase does better, and
+    a NaN or infinite entry in either, or any other non-finite result, reads
+    as ``math.inf``.
+    """
     ma, mb = _as_matrix(a), _as_matrix(b)
     if ma.shape != mb.shape:
         raise ValueError(f"shape mismatch {ma.shape} vs {mb.shape}")
-    mags = np.abs(ma)
+    # the largest magnitudes, read through argmax, which is cheaper than max
+    mags, b_mags = np.abs(ma), np.abs(mb)
     k = mags.argmax()
+    top_mag, b_top_mag = mags.flat[k], b_mags.flat[b_mags.argmax()]
+    if not (math.isfinite(top_mag) and math.isfinite(b_top_mag)):
+        return math.inf
+    if top_mag == 0.0:
+        return float(b_top_mag)
     top, other = ma.flat[k], mb.flat[k]
-    if abs(other) == 0.0:
-        return float(mags.flat[k])
-    phase = (top / other) / abs(top / other)
-    return float(np.abs(ma - phase * mb).max())
+    if other == 0.0:
+        return float(top_mag)
+    ratio = top / other
+    dev = np.abs(ma - (ratio / abs(ratio)) * mb)
+    worst = float(dev.flat[dev.argmax()])
+    return worst if math.isfinite(worst) else math.inf
 
 
 def run_pattern(
@@ -270,7 +294,7 @@ def run_pattern(
     n = len(graph.vertices)
     if n > cap:
         raise WireCapError(f"{n} vertices exceeds the simulation cap {cap}")
-    if set(outcomes) != set(graph.measured):
+    if outcomes.keys() != graph.measured:
         raise ValueError("need exactly one forced outcome per measured vertex")
     for v, r in sorted(outcomes.items()):
         if r not in (0, 1):
@@ -282,41 +306,51 @@ def run_pattern(
         raise ValueError("input state dimension does not match the input set")
 
     present = sorted(graph.vertices)
-    is_input = [v in graph.inputs for v in present]
-    psi = _start_state(input_state, is_input, 1)
+    psi = _start_state(input_state, [v in graph.inputs for v in present], 1)
+    cz, _ = _kernels(psi.size)
     pos = {v: k for k, v in enumerate(present)}
-    for u, v in sorted(graph.edges):
-        _apply_cz(psi, pos[u], pos[v])
+    for u, v in graph.edges:  # the CZs commute, and each is exact, so in any order
+        cz(psi, pos[u], pos[v])
 
-    x_hits = {v: 0 for v in graph.vertices}
-    z_hits = {v: 0 for v in graph.vertices}
+    x_hits = dict.fromkeys(graph.vertices, 0)
+    z_hits = dict.fromkeys(graph.vertices, 0)
 
+    # Row r of j_matrix(adapted), (<0| + (-1)^r e^{i adapted} <1|) / sqrt 2,
+    # divided by the state's norm: each vertex renormalizes the state the
+    # last one left, and the last renormalization comes after the loop.
+    bra = np.empty(2, dtype=complex)
+    norm = 1.0
     for i in structure.order:
         theta = graph.angles[i].to_radians()
         adapted = (-1.0) ** (x_hits[i] % 2) * theta + (z_hits[i] % 2) * math.pi
-        # Row r = outcomes[i] of j_matrix(adapted): (<0| + (-1)^r e^{i adapted} <1|) / sqrt 2.
         phase = cmath.exp(1j * adapted) * _SQRT_HALF
-        row = ((_SQRT_HALF, -phase if outcomes[i] else phase),)
+        bra[0] = _SQRT_HALF / norm
+        bra[1] = (-phase if outcomes[i] else phase) / norm
         a = bisect_left(present, i)
-        psi = np.matmul(row, psi.reshape(1 << a, 2, -1))
+        psi = bra @ psi.reshape(1 << a, 2, -1)
         present.pop(a)
         norm = math.sqrt(np.vdot(psi, psi).real)
         if norm < 1e-9:
             raise ProjectionError(f"outcome {outcomes[i]} on vertex {i} has zero amplitude")
-        psi /= norm
-        psi = psi.reshape(-1)
         if outcomes[i]:
             for v in structure.correcting_sets[i]:
                 x_hits[v] += 1
             for v in odd_neighborhood(graph, structure.correcting_sets[i]) - {i}:
                 z_hits[v] += 1
+    psi = psi.reshape(-1)
+    psi /= norm
 
-    # X^x Z^z on each output: Z negates its 1 half, then X swaps its halves.
-    for v in sorted(graph.outputs):
-        view = psi.reshape(1 << bisect_left(present, v), 2, -1)
-        if z_hits[v] % 2:
-            np.negative(view[:, 1], out=view[:, 1])
-        if x_hits[v] % 2:
-            view[...] = view[:, ::-1]
+    # X^x Z^z on each output hit an odd number of times: Z negates its 1
+    # half, then X swaps its halves.
+    outputs = tuple(sorted(graph.outputs))
+    for v in outputs:
+        z, x = z_hits[v] % 2, x_hits[v] % 2
+        if z or x:
+            view = psi.reshape(1 << bisect_left(present, v), 2, -1)
+            if z:
+                half = view[:, 1]
+                np.negative(half, out=half)
+            if x:
+                view[...] = view[:, ::-1]
 
-    return StateVector(psi, tuple(sorted(graph.outputs)))
+    return StateVector(psi, outputs)

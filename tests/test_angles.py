@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -49,6 +51,23 @@ def test_a_pickled_angle_drops_its_cached_hash():
         assert "_hash" not in vars(copy) and "_text" not in vars(copy)
         assert hash(copy) == hash(angle) == hash((angle.pi_multiple, angle.float_radians))
         assert copy.text() == text
+
+
+def test_an_angle_keeps_its_radians_outside_its_value():
+    for angle, radians in ((Angle.exact(3, 8), math.pi * float(Fraction(3, 8))), (Angle.radians(0.5), 0.5)):
+        assert angle.to_radians() == radians
+        assert "_radians" in vars(angle)
+        assert "_radians" not in {f.name for f in dataclasses.fields(angle)}
+        assert repr(angle) == f"Angle(pi_multiple={angle.pi_multiple!r}, float_radians={angle.float_radians!r})"
+        # a different kept value changes neither == nor hash
+        other = Angle(angle.pi_multiple, angle.float_radians)
+        object.__setattr__(other, "_radians", -1.0)
+        assert other == angle and hash(other) == hash(angle)
+        # pickling carries the fields alone; loading computes the radians again
+        data = pickle.dumps(angle)
+        assert b"_radians" not in data
+        copy = pickle.loads(data)
+        assert copy.to_radians() == radians and copy == angle
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -1,6 +1,7 @@
 """Statevector oracle, cross-checked against test-local kron matrices."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -110,6 +111,13 @@ def test_basis_column_order_small_cases():
         basis_column_order((1, 2), [1, 3])
 
 
+def test_basis_column_order_names_a_repeated_wire():
+    with pytest.raises(ValueError, match=r"^repeated wire 1$"):
+        basis_column_order((1, 1), [1, 1])
+    with pytest.raises(ValueError, match=r"^repeated wire 2$"):
+        basis_column_order((2, 3, 2), [2, 2, 3])
+
+
 def test_basis_column_order_is_a_permutation():
     wires = (3, 1, 4, 2)
     for logical in itertools.permutations(wires):
@@ -156,6 +164,26 @@ def test_max_deviation_phase_alignment():
     state = StateVector(np.array([0.6, 0.8j]), (1,))
     assert max_deviation(state, StateVector(1j * state.amplitudes, (1,))) == pytest.approx(0.0, abs=1e-15)
     assert max_deviation(state, StateVector(np.array([0.6, -0.8j]), (1,))) == pytest.approx(1.2)
+
+
+def test_max_deviation_is_never_nan():
+    # an all-zero reference: no phase does better than b's largest entry
+    assert max_deviation(np.zeros(2), np.ones(2)) == 1.0
+    assert max_deviation(np.zeros((2, 2)), np.array([[0.0, -3j], [0.5, 0.0]])) == 3.0
+    assert max_deviation(np.zeros(3), np.zeros(3)) == 0.0
+    # a NaN or infinite entry anywhere, on either side, reads as infinity
+    for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(math.inf, 1.0)):
+        for k in (0, 1):
+            entries = np.array([1.0, 0.5], dtype=complex)
+            entries[k] = bad
+            good = np.array([1.0, 0.5], dtype=complex)
+            assert max_deviation(entries, good) == math.inf, (bad, k)
+            assert max_deviation(good, entries) == math.inf, (bad, k)
+    assert max_deviation(np.zeros(2), np.array([0.0, math.nan])) == math.inf
+    # also when b is zero at a's largest entry, so no phase is aligned
+    assert max_deviation(np.array([1.0, 0.5]), np.array([0.0, math.nan])) == math.inf
+    # so every caller's "dev > tol" fails closed
+    assert max_deviation(np.zeros(2), np.array([math.nan, 0.0])) > 1e-9
 
 
 def test_run_pattern_refuses_an_outcome_of_zero_amplitude():

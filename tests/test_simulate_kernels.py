@@ -15,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oneway.simulate as simulate
-from oneway import CompileError, circuit_isometry, compile_pattern, find_flow, find_gflow
-from oneway import j_matrix, max_deviation, odd_neighborhood, run_pattern
-from oneway.simulate import _TABLE_MAX, _apply_cx, _apply_cz, _cx_sources, _cz_signs
+from oneway import Angle, Circuit, CompileError, Gate, ProjectionError, Wire, circuit_isometry
+from oneway import compile_pattern, find_flow, find_gflow, j_matrix, max_deviation, odd_neighborhood, run_pattern
+from oneway.simulate import _TABLE_MAX, _cx_sources, _cz_signs, _kernels
 from conftest import cluster_strip
 from test_determinism import all_small_open_graphs
+from test_simulate import lifted_isometry
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -112,16 +113,17 @@ def test_kernels_equal_the_strided_ones_on_both_sides_of_the_bound(seed, batch_b
     for k in range(1, 13):  # 2**1 .. 2**12 amplitudes: tables up to 2**10, strided above
         state = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
         state[rng.integers(1 << k)] = 0.0
+        cz, cx = _kernels(state.size)
         for wires in sorted({k, max(1, k - batch_bits)}):  # without and with a trailing batch
             for a, b in itertools.combinations(range(wires), 2):
                 got, want = state.copy(), state.copy()
-                _apply_cz(got, a, b)
+                cz(got, a, b)
                 strided_cz(want, a, b)
                 assert np.array_equal(got, want), (k, wires, a, b)
             for c, t in itertools.permutations(range(wires), 2):
                 want = state.copy()
                 strided_cx(want, c, t)
-                assert np.array_equal(_apply_cx(state.copy(), c, t), want), (k, wires, c, t)
+                assert np.array_equal(cx(state.copy(), c, t), want), (k, wires, c, t)
 
 
 def test_cached_tables_are_shared_and_read_only():
@@ -133,9 +135,10 @@ def test_cached_tables_are_shared_and_read_only():
         with pytest.raises(ValueError):
             table[0] = 0
     psi = np.arange(64, dtype=complex)
-    assert np.array_equal(_apply_cx(psi, 4, 1), psi[sources])
+    cz, cx = _kernels(psi.size)
+    assert np.array_equal(cx(psi, 4, 1), psi[sources])
     kept = psi.copy()
-    _apply_cz(psi, 1, 4)
+    cz(psi, 1, 4)
     assert np.array_equal(psi, kept * signs)  # in place, in the caller's array
 
 
@@ -152,8 +155,9 @@ def test_worst_case_table_bytes_stay_under_the_documented_figure_above_which_no_
     _cz_signs.cache_clear()
     _cx_sources.cache_clear()
     big = np.ones(2 * _TABLE_MAX, dtype=complex)
-    _apply_cz(big, 0, 1)
-    assert _apply_cx(big, 1, 0) is big
+    cz, cx = _kernels(big.size)
+    cz(big, 0, 1)
+    assert cx(big, 1, 0) is big
     assert _cz_signs.cache_info().currsize == _cx_sources.cache_info().currsize == 0
 
 
@@ -214,3 +218,103 @@ def test_max_deviation_equals_the_unravelled_form():
         for other in (mb, zeroed, np.asfortranarray(mb)):
             assert max_deviation(ma, other) == unravelled_max_deviation(ma, other)
         assert max_deviation(np.asfortranarray(ma), mb) == unravelled_max_deviation(ma, mb)
+
+
+def interleaved_circuit(rng, n, inputs):
+    """n wires, ``inputs`` of them inputs, measured at every other position
+    from the last one back, so no two reduced axes are adjacent; 2n random
+    J, CZ and CX gates, the J angles exact or float."""
+    ids = sorted(rng.choice(np.arange(1, 40), size=n, replace=False).tolist())
+    is_input = set(rng.choice(n, size=inputs, replace=False).tolist())
+    wires = tuple(
+        Wire(w, "input" if k in is_input else "plus", "measured" if (n - 1 - k) % 2 == 0 else "output")
+        for k, w in enumerate(ids)
+    )
+    gates = []
+    for _ in range(2 * n):
+        kind = rng.choice(["J", "CZ", "CX"] if n > 1 else ["J"])
+        if kind == "J":
+            angle = Angle.exact(int(rng.integers(8)), 8) if rng.integers(2) else Angle.radians(rng.uniform(-4, 4))
+            gates.append(Gate("J", (ids[rng.integers(n)],), angle))
+        else:
+            a, b = rng.choice(ids, size=2, replace=False).tolist()
+            gates.append(Gate(str(kind), (a, b)))
+    return Circuit(wires, tuple(gates))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_isometry_equals_the_lifted_product_with_measured_wires_apart(seed):
+    rng = np.random.default_rng(seed)
+    shapes = ((1, 0), (1, 1), (3, 0), (4, 2), (5, 3), (7, 3), (8, 3))  # wires, inputs
+    sizes = [1 << (n + k) for n, k in shapes]
+    assert min(sizes) <= _TABLE_MAX < max(sizes)  # tables below, strided kernels above
+    for n, k in shapes:
+        circuit = interleaved_circuit(rng, n, k)
+        raw = lifted_isometry(circuit)
+        norms = np.linalg.norm(raw, axis=0)
+        if norms.min() < 1e-12:
+            with pytest.raises(ProjectionError):
+                circuit_isometry(circuit)
+            continue
+        if norms.min() < 1e-2:  # renormalizing a tiny column magnifies rounding
+            continue
+        iso = circuit_isometry(circuit)
+        assert iso.input_wires == tuple(w.id for w in circuit.wires if w.init == "input")
+        assert iso.output_wires == tuple(w.id for w in circuit.wires if w.terminal == "output")
+        assert np.max(np.abs(iso.matrix - raw / norms)) <= 1e-12, circuit
+
+
+def test_an_empty_circuit_and_circuits_without_a_measured_wire():
+    empty = circuit_isometry(Circuit((), ()))
+    assert empty.matrix.tolist() == [[1]]
+    assert empty.input_wires == empty.output_wires == ()
+
+    plus = circuit_isometry(Circuit((Wire(4, "plus", "output"), Wire(9, "plus", "output")), ()))
+    assert plus.matrix == pytest.approx(np.full((4, 1), 0.5), abs=1e-15)
+    assert plus.output_wires == (4, 9)
+
+    gates = (Gate("CZ", (1, 2)), Gate("J", (2,), Angle.exact(3, 4)), Gate("CX", (2, 3)))
+    for inits in (("input", "plus", "input"), ("plus", "plus", "plus")):
+        circuit = Circuit(tuple(Wire(w, init, "output") for w, init in zip((1, 2, 3), inits)), gates)
+        raw = lifted_isometry(circuit)
+        got = circuit_isometry(circuit).matrix
+        assert np.max(np.abs(got - raw / np.linalg.norm(raw, axis=0))) <= 1e-15
+
+
+def output_hit_parities(graph, structure, outcomes):
+    """(X parity, Z parity) each output takes from the outcome-1 vertices'
+    correcting sets, counted here from the sets themselves."""
+    parities = {v: [0, 0] for v in graph.outputs}
+    for i, r in outcomes.items():
+        if r:
+            g = structure.correcting_sets[i]
+            for v in g & graph.outputs:
+                parities[v][0] ^= 1
+            for v in (odd_neighborhood(graph, g) - {i}) & graph.outputs:
+                parities[v][1] ^= 1
+    return [tuple(p) for p in parities.values()]
+
+
+def test_run_pattern_corrects_exactly_the_outputs_with_an_odd_hit():
+    rng = np.random.default_rng(17)
+    graphs = list(all_small_open_graphs(4)) + [cluster_strip(2)]
+    seen = set()
+    for graph in graphs:
+        structure = find_flow(graph) or find_gflow(graph)
+        if structure is None:
+            continue
+        iso = circuit_isometry(compile_pattern(graph, verify=False).extended)
+        measured = sorted(graph.measured)
+        dim = 2 ** len(graph.inputs)
+        state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        state /= np.linalg.norm(state)
+        for bits in itertools.product((0, 1), repeat=len(measured)):
+            outcomes = dict(zip(measured, bits))
+            seen.update(output_hit_parities(graph, structure, outcomes))
+            got = run_pattern(graph, structure, state, outcomes).amplitudes
+            want = strided_run_pattern(graph, structure, state, outcomes)
+            assert np.max(np.abs(got - want)) <= 1e-15, (graph.edges, outcomes)
+            assert max_deviation(got, iso.matrix @ state) <= 1e-12, (graph.edges, outcomes)
+    # outputs with no hit, an X alone, a Z alone and both
+    assert seen == {(0, 0), (1, 0), (0, 1), (1, 1)}
