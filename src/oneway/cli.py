@@ -20,7 +20,7 @@ from .determinism import find_flow, find_gflow, validate_gflow
 from .graphs import OpenGraph, parse_graph_with_sets
 from .pipeline import CompileError, compile_pattern
 from .rewrite import SimplificationTrace, trace_text
-from .simulate import ProjectionError, WireCapError, circuit_isometry, max_deviation
+from .verify import compare_circuits
 
 __all__ = ["main"]
 
@@ -144,18 +144,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         return _fail(2, str(exc))
     try:
-        ia = circuit_isometry(a, cap=args.max_wires)
-        ib = circuit_isometry(b, cap=args.max_wires)
-    except (WireCapError, ProjectionError) as exc:
+        dev = compare_circuits(a, b, args.max_wires)
+    except ValueError as exc:  # too wide, a collapsed column, or shapes that differ
         return _fail(4, str(exc))
-    if ia.matrix.shape != ib.matrix.shape:
-        return _fail(
-            4,
-            f"shape mismatch: {ia.matrix.shape} vs {ib.matrix.shape}"
-            f" (inputs {len(ia.input_wires)} vs {len(ib.input_wires)},"
-            f" outputs {len(ia.output_wires)} vs {len(ib.output_wires)})",
-        )
-    dev = max_deviation(ia.matrix, ib.matrix)
     print(f"max deviation: {dev:.3e}")
     return 0 if dev <= args.tol else 4
 

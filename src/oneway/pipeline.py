@@ -1,22 +1,17 @@
 """The one compile sequence: structure, extended circuit, compact circuit,
-then the dense-oracle check that `oneway compile` reports on."""
+then the proof that `oneway compile` reports on, which ``verify`` makes."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .circuits import Circuit
 from .determinism import CorrectionStructure, find_flow, find_gflow, validate_gflow
 from .extend import build_extended
 from .graphs import OpenGraph
-from .rewrite import (
-    FlowSimplifyError, GflowSearchExhausted, SimplificationTrace, follow_jgates, simplify_flow,
-    simplify_gflow,
-)
-from .simulate import basis_column_order, circuit_isometry, max_deviation, run_pattern
+from .rewrite import FlowSimplifyError, GflowSearchExhausted, SimplificationTrace, simplify_flow, simplify_gflow
+from .verify import check_compile
 
 __all__ = ["Compiled", "CompileError", "compile_pattern"]
 
@@ -42,23 +37,6 @@ class CompileError(Exception):
         self.code = code
         self.extended = extended
         self.trace = trace
-
-
-def _spot_check(
-    graph: OpenGraph, structure: CorrectionStructure, aligned_compact: np.ndarray, seed: int, cap: int
-) -> float:
-    """Random outcome strings against the measurement-pattern semantics."""
-    rng = np.random.default_rng(seed)
-    order = sorted(graph.measured)
-    dim = 2 ** len(graph.inputs)
-    worst = 0.0
-    for _ in range(2):
-        outcomes = {i: int(rng.integers(2)) for i in order}
-        state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        state /= np.linalg.norm(state)
-        got = run_pattern(graph, structure, state, outcomes, cap=cap).amplitudes
-        worst = max(worst, max_deviation(got, aligned_compact @ state))
-    return worst
 
 
 def compile_pattern(
@@ -111,16 +89,7 @@ def compile_pattern(
 
     if not verify:
         return Compiled(structure, extended, compact, trace, None)
-    if max(len(extended.wires), len(compact.wires)) > max_wires:
-        raise CompileError(4, f"cannot verify: circuit exceeds --max-wires {max_wires}", extended, trace)
-    a = circuit_isometry(extended, cap=max_wires)
-    b = circuit_isometry(compact, cap=max_wires)
-    chained = follow_jgates(trace.steps, list(a.input_wires))
-    aligned = b.matrix[:, basis_column_order(b.input_wires, chained)]
-    dev = max_deviation(a.matrix, aligned)
-    if dev > tol:
-        raise CompileError(4, f"verification failed: deviation {dev:.3e} > {tol:.1e}", extended, trace)
-    spot = _spot_check(graph, structure, aligned, seed, max_wires)
-    if spot > tol:
-        raise CompileError(4, f"outcome spot check failed: deviation {spot:.3e}", extended, trace)
-    return Compiled(structure, extended, compact, trace, max(dev, spot))
+    deviation, why = check_compile(graph, structure, extended, compact, trace.steps, tol, max_wires, seed)
+    if why is not None:
+        raise CompileError(4, why, extended, trace)
+    return Compiled(structure, extended, compact, trace, deviation)

@@ -38,10 +38,10 @@ teleport onto.  For each injective designation a depth-first search cancels
 every CX off the designation, then a fixed tail cancels pairs, clears correction CZs,
 cancels pairs again and collapses each wire with the J-gate identity.  The
 first path that strips every measured wire is the result; each of its steps
-is applied once and oracle-checked on circuits of at most
-``_CHECKED_WIDTH`` wires.  Given a flow as singleton correcting sets, the
-engine reproduces ``simplify_flow``'s output byte for byte.  An order other
-than the structure's, or a structure and circuit that do not name the same
+is applied once, and ``verify.check_steps`` checks the path against the
+dense oracle.  Given a flow as singleton correcting sets, the engine
+reproduces ``simplify_flow``'s output byte for byte.  An order other than
+the structure's, or a structure and circuit that do not name the same
 measured wires, is refused up front with ValueError, before any search.
 
 A Circuit never changes: each rule applied to one returns a new Circuit.
@@ -81,6 +81,7 @@ from typing import NamedTuple
 
 from .circuits import Circuit, Gate, Wire, _StrictTuple, digest
 from .determinism import CorrectionStructure
+from .verify import check_steps
 
 __all__ = [
     "RewriteStep",
@@ -100,10 +101,8 @@ __all__ = [
 ]
 
 
-_TOL = 1e-9  # the per-step oracle checks' deviation bound
 _PLAN_BUDGET = 4000  # search nodes per designation
 _ATTEMPT_CAP = 10_000  # designations tried when no budget is given
-_CHECKED_WIDTH = 12  # the widest circuit the per-step oracle checks compare
 _PRODUCED = {"jgate": 1, "peephole-cancel": 0, "cz-commute": 2, "cx-commute": 2, "cz-to-cx": 2}  # gates per step
 
 
@@ -455,15 +454,6 @@ def replay(circuit: Circuit, steps: tuple[RewriteStep, ...] | list[RewriteStep])
     return c
 
 
-def follow_jgates(steps: tuple[RewriteStep, ...] | list[RewriteStep], wires: list[int]) -> list[int]:
-    """Where ``wires`` end up after ``steps``: a jgate moves wire i onto j."""
-    for st in steps:
-        if st.rule == "jgate":
-            j = st.produced[0].wires[0]
-            wires = [j if w == st.wire_removed else w for w in wires]
-    return wires
-
-
 # --- flow: the closed form ---------------------------------------------------
 
 
@@ -563,8 +553,8 @@ def simplify_flow(circuit: Circuit, order: tuple[int, ...]) -> tuple[Circuit, Si
     correction CZ i k, right to left, moving the edge CZ f(i) k past the CX
     i f(i); then, in ``order``, one jgate per measured wire.  Positions
     are read off order keys by bisection, each key once per step, with no
-    relabelling.  It checks no step; the pipeline's final oracle check
-    covers the result.
+    relabelling.  It checks no step; `compile_pattern`'s proof covers the
+    result.
     """
     edges, others, f, j_at, cx_at = _read_flow(circuit, order)
     gates = circuit.gates
@@ -959,37 +949,6 @@ def _plan(
     return (found, None, nodes) if found is not None else (best, why, nodes)
 
 
-def _check_path(end: _Node) -> tuple[_Node, str | None]:
-    """Oracle-check each step on the path to ``end`` taken on a circuit of
-    at most ``_CHECKED_WIDTH`` wires.
-
-    Each such step compares the isometries of the nodes on either side of
-    it, with input columns lined up through the jgate relabelings; no rule
-    runs again.  Returns ``end`` and None, or the node before the
-    first drifting step and why.
-    """
-    from .simulate import basis_column_order, circuit_isometry, max_deviation
-
-    path = end.path()
-    order = [w.id for w in path[0].wires if w.init == "input"]
-    before = None
-    for node, following in zip(path, path[1:]):
-        step = following.step
-        order_after = follow_jgates([step], order)
-        if len(node.wires) <= _CHECKED_WIDTH:
-            if before is None:
-                before = circuit_isometry(node)
-            after = circuit_isometry(following)
-            mb = before.matrix[:, basis_column_order(before.input_wires, order)]
-            ma = after.matrix[:, basis_column_order(after.input_wires, order_after)]
-            dev = max_deviation(mb, ma)
-            if dev > _TOL:
-                return node, f"step {step.text()} drifted by {dev:.3g}"
-            before = after
-        order = order_after
-    return end, None
-
-
 def simplify_gflow(
     circuit: Circuit,
     order: tuple[int, ...],
@@ -1007,11 +966,11 @@ def simplify_gflow(
     ``order``, are tried injectively in product order of the ascending
     candidate lists, at most ``budget`` of them (default: all, capped at
     ``_ATTEMPT_CAP``; a budget below 1 raises ValueError).  Each gets one
-    plan search; its accepted path is the result once every step on at most
-    ``_CHECKED_WIDTH`` wires passes the oracle check, and a drifting step
-    fails the designation.  ``order`` must be ``structure.order``, and the
-    structure must correct the wires the circuit measures; else ValueError,
-    before any search.
+    plan search; its accepted path is the result once ``check_steps`` finds
+    that each step taken on at most 12 wires keeps the isometry within 1e-9,
+    and a drifting step fails the designation.  ``order`` must be
+    ``structure.order``, and the structure must correct the wires the
+    circuit measures; else ValueError, before any search.
     `compile_pattern` calls it only for a gflow (some g(i) of two or more
     vertices); given a flow's single-vertex sets it takes
     ``simplify_flow``'s steps, which the tests hold it to.
@@ -1046,7 +1005,9 @@ def simplify_gflow(
         end, why, spent = _plan(root, order, targets)
         nodes += spent
         if why is None:
-            end, why = _check_path(end)
+            path = end.path()
+            held, why = check_steps(path)
+            end = path[held]
         compact = Circuit(end.wires, end.gates)
         trace = SimplificationTrace(tuple(end.steps), initial, digest(compact))
         if why is None:

@@ -19,7 +19,7 @@ from oneway import (
     trace_text,
 )
 from oneway.cli import main
-from oneway.rewrite import follow_jgates
+from oneway.verify import follow_jgates
 
 TRIANGLE = """\
 vertices: 1 2 3

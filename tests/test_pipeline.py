@@ -6,6 +6,7 @@ import pytest
 
 import oneway.determinism
 import oneway.pipeline
+import oneway.simulate
 from oneway import (
     Angle, CompileError, FlowSimplifyError, OpenGraph, StateVector, build_extended, compile_pattern, emit_text,
     find_flow, parse_graph, trace_text,
@@ -78,13 +79,13 @@ def test_a_failed_flow_simplification_is_code_4(monkeypatch):
 
 
 def test_a_failed_outcome_spot_check_is_code_4(monkeypatch):
-    run_pattern = oneway.pipeline.run_pattern
+    run_pattern = oneway.simulate.run_pattern
 
     def flipped(*args, **kwargs):  # path3's one output, in the state orthogonal to the pattern's
         state = run_pattern(*args, **kwargs)
         return StateVector(state.amplitudes[::-1] * [1, -1], state.wires)
 
-    monkeypatch.setattr(oneway.pipeline, "run_pattern", flipped)
+    monkeypatch.setattr(oneway.simulate, "run_pattern", flipped)
     graph, _ = load_fixture("path3")
     with pytest.raises(CompileError, match=r"^outcome spot check failed: deviation \d\.\d{3}e[+-]\d\d$") as info:
         compile_pattern(graph)

@@ -70,9 +70,9 @@ from oneway.rewrite import (
     _partner_moves,
     _peephole_shape,
     _triangle_shape,
-    follow_jgates,
 )
 from oneway.simulate import basis_column_order
+from oneway.verify import follow_jgates
 from _oracle import cx_on, cz_on, j_of, j_on, plus_embedding
 from conftest import cluster_strip, load_fixture
 from test_acceptance import atlas_gflow_only_graphs
@@ -1186,16 +1186,16 @@ def test_step_checks_read_the_search_path(name, monkeypatch):
     else:
         structure, ext, order = fixture_pipeline(name)
     paths = []
-    check_path = oneway.rewrite._check_path
+    check_steps = oneway.rewrite.check_steps
 
-    def watched(end):
-        paths.append(end.path())
+    def watched(path):
+        paths.append(path)
         with pytest.MonkeyPatch.context() as mp:
             for rule in [n for n in oneway.rewrite.__all__ if n.startswith("apply_")]:
                 mp.setattr(oneway.rewrite, rule, None)
-            return check_path(end)
+            return check_steps(path)
 
-    monkeypatch.setattr(oneway.rewrite, "_check_path", watched)
+    monkeypatch.setattr(oneway.rewrite, "check_steps", watched)
     compact, trace = simplify_gflow(ext, order, structure)
     (path,) = paths
     assert tuple(node.step for node in path[1:]) == trace.steps
