@@ -4,9 +4,10 @@
 The graphs are the benchmark's ``gflow_only(range(2, 7))``: the 256
 connected open graphs of 2 to 6 vertices, no inputs, over all output
 subsets, that admit a gflow but no flow, in the benchmark's order.  Each is
-compiled as ``oneway compile GRAPH --trace PATH --seed 1`` would compile it
-(the benchmark's ``staged.compile_text``), and one sha256 covers each
-graph's id, exit code, stdout, trace text and error.  The benchmark's
+compiled by ``compile_pattern(graph, sets, seed=1)``, the pipeline behind
+``oneway compile GRAPH --trace PATH --seed 1``, and one sha256 covers each
+graph's id and what that command leaves behind: its exit code, stdout,
+trace text (None when it writes no trace) and error.  The benchmark's
 files are read, not changed.
 
     PYTHONPATH=src python3 scripts/gflow_only_digest.py [--expect SHA256]
@@ -25,7 +26,17 @@ from collections import Counter
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
 
 import graphsets  # noqa: E402
-import staged  # noqa: E402
+
+from oneway import CompileError, compile_pattern, emit_text, parse_graph_with_sets, trace_text  # noqa: E402
+
+
+def compile_outcome(text: str) -> tuple[int, str, str | None, str]:
+    """The exit code, stdout, trace text and error of `oneway compile` on ``text``."""
+    try:
+        done = compile_pattern(*parse_graph_with_sets(text), seed=1)
+    except CompileError as exc:
+        return exc.code, "", None if exc.trace is None else trace_text(exc.trace), str(exc)
+    return 0, emit_text(done.compact), trace_text(done.trace), ""
 
 
 def outcomes_digest(specs) -> tuple[Counter, str]:
@@ -33,9 +44,9 @@ def outcomes_digest(specs) -> tuple[Counter, str]:
     codes: Counter = Counter()
     h = hashlib.sha256()
     for spec in specs:
-        out = staged.compile_text(spec.text, verify=True, seed=1)
-        codes[out.code] += 1
-        h.update(json.dumps([spec.gid, out.code, out.stdout, out.trace, out.error]).encode() + b"\n")
+        code, stdout, trace, error = compile_outcome(spec.text)
+        codes[code] += 1
+        h.update(json.dumps([spec.gid, code, stdout, trace, error]).encode() + b"\n")
     return codes, h.hexdigest()
 
 

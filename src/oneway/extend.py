@@ -7,6 +7,10 @@ need no check here.  Each correcting-set
 member j contributes one block, CX onto j then CZs onto j's other neighbors;
 the Z on the measured wire itself is dropped, since it cancels against the
 measurement's own outcome dependence.
+
+Only ``simplify_flow`` reads this layout back, to take the flow off the
+circuit.  ``simplify_gflow`` takes the graph from its structure and shares
+only the wire rule, ``_wires``, to refuse a circuit built for another graph.
 """
 
 from __future__ import annotations
@@ -26,6 +30,15 @@ def correction_block(graph: OpenGraph, i: int, j: int) -> list[Gate]:
     return gates
 
 
+def _wires(graph: OpenGraph) -> tuple[Wire, ...]:
+    """The extended circuit's wires: one per vertex, ascending, starting as
+    an input or |+> and ending as an output or measured."""
+    return tuple(
+        Wire(v, "input" if v in graph.inputs else "plus", "output" if v in graph.outputs else "measured")
+        for v in graph.vertices
+    )
+
+
 def build_extended(graph: OpenGraph, structure: CorrectionStructure) -> Circuit:
     """The extended circuit of ``structure`` on ``graph``, one round per layer.
 
@@ -33,16 +46,6 @@ def build_extended(graph: OpenGraph, structure: CorrectionStructure) -> Circuit:
     checked, since the structure checked itself when it was made.
     """
     _require_graph(graph, structure)
-
-    wires = tuple(
-        Wire(
-            v,
-            "input" if v in graph.inputs else "plus",
-            "output" if v in graph.outputs else "measured",
-        )
-        for v in graph.vertices
-    )
-
     gates: list[Gate] = [Gate("CZ", edge) for edge in sorted(graph.edges)]
     for layer in structure.layers:
         for i in layer:
@@ -50,4 +53,4 @@ def build_extended(graph: OpenGraph, structure: CorrectionStructure) -> Circuit:
         for i in layer:
             for j in sorted(structure.correcting_sets[i]):
                 gates.extend(correction_block(graph, i, j))
-    return Circuit(wires, tuple(gates))
+    return Circuit(_wires(graph), tuple(gates))

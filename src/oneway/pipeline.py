@@ -89,7 +89,7 @@ def compile_pattern(
 
     if not verify:
         return Compiled(structure, extended, compact, trace, None)
-    deviation, why = check_compile(graph, structure, extended, compact, trace.steps, tol, max_wires, seed)
+    deviation, why = check_compile(structure, extended, compact, trace.steps, tol, max_wires, seed)
     if why is not None:
         raise CompileError(4, why, extended, trace)
     return Compiled(structure, extended, compact, trace, deviation)

@@ -33,16 +33,18 @@ circuit, writes the compact circuit in closed form and derives the trace
 from that fixed schedule, calling no rule.
 
 The rewrite engine serves ``simplify_gflow``.  It is given, for each
-measured wire in the structure's order, the graph neighbours in g(i) it may
-teleport onto.  For each injective designation a depth-first search cancels
-every CX off the designation, then a fixed tail cancels pairs, clears correction CZs,
-cancels pairs again and collapses each wire with the J-gate identity.  The
+measured wire in the structure's order, the neighbours in g(i) it may
+teleport onto, taken from the structure's graph.  For each injective
+designation a depth-first search cancels every CX off the designation,
+then a fixed tail cancels pairs, clears correction CZs, cancels pairs
+again and collapses each wire with the J-gate identity.  The
 first path that strips every measured wire is the result; each of its steps
 is applied once, and ``verify.check_steps`` checks the path against the
 dense oracle.  Given a flow as singleton correcting sets, the engine
 reproduces ``simplify_flow``'s output byte for byte.  An order other than
-the structure's, or a structure and circuit that do not name the same
-measured wires, is refused up front with ValueError, before any search.
+the structure's, or a circuit whose wires are not the ones
+``build_extended`` lays out for the structure's graph, is refused up front
+with ValueError, before any search.
 
 A Circuit never changes: each rule applied to one returns a new Circuit.
 Inside the engine every circuit sits in a ``_Node`` with the step that made
@@ -81,6 +83,7 @@ from typing import NamedTuple
 
 from .circuits import Circuit, Gate, Wire, _StrictTuple, digest
 from .determinism import CorrectionStructure
+from .extend import _wires
 from .verify import check_steps
 
 __all__ = [
@@ -959,8 +962,8 @@ def simplify_gflow(
     """Search a special-CX designation and strip every measured wire.
 
     Each measured wire i keeps one special CX (its eventual teleportation
-    partner, a graph neighbour in g(i), read off the circuit's leading CZs,
-    which ``build_extended`` lays out as the graph's edges); the engine
+    partner, a neighbour of i in ``structure.graph`` that lies in g(i); one
+    exists, since i is in Odd(g(i))); the engine
     cancels the others with the CX-triangle identity, minting helpers from
     CZ pairs where needed.  Designations, one partner per wire in
     ``order``, are tried injectively in product order of the ascending
@@ -969,8 +972,8 @@ def simplify_gflow(
     plan search; its accepted path is the result once ``check_steps`` finds
     that each step taken on at most 12 wires keeps the isometry within 1e-9,
     and a drifting step fails the designation.  ``order`` must be
-    ``structure.order``, and the structure must correct the wires the
-    circuit measures; else ValueError, before any search.
+    ``structure.order``, and the circuit's wires the ones ``build_extended``
+    gives the structure's graph; else ValueError, before any search.
     `compile_pattern` calls it only for a gflow (some g(i) of two or more
     vertices); given a flow's single-vertex sets it takes
     ``simplify_flow``'s steps, which the tests hold it to.
@@ -979,18 +982,12 @@ def simplify_gflow(
         raise ValueError(f"budget must be at least 1, got {budget}")
     if tuple(order) != structure.order:
         raise ValueError(f"the order {list(order)} is not the structure's order {list(structure.order)}")
-    measured = sorted(w.id for w in circuit.wires if w.terminal == "measured")
-    if sorted(order) != measured:
-        raise ValueError(f"the structure corrects wires {sorted(order)}, but the circuit measures wires {measured}")
+    graph = structure.graph
+    if circuit.wires != _wires(graph):
+        raise ValueError("structure invalid for circuit: it was made for another graph")
     initial = digest(circuit)
     partial = SimplificationTrace((), initial, initial)
-    edges = {g.wires for g in itertools.takewhile(lambda g: g.kind == "CZ", circuit.gates)}
-    candidates: list[list[int]] = []
-    for i in order:
-        cand = sorted(j for j in structure.correcting_sets[i] if (min(i, j), max(i, j)) in edges)
-        if not cand:
-            raise GflowSearchExhausted(0, partial, f"wire {i} has no graph neighbour in its correcting set")
-        candidates.append(cand)
+    candidates = [sorted(structure.correcting_sets[i] & graph.neighbors[i]) for i in order]
     cap = _ATTEMPT_CAP if budget is None else budget
 
     root = _Node(circuit.wires, circuit.gates)  # every designation's search starts here

@@ -249,10 +249,11 @@ def max_deviation(
 ) -> float:
     """Max entrywise deviation after aligning global phase on a's biggest entry.
 
-    Never NaN, so a check ``dev > tol`` fails closed: when ``a`` is all zero
-    the deviation is b's largest magnitude, since no phase does better, and
-    a NaN or infinite entry in either, or any other non-finite result, reads
-    as ``math.inf``.
+    Never NaN, so a check ``dev > tol`` fails closed: when either side is
+    zero at that entry there is no phase to align, so the two are compared
+    as they are (an all-zero ``a`` gives b's largest magnitude), and a NaN
+    or infinite entry in either, or any other non-finite result, reads as
+    ``math.inf``.
     """
     ma, mb = _as_matrix(a), _as_matrix(b)
     if ma.shape != mb.shape:
@@ -263,12 +264,8 @@ def max_deviation(
     top_mag, b_top_mag = mags.flat[k], b_mags.flat[b_mags.argmax()]
     if not (math.isfinite(top_mag) and math.isfinite(b_top_mag)):
         return math.inf
-    if top_mag == 0.0:
-        return float(b_top_mag)
     top, other = ma.flat[k], mb.flat[k]
-    if other == 0.0:
-        return float(top_mag)
-    ratio = top / other
+    ratio = top / other if top_mag and other != 0.0 else 1.0  # no phase to align on a zero
     dev = np.abs(ma - (ratio / abs(ratio)) * mb)
     worst = float(dev.flat[dev.argmax()])
     return worst if math.isfinite(worst) else math.inf

@@ -27,7 +27,6 @@ import numpy as np
 from . import simulate
 from .circuits import Circuit
 from .determinism import CorrectionStructure
-from .graphs import OpenGraph
 
 __all__ = ["check_compile", "check_steps", "compare_circuits"]
 
@@ -63,8 +62,10 @@ def compare_circuits(a: Circuit, b: Circuit, cap: int) -> float:
     return simulate.max_deviation(ia.matrix, ib.matrix)
 
 
-def _spot_check(graph: OpenGraph, structure: CorrectionStructure, aligned: np.ndarray, seed: int, cap: int) -> float:
-    """Random outcome strings against the measurement-pattern semantics."""
+def _spot_check(structure: CorrectionStructure, aligned: np.ndarray, seed: int, cap: int) -> float:
+    """Random outcome strings against the measurement-pattern semantics of
+    ``structure`` on its graph."""
+    graph = structure.graph
     rng = np.random.default_rng(seed)
     order = sorted(graph.measured)
     dim = 2 ** len(graph.inputs)
@@ -78,12 +79,12 @@ def _spot_check(graph: OpenGraph, structure: CorrectionStructure, aligned: np.nd
     return worst
 
 
-def check_compile(graph: OpenGraph, structure: CorrectionStructure, extended: Circuit, compact: Circuit, steps,
+def check_compile(structure: CorrectionStructure, extended: Circuit, compact: Circuit, steps,
                   tol: float, max_wires: int, seed: int) -> tuple[float | None, str | None]:
     """Prove that ``compact``, which ``steps`` made from ``extended``, does
-    what the pattern does: first against ``extended``, then on two outcome
-    strings drawn with ``seed``.  Returns the worst deviation and None, or
-    None and why the proof fails."""
+    what the pattern of ``structure`` on its graph does: first against
+    ``extended``, then on two outcome strings drawn with ``seed``.  Returns
+    the worst deviation and None, or None and why the proof fails."""
     if max(len(extended.wires), len(compact.wires)) > max_wires:
         return None, f"cannot verify: circuit exceeds --max-wires {max_wires}"
     a, b = _isometries(extended, compact, max_wires)
@@ -92,7 +93,7 @@ def check_compile(graph: OpenGraph, structure: CorrectionStructure, extended: Ci
     dev = simulate.max_deviation(a.matrix, aligned)
     if dev > tol:
         return None, f"verification failed: deviation {dev:.3e} > {tol:.1e}"
-    spot = _spot_check(graph, structure, aligned, seed, max_wires)
+    spot = _spot_check(structure, aligned, seed, max_wires)
     if spot > tol:
         return None, f"outcome spot check failed: deviation {spot:.3e}"
     return max(dev, spot), None

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tokenize
 
 import pytest
 
@@ -62,6 +63,26 @@ def test_gflow_only_digest_checks_its_expectation(monkeypatch, capsys):
     assert script.main(["--expect", line.split()[1]]) == 0
     assert script.main(["--expect", "0" * 64]) == 1
     assert "expected sha256 " + "0" * 64 in capsys.readouterr().err
+
+
+def test_code_size_counts_rewrite_as_its_token_guard_does_and_sums_its_rows(capsys):
+    script = load_script("code_size")
+    # a docstring, a comment and a blank line are no code; a string that is
+    # not a docstring is
+    source = 'def f():\n    """Doc."""\n    # note\n\n    return """a\nb"""\n'
+    assert script.sizes(source) == (6, 3, 14)
+    assert script.main() == 0
+    header, *rows, total = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert header == ["module", "lines", "code", "tokens"] and total[0] == "total"
+    counts = {name: list(map(int, row)) for name, *row in rows}
+    assert "rewrite.py" in counts and "__init__.py" in counts
+    assert list(map(int, total[1:])) == [sum(column) for column in zip(*counts.values())]
+    with open(ROOT / "src" / "oneway" / "rewrite.py", encoding="utf-8") as source:
+        tokens = tokenize.generate_tokens(source.readline)
+        guard = sum(tok.type not in (tokenize.COMMENT, tokenize.NL) for tok in tokens)
+    assert counts["rewrite.py"][2] == guard
+    lines, code, _ = counts["rewrite.py"]
+    assert 0 < code < lines
 
 
 # The lines of a traced `perfbench/run.py --seconds 0 --trace 1` report that

@@ -186,6 +186,12 @@ def test_max_deviation_is_never_nan():
     assert max_deviation(np.zeros(2), np.array([math.nan, 0.0])) > 1e-9
 
 
+def test_max_deviation_compares_as_given_where_b_is_zero_at_as_largest_entry():
+    # no phase aligns on a zero, so the second entries differ by 1
+    assert max_deviation(np.array([1e-12, 0.0]), np.array([0.0, 1.0])) == 1.0
+    assert max_deviation(np.array([0.5, 0.0]), np.array([0.0, -2j])) == 2.0
+
+
 def test_run_pattern_refuses_an_outcome_of_zero_amplitude():
     # vertex 1 touches nothing, so it is measured as it is given: |-> has no
     # overlap with the J(0) outcome 0, <+|
