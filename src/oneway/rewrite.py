@@ -963,9 +963,8 @@ def simplify_gflow(
 
     Each measured wire i keeps one special CX (its eventual teleportation
     partner, a neighbour of i in ``structure.graph`` that lies in g(i); one
-    exists, since i is in Odd(g(i))); the engine
-    cancels the others with the CX-triangle identity, minting helpers from
-    CZ pairs where needed.  Designations, one partner per wire in
+    exists, since i is in Odd(g(i))); the engine cancels the others with
+    the CX-triangle identity, minting helpers from CZ pairs where needed.  Designations, one partner per wire in
     ``order``, are tried injectively in product order of the ascending
     candidate lists, at most ``budget`` of them (default: all, capped at
     ``_ATTEMPT_CAP``; a budget below 1 raises ValueError).  Each gets one

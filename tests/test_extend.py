@@ -4,9 +4,9 @@ The frozen gate list for the path fixture below was derived by hand from the
 construction rules: edge CZs first, then per round a J gate per measured
 vertex followed by one block per correcting-set member (CX onto the member,
 CZs onto the member's other neighbors).  The layout checks hold for every
-extended circuit, since build_extended is the only code that makes one: the
-rewrite engine reads the graph neighbours off it, and the J gates measure in
-the structure's order.
+extended circuit, since build_extended is the only code that makes one:
+simplify_flow reads the flow off it, and the J gates measure in the
+structure's order.
 """
 
 import itertools
