@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Alternating benchmark runs of two source trees, written to a BENCH file.
 
-    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N \\
-        --seed S --out BENCH_<n>.json
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W [W ...] \\
+        --pairs N --seed S --out BENCH_<n>.json
 
-Each pair runs each tree's own, unchanged ``perfbench/run.py --workload W
---seed S --trace 0`` once, from that tree's root.  The parent goes first in
-even pairs and the change in odd ones, so neither side always meets a cooler
-or a warmer machine.  Every run's result line (the JSON last line of its
-output), ``# output sha256`` and ``# env`` are kept.
+The workloads are run in turn, N pairs each.  Each pair runs each tree's
+own, unchanged ``perfbench/run.py --workload W --seed S --trace 0`` once,
+from that tree's root.  The parent goes first in even pairs and the change
+in odd ones, so neither side always meets a cooler or a warmer machine.
+Every run's result line (the JSON last line of its output), ``# output
+sha256`` and ``# env`` are kept.
 
 Per side, each end-to-end metric of the change tree's BENCHMARK.json gets
 its median and quartiles over the runs; each pair counts as won by the side
@@ -16,9 +17,10 @@ that is better on that metric, as the file's ``better`` says, and as a tie
 when the two are equal.  A gain is shown when the change wins at least 9 in
 10 pairs (a tie is won by neither side) and its median is better than the
 parent's by more than the parent's interquartile range; each metric records
-whether it is.  The series goes into ``--out``; when that file
-exists already, the series is appended to the ones it holds.  Exits 1 if a
-run failed or the two trees' outputs differ.
+whether it is.  Each workload's series goes into ``--out`` as soon as its
+pairs are done; when that file exists already, the series is appended to
+the ones it holds.  Exits 1 if a run of any workload failed or the two
+trees' outputs on it differ.
 """
 
 from __future__ import annotations
@@ -96,11 +98,34 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
     return summary
 
 
+def run_series(trees: dict[str, pathlib.Path], workload: str, pairs: int, seed: int,
+               better: dict[str, str]) -> dict:
+    """``pairs`` alternating pairs of runs of one workload, and their summary."""
+    runs = []
+    for pair in range(pairs):
+        for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+            run = {"pair": pair, "side": side, **run_once(trees[side], workload, seed)}
+            runs.append(run)
+            value = run["result"]["metrics"].get("compile_s", {}).get("value") if ok(run) else None
+            print(f"{workload} pair {pair} {side:<6} compile_s {value}", flush=True)
+
+    digests = {run["output_sha256"] for run in runs}
+    return {
+        "workload": workload,
+        "seed": seed,
+        "pairs": pairs,
+        "failed_runs": sum(not ok(run) for run in runs),
+        "same_output": len(digests) == 1 and None not in digests,
+        "summary": summarise(runs, better),
+        "runs": runs,
+    }
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", type=pathlib.Path, metavar="PARENT_DIR")
     p.add_argument("change", type=pathlib.Path, metavar="CHANGE_DIR")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", nargs="+", required=True)
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", type=pathlib.Path, required=True)
@@ -109,31 +134,18 @@ def main(argv=None) -> int:
     declared = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    runs = []
-    for pair in range(args.pairs):
-        for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-            run = {"pair": pair, "side": side, **run_once(trees[side], args.workload, args.seed)}
-            runs.append(run)
-            value = run["result"]["metrics"].get("compile_s", {}).get("value") if ok(run) else None
-            print(f"pair {pair} {side:<6} compile_s {value}", flush=True)
-
-    digests = {run["output_sha256"] for run in runs}
-    series = {
-        "workload": args.workload,
-        "seed": args.seed,
-        "pairs": args.pairs,
-        "failed_runs": sum(not ok(run) for run in runs),
-        "same_output": len(digests) == 1 and None not in digests,
-        "summary": summarise(runs, better),
-        "runs": runs,
-    }
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {"series": []}
-    doc["series"].append(series)
-    args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    for name, s in series["summary"].items():
-        print(f"{name:<14} parent {s['parent']['median']:.6g}  change {s['change']['median']:.6g}"
-              f"  won {s['pairs_won']}  gain shown: {'yes' if s['gain_shown'] else 'no'}")
-    return 0 if series["same_output"] and not series["failed_runs"] else 1
+    status = 0
+    for workload in args.workload:
+        series = run_series(trees, workload, args.pairs, args.seed, better)
+        doc = json.loads(args.out.read_text()) if args.out.exists() else {"series": []}
+        doc["series"].append(series)
+        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+        for name, s in series["summary"].items():
+            print(f"{workload} {name:<14} parent {s['parent']['median']:.6g}  change {s['change']['median']:.6g}"
+                  f"  won {s['pairs_won']}  gain shown: {'yes' if s['gain_shown'] else 'no'}")
+        if series["failed_runs"] or not series["same_output"]:
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -9,8 +9,8 @@ the Z on the measured wire itself is dropped, since it cancels against the
 measurement's own outcome dependence.
 
 Only ``simplify_flow`` reads this layout back, to take the flow off the
-circuit.  ``simplify_gflow`` takes the graph from its structure and shares
-only the wire rule, ``_wires``, to refuse a circuit built for another graph.
+circuit.  ``simplify_gflow`` builds the circuit again from its structure
+and refuses any circuit that differs from it.
 """
 
 from __future__ import annotations
@@ -30,15 +30,6 @@ def correction_block(graph: OpenGraph, i: int, j: int) -> list[Gate]:
     return gates
 
 
-def _wires(graph: OpenGraph) -> tuple[Wire, ...]:
-    """The extended circuit's wires: one per vertex, ascending, starting as
-    an input or |+> and ending as an output or measured."""
-    return tuple(
-        Wire(v, "input" if v in graph.inputs else "plus", "output" if v in graph.outputs else "measured")
-        for v in graph.vertices
-    )
-
-
 def build_extended(graph: OpenGraph, structure: CorrectionStructure) -> Circuit:
     """The extended circuit of ``structure`` on ``graph``, one round per layer.
 
@@ -46,6 +37,10 @@ def build_extended(graph: OpenGraph, structure: CorrectionStructure) -> Circuit:
     checked, since the structure checked itself when it was made.
     """
     _require_graph(graph, structure)
+    wires = tuple(
+        Wire(v, "input" if v in graph.inputs else "plus", "output" if v in graph.outputs else "measured")
+        for v in graph.vertices
+    )
     gates: list[Gate] = [Gate("CZ", edge) for edge in sorted(graph.edges)]
     for layer in structure.layers:
         for i in layer:
@@ -53,4 +48,4 @@ def build_extended(graph: OpenGraph, structure: CorrectionStructure) -> Circuit:
         for i in layer:
             for j in sorted(structure.correcting_sets[i]):
                 gates.extend(correction_block(graph, i, j))
-    return Circuit(_wires(graph), tuple(gates))
+    return Circuit(wires, tuple(gates))

@@ -42,9 +42,9 @@ first path that strips every measured wire is the result; each of its steps
 is applied once, and ``verify.check_steps`` checks the path against the
 dense oracle.  Given a flow as singleton correcting sets, the engine
 reproduces ``simplify_flow``'s output byte for byte.  An order other than
-the structure's, or a circuit whose wires are not the ones
-``build_extended`` lays out for the structure's graph, is refused up front
-with ValueError, before any search.
+the structure's, or a circuit other than the one ``build_extended`` makes
+of the structure on its graph, is refused up front with ValueError, before
+any search.
 
 A Circuit never changes: each rule applied to one returns a new Circuit.
 Inside the engine every circuit sits in a ``_Node`` with the step that made
@@ -83,7 +83,7 @@ from typing import NamedTuple
 
 from .circuits import Circuit, Gate, Wire, _StrictTuple, digest
 from .determinism import CorrectionStructure
-from .extend import _wires
+from .extend import build_extended
 from .verify import check_steps
 
 __all__ = [
@@ -971,8 +971,8 @@ def simplify_gflow(
     plan search; its accepted path is the result once ``check_steps`` finds
     that each step taken on at most 12 wires keeps the isometry within 1e-9,
     and a drifting step fails the designation.  ``order`` must be
-    ``structure.order``, and the circuit's wires the ones ``build_extended``
-    gives the structure's graph; else ValueError, before any search.
+    ``structure.order``, and ``circuit`` the one ``build_extended`` makes of
+    the structure on its graph; else ValueError, before any search.
     `compile_pattern` calls it only for a gflow (some g(i) of two or more
     vertices); given a flow's single-vertex sets it takes
     ``simplify_flow``'s steps, which the tests hold it to.
@@ -982,7 +982,7 @@ def simplify_gflow(
     if tuple(order) != structure.order:
         raise ValueError(f"the order {list(order)} is not the structure's order {list(structure.order)}")
     graph = structure.graph
-    if circuit.wires != _wires(graph):
+    if circuit != build_extended(graph, structure):
         raise ValueError("structure invalid for circuit: it was made for another graph")
     initial = digest(circuit)
     partial = SimplificationTrace((), initial, initial)

@@ -1097,6 +1097,30 @@ def test_gflow_refuses_the_flow_of_the_same_path_without_its_input(no_engine_nod
         simplify_gflow(ext, flow.order, flow)
 
 
+def test_gflow_refuses_another_graphs_circuit_on_the_same_wires(no_engine_node):
+    # the path 1-2-3 and the star 1-2, 1-3 lay out the same wires, so only
+    # the gates tell the path's extended circuit from the star's
+    path = OpenGraph((1, 2, 3), {(1, 2), (2, 3)}, (), {3}, {1: Angle.exact(1, 4), 2: Angle.exact(1, 2)})
+    ext = build_extended(path, find_flow(path))
+    star = OpenGraph((1, 2, 3), {(1, 2), (1, 3)}, (), {3}, {1: Angle.exact(1, 4), 2: Angle.exact(1, 2)})
+    foreign = CorrectionStructure(star, {1: frozenset({3}), 2: frozenset({1})})
+    assert ext.wires == build_extended(star, foreign).wires
+    with pytest.raises(ValueError, match=r"^structure invalid for circuit: it was made for another graph$"):
+        simplify_gflow(ext, foreign.order, foreign)
+
+
+def test_gflow_refuses_its_own_circuit_with_a_bent_angle(no_engine_node):
+    # example1's first J bent from 1/4 to 1/3 pi would compile to a compact
+    # circuit 0.09 away from the one its structure gives
+    structure, ext, order = fixture_pipeline("example1")
+    k = next(k for k, g in enumerate(ext.gates) if g.kind == "J")
+    assert ext.gates[k].angle == Angle.exact(1, 4)
+    bent_j = Gate("J", ext.gates[k].wires, Angle.exact(1, 3))
+    bent = Circuit(ext.wires, ext.gates[:k] + (bent_j,) + ext.gates[k + 1:])
+    with pytest.raises(ValueError, match=r"^structure invalid for circuit: it was made for another graph$"):
+        simplify_gflow(bent, order, structure)
+
+
 def test_gflow_refuses_an_order_that_leaves_a_measured_wire_out(no_engine_node):
     # two flow pairs, 1 onto 2 and 3 onto 4; an order that omits wire 3 is
     # refused before any search

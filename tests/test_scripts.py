@@ -185,6 +185,40 @@ def test_bench_pairs_alternates_the_trees_and_writes_their_runs(tmp_path, capsys
     assert first == series and second["same_output"] is False and len(second["runs"]) == 2
 
 
+def test_bench_pairs_runs_each_workload_in_turn_and_appends_its_series(tmp_path, monkeypatch):
+    script = load_script("bench_pairs")
+    calls = []
+
+    def stub_run_once(tree, workload, seed):
+        calls.append((tree.name, workload, seed))
+        correct = not (workload == "gflow-core" and tree.name == "change")
+        result = {"correct": correct, "metrics": {"compile_s": {"value": 1.0 if tree.name == "parent" else 0.9}}}
+        return {"returncode": 0, "result": result, "output_sha256": "1" * 64, "env": None}
+
+    monkeypatch.setattr(script, "run_once", stub_run_once)
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    declared = {"end_to_end": [{"name": "compile_s", "better": "lower"}]}
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(declared))
+    out = tmp_path / "BENCH.json"
+    args = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "strip-scaling", "gflow-core",
+            "--pairs", "2", "--seed", "4", "--out", str(out)]
+    # every gflow-core run of the change fails its reference check, so the
+    # script exits 1, after both series are written
+    assert script.main(args) == 1
+    assert calls == [
+        ("parent", "strip-scaling", 4), ("change", "strip-scaling", 4),
+        ("change", "strip-scaling", 4), ("parent", "strip-scaling", 4),
+        ("parent", "gflow-core", 4), ("change", "gflow-core", 4),
+        ("change", "gflow-core", 4), ("parent", "gflow-core", 4),
+    ]
+    strip, gflow = json.loads(out.read_text())["series"]
+    assert (strip["workload"], strip["failed_runs"], strip["same_output"]) == ("strip-scaling", 0, True)
+    assert strip["summary"]["compile_s"]["pairs_won"] == {"parent": 0, "change": 2, "tie": 0}
+    assert (gflow["workload"], gflow["failed_runs"], gflow["summary"]) == ("gflow-core", 2, {})
+    assert [r["side"] for r in gflow["runs"]] == ["parent", "change", "change", "parent"]
+
+
 def canned_runs(parent: list[float], change: list[float], name: str = "compile_s") -> list[dict]:
     """Successful runs whose one metric reads ``parent[k]`` and ``change[k]`` in pair k."""
     return [
